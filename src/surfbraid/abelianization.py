@@ -6,8 +6,9 @@ or ``zbar_k``) with its sign as an integer exponent, every chord maps to
 the single degree-one variable ``Z12``, and a permutation contributes
 ``tau`` raised to its parity (``tau^2 = 1``).  The computation is exact
 over the rationals; integer structure questions (torsion of the degree-one
-piece) are answered separately by ``degree_one_torsion`` through integer
-elementary-divisor reduction of the truncated relation span.
+piece) are answered separately by ``degree_one_torsion``, which only builds
+the framed relation rows of the truncated span and leaves their elimination
+to ``linalg.elementary_divisors``.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .diagrams import (
     bead_length,
     bead_multidegree,
     chord_degree,
-    mono_key,
     relation_instances,
 )
 from .errors import UnsupportedDegreeError
@@ -126,7 +126,6 @@ class TorsionReport:
     trunc: Truncation
     columns: int
     rows: int
-    components: int
     rank: int
     divisors_gt_one: tuple
     torsion_free: bool
@@ -139,7 +138,7 @@ def format_torsion_report(rep: TorsionReport) -> str:
         f"strands={rep.surface.strands}",
         f"truncation: chords<={rep.trunc.max_chords} beads<={rep.trunc.max_beads}",
         f"chord-degree-1 monomials: {rep.columns}",
-        f"relation rows: {rep.rows} in {rep.components} components, rank {rep.rank}",
+        f"relation rows: {rep.rows}, rank {rep.rank}",
         f"elementary divisors > 1: {divisors}",
         "torsion-free: " + ("yes" if rep.torsion_free else "NO"),
     ])
@@ -190,23 +189,15 @@ def _frames(s: SurfaceParams, free_beads: int, free_chords: int):
                         yield left, right
 
 
-def degree_one_torsion(s: SurfaceParams, trunc: Truncation = Truncation()) -> TorsionReport:
-    """Elementary-divisor reduction of the chord-degree-1 relation span over
-    the integers, at the given truncation.
-
-    Two-term rows with unit coefficients (bead commutation and bead
-    cancellation) are contracted first by union-find; the remaining rows are
-    rewritten over class representatives, split into connected components by
-    the net bead multidegree, and fed to integer Smith reduction.
-    """
-    instances = [
-        inst for inst in relation_instances(s, trunc)
-        if inst.element.max_chord_degree() <= 1
-    ]
+def _framed_rows(s: SurfaceParams, trunc: Truncation) -> list[dict]:
+    """Every chord-degree-1 relation instance framed by monomials on both
+    sides, as integer rows over monomials within the bead truncation; each
+    distinct row once."""
     L = trunc.max_beads
-
-    rows: dict = {}  # canonical form -> sparse row
-    for inst in instances:
+    rows: dict = {}  # frozenset of items -> sparse row
+    for inst in relation_instances(s, trunc):
+        if inst.element.max_chord_degree() > 1:
+            continue
         terms = inst.mono_terms()
         rl = max(bead_length(m) for m, _ in terms)
         rc = max(chord_degree(m) for m, _ in terms)
@@ -218,76 +209,26 @@ def degree_one_torsion(s: SurfaceParams, trunc: Truncation = Truncation()) -> To
             row = {m: c for m, c in row.items() if c}
             if not row or any(bead_length(m) > L for m in row):
                 continue
-            canon = tuple(sorted((mono_key(m), c) for m, c in row.items()))
-            rows.setdefault(canon, row)
+            rows.setdefault(frozenset(row.items()), row)
+    return list(rows.values())
 
-    columns = _count_degree_one_monomials(s, L)
 
-    # union-find over columns driven by two-term difference rows
-    parent: dict = {}
+def degree_one_torsion(s: SurfaceParams, trunc: Truncation = Truncation()) -> TorsionReport:
+    """Elementary divisors of the chord-degree-1 relation span over the
+    integers, at the given truncation.
 
-    def find(x):
-        root = x
-        while parent.get(root, root) != root:
-            root = parent[root]
-        while parent.get(x, x) != x:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry, key=mono_key)] = min(rx, ry, key=mono_key)
-
-    residual = []
-    for row in rows.values():
-        if len(row) == 2:
-            (m1, c1), (m2, c2) = row.items()
-            if c1 == -c2 and abs(c1) == 1:
-                union(m1, m2)
-                continue
-        residual.append(row)
-
-    merged: dict = {}
-    for row in residual:
-        acc: dict = {}
-        for m, c in row.items():
-            r = find(m)
-            acc[r] = acc.get(r, 0) + c
-        acc = {m: c for m, c in acc.items() if c}
-        if acc:
-            canon = tuple(sorted((mono_key(m), c) for m, c in acc.items()))
-            merged.setdefault(canon, acc)
-
-    # connected components over shared columns
-    comp: dict = {}
-
-    def cfind(x):
-        while comp.get(x, x) != x:
-            x = comp[x]
-        return x
-
-    for row in merged.values():
-        cols = list(row)
-        for c in cols[1:]:
-            r1, r2 = cfind(cols[0]), cfind(c)
-            if r1 != r2:
-                comp[max(r1, r2, key=mono_key)] = r1
-
-    grouped: dict = {}
-    for row in merged.values():
-        grouped.setdefault(cfind(next(iter(row))), []).append(row)
-
-    divisors: list[int] = []
-    for block in grouped.values():
-        divisors.extend(elementary_divisors(block))
+    The framed relation rows go to one ``elementary_divisors`` call, which
+    contracts the unit two-term rows (bead commutation and cancellation)
+    itself.  ``rank`` is the number of divisors: the rank of the span.
+    """
+    rows = _framed_rows(s, trunc)
+    divisors = elementary_divisors(rows)
     bad = tuple(sorted(d for d in divisors if d != 1))
     return TorsionReport(
         surface=s,
         trunc=trunc,
-        columns=columns,
+        columns=_count_degree_one_monomials(s, trunc.max_beads),
         rows=len(rows),
-        components=len(grouped),
         rank=len(divisors),
         divisors_gt_one=bad,
         torsion_free=not bad,

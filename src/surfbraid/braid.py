@@ -17,7 +17,8 @@ The degree-zero evaluation ``wreath_image`` sends ``s_i`` to a pure strand
 transposition and each loop to a bead on strand one; it annihilates every
 relator, which is checked exhaustively in the tests.  ``bounded_equal`` is
 a bounded breadth-first search over relator moves: sound when it answers
-Equal (the move sequence is replayed and verified), inconclusive otherwise.
+Equal (the move sequence is replayed and verified), inconclusive when the
+depth runs out, and a ``ResourceLimitError`` when the node budget does.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .errors import (
     DimensionMismatchError,
     InvalidGeneratorError,
     ParameterError,
+    ResourceLimitError,
     SurfbraidError,
 )
 from .surface import (
@@ -389,7 +391,9 @@ def bounded_equal(
 ) -> Equality:
     """Breadth-first search rewriting u towards v by at most ``depth`` relator
     moves.  Equal answers are replayed move by move before being returned;
-    Unknown is inconclusive."""
+    Unknown (the depth ran out) is inconclusive.  Raises
+    ``ResourceLimitError`` once ``node_budget`` new words were generated
+    without reaching v."""
     check_braid_word(u, s)
     check_braid_word(v, s)
     start, target = free_reduce(u), free_reduce(v)
@@ -431,7 +435,10 @@ def bounded_equal(
                         return path_to(nxt)
                     next_frontier.append(nxt)
                     if generated >= node_budget:
-                        return Equality("unknown")
+                        raise ResourceLimitError(
+                            f"node budget of {node_budget} words exhausted "
+                            f"within depth {depth}"
+                        )
         frontier = next_frontier
         if not frontier:
             break
@@ -440,7 +447,9 @@ def bounded_equal(
 
 def random_relator_rewrite(word: BraidWord, s: SurfaceParams, rng) -> tuple[BraidWord, Move]:
     """Apply one random relator move (substitution where possible, otherwise
-    insertion of a full relator conjugate); returns the rewritten word."""
+    insertion of a full relator conjugate); returns the rewritten word.
+    Raises ``ParameterError`` on a surface whose presentation has no
+    relators, where no move exists."""
     pieces = _move_pieces(s)
     subs = []
     for pos in range(len(word) + 1):
@@ -453,6 +462,11 @@ def random_relator_rewrite(word: BraidWord, s: SurfaceParams, rng) -> tuple[Brai
             for pos in range(len(word) + 1):
                 inserts.append(Move(pos, (), base, rel.family))
     candidates = subs + inserts
+    if not candidates:
+        raise ParameterError(
+            f"no relator move exists: the presentation for genus {s.genus}, "
+            f"boundary {s.boundary} on {s.strands} strands has no relators"
+        )
     for _ in range(32):
         mv = candidates[rng.randrange(len(candidates))]
         rewritten = apply_move(word, mv)

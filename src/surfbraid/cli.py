@@ -65,10 +65,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--window", "-w", type=int, default=None)
     parser.add_argument("--node-budget", type=int, default=None)
     parser.add_argument("--cache-dir", default=None)
-    parser.add_argument(
-        "--jobs", type=int, default=None,
-        help="worker count (accepted for compatibility; computations run serially)",
-    )
 
 
 def _config_from(args) -> Config:
@@ -83,7 +79,6 @@ def _config_from(args) -> Config:
         window=args.window,
         node_budget=getattr(args, "node_budget", None),
         cache_dir=getattr(args, "cache_dir", None),
-        jobs=args.jobs,
     )
 
 

@@ -9,7 +9,7 @@ from .errors import ParameterError
 
 _INT_KEYS = {
     "genus", "boundary", "strands", "max_chords", "max_beads",
-    "window", "node_budget", "jobs",
+    "window", "node_budget",
 }
 _STR_KEYS = {"cache_dir"}
 
@@ -24,15 +24,12 @@ class Config:
     window: int = 6
     node_budget: int = 10**6
     cache_dir: str | None = None
-    jobs: int = 1
 
     def __post_init__(self):
         if self.window < self.max_chords:
             raise ParameterError("window must be at least the chord truncation")
         if self.window < self.max_beads:
             raise ParameterError("window must be at least the bead truncation")
-        if self.jobs < 1:
-            raise ParameterError("jobs must be positive")
         if self.node_budget < 1:
             raise ParameterError("node budget must be positive")
 

@@ -14,9 +14,10 @@ degree; ``F`` is the set of signed loop letters of the surface):
 
 * ``BeadBead``    gamma@i delta@j - delta@j gamma@i          (i != j)
 * ``BeadPush``    gamma@i Z(i,j) - Z(i,j) gamma@j — a bead slides across a
-                  chord onto the other strand; both directions are emitted,
-                  plus their sum (gamma@i + gamma@j) Z - Z (gamma@i + gamma@j),
-                  the commutator form the family is usually quoted in
+                  chord onto the other strand; both directions are emitted.
+                  Their sum (gamma@i + gamma@j) Z - Z (gamma@i + gamma@j),
+                  the commutator form the family is usually quoted in, lies
+                  in their span and is not catalogued
 * ``BeadFar``     gamma@k Z(i,j) - Z(i,j) gamma@k            (k not on the chord)
 * ``ChordSym``    Z(i,j) = Z(j,i) — vacuous, chords are stored sorted
 * ``ChordFar``    [Z(i,j), Z(k,l)] for disjoint strand pairs
@@ -315,17 +316,11 @@ def _check_strand_range(strands: int, indices) -> None:
 
 @dataclass(frozen=True)
 class RelationInstance:
-    """One relation, expanded to an explicit identity-permutation element.
-
-    ``derived`` marks instances that are exact linear combinations of
-    other instances in the same catalog; they are listed for completeness
-    but skipped by the membership search, whose span they cannot enlarge.
-    """
+    """One relation, expanded to an explicit identity-permutation element."""
 
     family: str
     rid: str
     element: WreathDiagram
-    derived: bool = False
 
     def mono_terms(self) -> list[tuple[Monomial, Fraction]]:
         return [(mono, c) for (mono, _), c in self.element.terms.items()]
@@ -344,7 +339,7 @@ def relation_instances(s: SurfaceParams, trunc: Truncation) -> list[RelationInst
     ident = identity_perm(n)
     out: list[RelationInstance] = []
 
-    def emit(family: str, rid: str, term_list, derived: bool = False):
+    def emit(family: str, rid: str, term_list):
         terms = {}
         for mono, coef in term_list:
             mono = tuple(mono)
@@ -354,7 +349,7 @@ def relation_instances(s: SurfaceParams, trunc: Truncation) -> list[RelationInst
             terms[key] = terms.get(key, 0) + coef
         element = WreathDiagram(n, trunc, terms)
         if not element.is_zero:
-            out.append(RelationInstance(family, rid, element, derived))
+            out.append(RelationInstance(family, rid, element))
 
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
@@ -381,14 +376,6 @@ def relation_instances(s: SurfaceParams, trunc: Truncation) -> list[RelationInst
                     "BeadPush",
                     f"BeadPush[{name};{j}>{i}]",
                     [((bead(j, ga), z), 1), ((z, bead(i, ga)), -1)],
-                )
-                # sum of the two slides; catalogued but redundant for spans
-                emit(
-                    "BeadPush",
-                    f"BeadPush[{name};{i},{j}]",
-                    [((bead(i, ga), z), 1), ((bead(j, ga), z), 1),
-                     ((z, bead(i, ga)), -1), ((z, bead(j, ga)), -1)],
-                    derived=True,
                 )
 
     for i in range(1, n + 1):
@@ -701,11 +688,10 @@ def _component_member(
     emitted: set = set()
     seen = set(target)
     frontier = sorted(target, key=mono_key)
-    live = [inst for inst in instances if not inst.derived]
 
     def try_rows(mu):
         new_monos = []
-        for inst in live:
+        for inst in instances:
             for part, _ in inst.mono_terms():
                 if not part and not allow_insertions:
                     continue

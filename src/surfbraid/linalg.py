@@ -9,15 +9,21 @@ Two tools live here:
   entries (denominators cleared, content gcd stripped) and elimination is
   division-free, keeping the hot path in pure integer arithmetic; the
   rational bookkeeping is deferred to certificate expansion.  Column keys
-  may be arbitrary hashable objects; ties are broken by first-seen order,
-  which keeps results deterministic.  Every stored row's pivot is its
+  may be arbitrary hashable objects; each is interned once to an integer
+  id in first-seen order, rows are stored over those ids, and remainders
+  are mapped back to the caller's keys.  Every stored row's pivot is its
   least column id, so elimination always moves to strictly larger ids and
   terminates without back-substitution.
 
-* ``elementary_divisors`` — integer Smith normal form, with a sparse
-  first phase that repeatedly eliminates on entries equal to +-1 (choosing
-  the entry of least fill-in) and a dense textbook phase for whatever
-  remains.  Exact throughout; no floating point anywhere.
+* ``elementary_divisors`` — integer Smith normal form over columns
+  interned the same way.  Unit two-term rows ``{c1: u, c2: -u}`` with
+  ``|u| = 1`` are contracted first by union-find (each merge is a divisor
+  1); a sparse phase then repeatedly eliminates on entries equal to +-1
+  (choosing the entry of least fill-in) and a dense textbook phase handles
+  whatever remains.  Exact throughout; no floating point anywhere.
+
+Callers hand over rows keyed by any hashable objects: how columns are
+identified and how unit rows are eliminated is decided here alone.
 """
 
 from __future__ import annotations
@@ -45,35 +51,34 @@ class ExactReducer:
 
     def __init__(self, track_provenance: bool = True):
         self.track = track_provenance
-        self.rows: list[dict] = []   # integer entries, content gcd 1, pivot > 0
+        self.rows: list[dict] = []   # column id -> int, content gcd 1, pivot > 0
         self.links: list = []        # (tag, num, scl, ((beta, idx), ...))
-        self.pivots: dict = {}       # column -> row index
-        self.col_ids: dict = {}      # column -> first-seen order
+        self.pivots: dict = {}       # column id -> row index
+        self.col_ids: dict = {}      # column key -> id, in first-seen order
+        self.col_keys: list = []     # column id -> key
         self._memo: dict = {}        # row index -> tag combination
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
-    def _col_id(self, col) -> int:
-        cid = self.col_ids.get(col)
-        if cid is None:
-            cid = len(self.col_ids)
-            self.col_ids[col] = cid
-        return cid
-
-    @staticmethod
-    def _to_int_row(row: dict) -> tuple[dict, int]:
-        """Clear denominators: returns (int_row, den) with int_row = den * row."""
+    def _to_int_row(self, row: dict) -> tuple[dict, int]:
+        """Clear denominators and intern the columns: returns (int_row, den)
+        with int_row = den * row, keyed by column id."""
         den = 1
         for v in row.values():
             if isinstance(v, Fraction):
                 den = den * v.denominator // math.gcd(den, v.denominator)
+        col_ids, col_keys = self.col_ids, self.col_keys
         out: dict = {}
         for c, v in row.items():
             iv = int(v * den)
             if iv:
-                out[c] = iv
+                cid = col_ids.get(c)
+                if cid is None:
+                    cid = col_ids[c] = len(col_keys)
+                    col_keys.append(c)
+                out[cid] = iv
         return out, den
 
     def _eliminate(self, work: dict) -> tuple[int, list]:
@@ -82,27 +87,19 @@ class ExactReducer:
 
             alpha * input = work + sum(beta * rows[idx] for beta, idx in chain).
 
-        Stored rows only contain columns with ids >= their pivot's id, so
-        the least eliminable column id strictly increases and the loop
-        terminates."""
+        Stored rows only contain column ids >= their pivot, so the least
+        eliminable column strictly increases and the loop terminates."""
         alpha = 1
         chain: list[list] = []
-        pivots, col_ids, rows = self.pivots, self.col_ids, self.rows
+        pivots, rows = self.pivots, self.rows
         while work:
-            best_col = best_id = None
-            for col in work:
-                i = pivots.get(col)
-                if i is None:
-                    continue
-                cid = col_ids[col]
-                if best_id is None or cid < best_id:
-                    best_col, best_id = col, cid
-            if best_col is None:
+            col = min((c for c in work if c in pivots), default=None)
+            if col is None:
                 break
-            i = pivots[best_col]
+            i = pivots[col]
             row = rows[i]
-            p = row[best_col]
-            f = work[best_col]
+            p = row[col]
+            f = work[col]
             g = math.gcd(f, p)
             m_work = p // g
             m_row = f // g
@@ -167,26 +164,22 @@ class ExactReducer:
         pass ``combo_if_nonzero`` to force expansion either way.
         """
         work, den = self._to_int_row(row)
-        for c in work:
-            self._col_id(c)
         alpha, chain = self._eliminate(work)
         scale = alpha * den
         combo = {}
         if self.track and (not work or combo_if_nonzero):
             combo = self._expand(chain, scale)
-        if work and scale != 1:
-            work = {c: Fraction(v, scale) for c, v in work.items()}
-        return work, combo
+        keys = self.col_keys
+        return {keys[c]: Fraction(v, scale) if scale != 1 else v
+                for c, v in work.items()}, combo
 
     def insert(self, row: dict, tag=None) -> bool:
         """Add an original row; returns True iff it enlarged the span."""
         work, den = self._to_int_row(row)
-        for c in work:
-            self._col_id(c)
         alpha, chain = self._eliminate(work)
         if not work:
             return False
-        pivot = min(work, key=self.col_ids.__getitem__)
+        pivot = min(work)
         g = 0
         for v in work.values():
             g = math.gcd(g, v)
@@ -221,16 +214,53 @@ def span_rank(rows) -> int:
 def elementary_divisors(rows) -> list[int]:
     """Elementary divisors (including 1s) of the integer matrix whose rows
     are the given sparse ``{column: int}`` maps."""
+    col_ids: dict = {}
+    parent: list[int] = []  # union-find over column ids
+
+    def find(c: int) -> int:
+        root = c
+        while parent[root] != root:
+            root = parent[root]
+        while parent[c] != root:
+            parent[c], c = root, parent[c]
+        return root
+
+    # a unit difference {c1: u, c2: -u} with |u| = 1 merges the classes of
+    # c1 and c2; each merge is a pivot with divisor 1
+    divisors: list[int] = []
+    general: list[dict] = []
+    for row in rows:
+        r: dict = {}
+        for c, v in row.items():
+            if v:
+                cid = col_ids.get(c)
+                if cid is None:
+                    cid = col_ids[c] = len(parent)
+                    parent.append(cid)
+                r[cid] = int(v)
+        if len(r) == 2:
+            (c1, v1), (c2, v2) = r.items()
+            if v1 == -v2 and v1 in (1, -1):
+                r1, r2 = find(c1), find(c2)
+                if r1 != r2:
+                    parent[max(r1, r2)] = min(r1, r2)
+                    divisors.append(1)
+                continue
+        if r:
+            general.append(r)
+
     work: dict[int, dict] = {}
     col_rows: dict = {}
-    for i, row in enumerate(rows):
-        r = {c: int(v) for c, v in row.items() if v}
-        if r:
-            work[i] = r
-            for c in r:
+    for i, r in enumerate(general):
+        acc: dict = {}
+        for c, v in r.items():
+            root = find(c)
+            acc[root] = acc.get(root, 0) + v
+        acc = {c: v for c, v in acc.items() if v}
+        if acc:
+            work[i] = acc
+            for c in acc:
                 col_rows.setdefault(c, set()).add(i)
-
-    divisors: list[int] = []
 
     # sparse phase: eliminate on +-1 entries, least fill-in first
     while True:
@@ -272,7 +302,7 @@ def elementary_divisors(rows) -> list[int]:
         return divisors
 
     # dense phase on the residue
-    cols = sorted({c for row in work.values() for c in row}, key=repr)
+    cols = sorted({c for row in work.values() for c in row})
     col_index = {c: k for k, c in enumerate(cols)}
     mat = []
     for row in work.values():

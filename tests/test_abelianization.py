@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from surfbraid.abelianization import (
+    _framed_rows,
     degree_one_torsion,
     format_h1,
     format_h1_key,
@@ -28,6 +29,7 @@ from surfbraid.diagrams import (
 )
 from surfbraid.errors import UnsupportedDegreeError
 from surfbraid.group_algebra import JSummand
+from surfbraid.linalg import span_rank
 from surfbraid.surface import SurfaceParams, letter
 
 S112 = SurfaceParams(1, 1, 2)
@@ -169,3 +171,14 @@ class TestTorsion:
         assert "torsion-free: yes" in text
         assert "elementary divisors > 1: none" in text
         assert "genus=0 boundary=2 strands=2" in text
+        assert f"relation rows: {rep.rows}, rank {rep.rank}" in text
+
+    @pytest.mark.parametrize("g, p, n, beads, rank", [
+        (0, 2, 2, 4, 1552),
+        (1, 1, 2, 3, 2040),
+        (2, 0, 2, 2, 610),  # its ClosedSum rows are not unit differences
+    ])
+    def test_rank_is_rational_rank(self, g, p, n, beads, rank):
+        s, trunc = SurfaceParams(g, p, n), Truncation(max_beads=beads)
+        rep = degree_one_torsion(s, trunc)
+        assert rep.rank == span_rank(_framed_rows(s, trunc)) == rank

@@ -21,7 +21,12 @@ from surfbraid.braid import (
     transposition_perm,
     wreath_image,
 )
-from surfbraid.errors import InvalidGeneratorError, ParameterError, ParseError
+from surfbraid.errors import (
+    InvalidGeneratorError,
+    ParameterError,
+    ParseError,
+    ResourceLimitError,
+)
 from surfbraid.surface import SurfaceParams, letter
 
 A1 = letter("a", 1)
@@ -226,6 +231,14 @@ class TestBoundedEqual:
         eq = bounded_equal(u, (), S112, depth=1)
         assert eq.is_equal
 
+    def test_node_budget_exhausted_raises(self):
+        u = parse_braid_word("a1", S112)
+        v = parse_braid_word("b1", S112)
+        with pytest.raises(ResourceLimitError, match="node budget of 1 "):
+            bounded_equal(u, v, S112, depth=1, node_budget=1)
+        # the same search with room to spare runs out of depth instead
+        assert bounded_equal(u, v, S112, depth=1).status == "unknown"
+
 
 class TestRandomRewrite:
     def test_preserves_wreath_image(self):
@@ -237,3 +250,9 @@ class TestRandomRewrite:
                 assert apply_move(u, move) == v
                 assert wreath_image(v, s) == wreath_image(u, s)
                 u = v
+
+    def test_no_relators_refuses(self):
+        s = SurfaceParams(0, 1, 2)
+        assert relators(s) == []
+        with pytest.raises(ParameterError, match="no relators"):
+            random_relator_rewrite(parse_braid_word("s1", s), s, random.Random(0))

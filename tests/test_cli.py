@@ -83,6 +83,15 @@ class TestBraidCommands:
         assert code == EXIT_NEGATIVE
         assert out == "Unknown\n"
 
+    def test_equal_node_budget_exits_resource(self, capsys):
+        code, out, err = run(
+            capsys,
+            ["braid", "equal", *S112, "--depth", "1", "--node-budget", "1", "a1", "b1"],
+        )
+        assert code == EXIT_RESOURCE
+        assert out == ""
+        assert err.startswith("resource error: node budget")
+
 
 class TestAlgebraCommands:
     def test_singular_desing(self, capsys):
@@ -251,10 +260,3 @@ class TestConfigAndErrors:
         )
         assert code == EXIT_RESOURCE
         assert err.startswith("resource error: ")
-
-    def test_jobs_flag_accepted(self, capsys):
-        code, out, _ = run(
-            capsys, ["braid", "perm", *S112, "--jobs", "4", "s1"]
-        )
-        assert code == EXIT_OK
-        assert out == "(1 2)\n"

@@ -13,7 +13,6 @@ class TestConfig:
         assert (cfg.max_chords, cfg.max_beads, cfg.window) == (2, 4, 6)
         assert cfg.node_budget == 10**6
         assert cfg.cache_dir is None
-        assert cfg.jobs == 1
 
     def test_window_must_cover_chords(self):
         with pytest.raises(ParameterError):
@@ -22,10 +21,6 @@ class TestConfig:
     def test_window_must_cover_beads(self):
         with pytest.raises(ParameterError):
             Config(max_beads=7, window=6)
-
-    def test_jobs_positive(self):
-        with pytest.raises(ParameterError):
-            Config(jobs=0)
 
     def test_node_budget_positive(self):
         with pytest.raises(ParameterError):
@@ -58,7 +53,6 @@ class TestLoadConfig:
         assert cfg.cache_dir == "/tmp/surfcache"
         # untouched keys stay at their defaults
         assert cfg.max_chords == 2
-        assert cfg.jobs == 1
 
     def test_unknown_key(self, tmp_path):
         path = tmp_path / "bad.cfg"

@@ -3,7 +3,9 @@
 import random
 from fractions import Fraction
 
-from surfbraid.linalg import ExactReducer, elementary_divisors, span_rank
+import pytest
+
+from surfbraid.linalg import ExactReducer, _dense_smith, elementary_divisors, span_rank
 
 
 def random_row(rng, cols, width):
@@ -114,6 +116,27 @@ class TestExactReducer:
         assert not rem
         assert combo == {"half": Fraction(6)}
 
+    @pytest.mark.parametrize("names", [
+        [f"k{9 - c}" for c in range(10)],           # sorts in reverse
+        [((7 * c) % 10, "x") for c in range(10)],   # sorts scrambled
+    ], ids=["str", "tuple"])
+    def test_keys_out_of_sort_order(self, names):
+        # the reducer pivots in first-seen order, the oracle in index order:
+        # a first reduce shows every column in index order, so the two
+        # remainders agree exactly, and must come back under the caller's keys
+        rng = random.Random(41)
+        for trial in range(30):
+            rows = [random_row(rng, 10, 4) for _ in range(rng.randint(1, 8))]
+            r = ExactReducer()
+            r.reduce({name: 1 for name in names})
+            for row in rows:
+                r.insert({names[c]: v for c, v in row.items()})
+            for _ in range(5):
+                target = random_row(rng, 10, 5)
+                rem, _ = r.reduce({names[c]: v for c, v in target.items()})
+                oracle = brute_reduce(rows, target)
+                assert rem == {names[c]: v for c, v in oracle.items()}, trial
+
 
 class TestSpanRank:
     def test_known_ranks(self):
@@ -168,6 +191,30 @@ class TestElementaryDivisors:
                 assert len(divs) == n and prod == abs(det)
             else:
                 assert len(divs) < n
+
+    def test_matches_dense_smith_on_mixed_rows(self):
+        # unit differences (contracted by union-find), repeated (negated) rows and
+        # general integer rows, over string column keys
+        rng = random.Random(29)
+        for trial in range(60):
+            ncols = rng.randint(2, 7)
+            rows = []
+            for _ in range(rng.randint(1, 9)):
+                kind = rng.random()
+                if kind < 0.4:
+                    c1, c2 = rng.sample(range(ncols), 2)
+                    u = rng.choice((1, -1, 1, -1, 2))
+                    rows.append({c1: u, c2: -u})
+                elif kind < 0.6 and rows:
+                    rows.append({c: -v for c, v in rng.choice(rows).items()})
+                else:
+                    cols = rng.sample(range(ncols), rng.randint(1, ncols))
+                    row = {c: rng.randint(-4, 4) for c in cols}
+                    rows.append({c: v for c, v in row.items() if v} or {0: 3})
+            dense = [[row.get(c, 0) for c in range(ncols)] for row in rows]
+            keyed = [{f"col{c}": v for c, v in row.items()} for row in rows]
+            divs = elementary_divisors(keyed)
+            assert sorted(divs) == sorted(_dense_smith(dense)), (trial, rows)
 
     def _det(self, mat):
         n = len(mat)
