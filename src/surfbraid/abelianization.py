@@ -26,7 +26,7 @@ from .diagrams import (
     chord_degree,
     relation_instances,
 )
-from .errors import UnsupportedDegreeError
+from .errors import ResourceLimitError, UnsupportedDegreeError
 from .linalg import elementary_divisors
 from .surface import SurfaceParams
 
@@ -189,19 +189,63 @@ def _frames(s: SurfaceParams, free_beads: int, free_chords: int):
                         yield left, right
 
 
-def _framed_rows(s: SurfaceParams, trunc: Truncation) -> list[dict]:
-    """Every chord-degree-1 relation instance framed by monomials on both
-    sides, as integer rows over monomials within the bead truncation; each
-    distinct row once."""
-    L = trunc.max_beads
-    rows: dict = {}  # frozenset of items -> sparse row
+def _frame_count(s: SurfaceParams, free_beads: int, free_chords: int) -> int:
+    """How many pairs ``_frames`` yields, from the sizes of its monomial sets:
+    with B bead symbols, B^b monomials of b beads and no chord, and
+    B^b * C(n,2) * (b+1) with one chord."""
+    beads, chords = len(_bead_symbols(s)), len(_chord_symbols(s))
+
+    def monos(b, c):
+        return beads ** b * (chords * (b + 1) if c else 1)
+
+    return sum(
+        monos(bl, cl) * monos(br, free_chords - cl)
+        for cl in range(free_chords + 1)
+        for bl in range(free_beads + 1)
+        for br in range(free_beads - bl + 1)
+    )
+
+
+# Framed rows cost about 790 bytes of peak memory each (533,332 rows of
+# (2,0,2) at 4 beads peak at 420 MB), so this caps the check near 0.8 GB.
+MAX_FRAMED_ROWS = 1_000_000
+
+
+def _framed_instances(s: SurfaceParams, trunc: Truncation) -> list:
+    """(terms, free beads, free chords) of each chord-degree <= 1 relation
+    instance: the frame budget left beside it within the truncation."""
+    out = []
     for inst in relation_instances(s, trunc):
         if inst.element.max_chord_degree() > 1:
             continue
         terms = inst.mono_terms()
         rl = max(bead_length(m) for m, _ in terms)
         rc = max(chord_degree(m) for m, _ in terms)
-        for left, right in _frames(s, L - rl, 1 - rc):
+        out.append((terms, trunc.max_beads - rl, 1 - rc))
+    return out
+
+
+def _framed_row_bound(s: SurfaceParams, instances: list) -> int:
+    return sum(_frame_count(s, fb, fc) for _, fb, fc in instances)
+
+
+def _framed_rows(s: SurfaceParams, trunc: Truncation) -> list[dict]:
+    """Every chord-degree-1 relation instance framed by monomials on both
+    sides, as integer rows over monomials within the bead truncation; each
+    distinct row once.  Raises ``ResourceLimitError`` before framing when
+    the frames could give more than ``MAX_FRAMED_ROWS`` rows."""
+    instances = _framed_instances(s, trunc)
+    bound = _framed_row_bound(s, instances)
+    if bound > MAX_FRAMED_ROWS:
+        raise ResourceLimitError(
+            f"the torsion check on genus {s.genus}, boundary {s.boundary}, "
+            f"{s.strands} strands at {trunc.max_beads} beads frames up to "
+            f"{bound} relation rows, over the limit of {MAX_FRAMED_ROWS}"
+        )
+    L = trunc.max_beads
+    rows: dict = {}  # frozenset of items -> sparse row
+    for terms, free_beads, free_chords in instances:
+        for left, right in _frames(s, free_beads, free_chords):
             row: dict = {}
             for m, c in terms:
                 key = left + m + right
@@ -220,6 +264,8 @@ def degree_one_torsion(s: SurfaceParams, trunc: Truncation = Truncation()) -> To
     The framed relation rows go to one ``elementary_divisors`` call, which
     contracts the unit two-term rows (bead commutation and cancellation)
     itself.  ``rank`` is the number of divisors: the rank of the span.
+    Raises ``ResourceLimitError``, before any row is built, when the frames
+    could give more than ``MAX_FRAMED_ROWS`` rows.
     """
     rows = _framed_rows(s, trunc)
     divisors = elementary_divisors(rows)

@@ -23,7 +23,8 @@ depth runs out, and a ``ResourceLimitError`` when the node budget does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import weakref
+from dataclasses import dataclass
 
 from .errors import (
     DimensionMismatchError,
@@ -38,10 +39,10 @@ from .surface import (
     format_word,
     free_reduce,
     inverse_word,
+    letter_sort_key,
     parse_word,
     pi1_mul,
     pi1_normalize,
-    word_sort_key,
 )
 
 BraidWord = tuple  # letters (kind, index, sign), kind in {"s", "a", "b", "z"}
@@ -62,6 +63,8 @@ def check_braid_word(word: BraidWord, s: SurfaceParams) -> None:
                 raise InvalidGeneratorError(
                     f"s{idx} needs {idx + 1} strands but only {s.strands} present"
                 )
+            if sign not in (1, -1):
+                raise InvalidGeneratorError(f"crossing letter s{idx} has sign {sign}")
         elif not s.pi1_letter_valid((kind, idx, sign)):
             raise InvalidGeneratorError(
                 f"loop letter {format_word(((kind, idx, sign),))} does not exist "
@@ -347,10 +350,13 @@ class Move:
 
 @dataclass(frozen=True)
 class Equality:
-    """Outcome of bounded_equal: Equal carries a verified move sequence."""
+    """Outcome of bounded_equal: Equal carries a verified move sequence.
+    ``nodes`` counts the distinct words the search generated (0 when the
+    reduced words already agree)."""
 
     status: str  # "equal" | "unknown"
     moves: tuple[Move, ...] = ()
+    nodes: int = 0
 
     @property
     def is_equal(self) -> bool:
@@ -364,22 +370,94 @@ def apply_move(word: BraidWord, move: Move) -> BraidWord:
     return free_reduce(word[:move.pos] + move.inserted + word[end:])
 
 
-def _move_pieces(s: SurfaceParams) -> list[tuple[BraidWord, BraidWord, str]]:
-    """All (removed, inserted, family) relator moves: for each rotation r of a
-    relator or its inverse and each split r = P.S, the move rewrites P into
-    S^-1 (P empty gives free insertion of a relator conjugate)."""
-    pieces: dict[tuple[BraidWord, BraidWord], str] = {}
-    for rel in relators(s):
-        for base in (rel.word, inverse_word(rel.word)):
-            for r in range(len(base)):
-                rot = free_reduce(base[r:] + base[:r])
-                for k in range(len(rot) + 1):
-                    removed, inserted = rot[:k], inverse_word(rot[k:])
-                    if removed != inserted:
-                        pieces.setdefault((removed, inserted), rel.family)
-    out = [(rem, ins, fam) for (rem, ins), fam in pieces.items()]
-    out.sort(key=lambda t: (len(t[0]), word_sort_key(t[0]), word_sort_key(t[1])))
-    return out
+def _inverse_code(word: tuple) -> tuple:
+    return tuple(-x for x in reversed(word))
+
+
+def _splice(head: tuple, inserted: tuple, tail: tuple) -> tuple:
+    """``free_reduce(head + inserted + tail)`` for three freely reduced
+    int-coded words: cancellation can only happen at the two seams."""
+    if head and inserted and head[-1] == -inserted[0]:
+        i, n = 1, min(len(head), len(inserted))
+        while i < n and head[-1 - i] == -inserted[i]:
+            i += 1
+        left = head[:-i] + inserted[i:]
+    else:
+        left = head + inserted
+    if left and tail and left[-1] == -tail[0]:
+        j, n = 1, min(len(left), len(tail))
+        while j < n and left[-1 - j] == -tail[j]:
+            j += 1
+        return left[:-j] + tail[j:]
+    return left + tail
+
+
+class _MoveTable:
+    """Every relator move of one surface, on int-coded letters: a letter has
+    a positive id and its inverse the negated id.
+
+    For each rotation r of a relator or its inverse and each split r = P.S,
+    the move rewrites P into S^-1 (P empty inserts a relator conjugate).
+    ``subs`` maps each removed word P to its ``(inserted, family)`` pairs,
+    ordered by ``word_sort_key`` of the inserted word, first family kept;
+    ``lengths`` holds the removed lengths, ascending.  Scanning the lengths
+    in order and each group in order visits the moves that apply at one
+    position in the order of one list sorted by (removed, inserted).
+    ``bases`` are the relators and their inverses, as letter words, that
+    ``random_relator_rewrite`` inserts."""
+
+    def __init__(self, s: SurfaceParams):
+        rels = relators(s)
+        self.ids: dict[tuple, int] = {}
+        self.letters: dict[int, tuple] = {}
+        for k, (kind, idx, _) in enumerate(
+                [_s(i) for i in range(1, s.strands)] + _loop_letters(s), 1):
+            for sign in (1, -1):
+                self.ids[(kind, idx, sign)] = sign * k
+                self.letters[sign * k] = (kind, idx, sign)
+        rank = {x: letter_sort_key(l) for l, x in self.ids.items()}
+        pieces: dict[tuple, str] = {}
+        for rel in rels:
+            code = self.encode(rel.word)
+            for base in (code, _inverse_code(code)):
+                for r in range(len(base)):
+                    # relators are freely reduced: a rotation cancels at its seam
+                    rot = _splice(base[r:], (), base[:r])
+                    for k in range(len(rot) + 1):
+                        removed, inserted = rot[:k], _inverse_code(rot[k:])
+                        if removed != inserted:
+                            pieces.setdefault((removed, inserted), rel.family)
+
+        def key(w):
+            return len(w), tuple(rank[x] for x in w)
+
+        subs: dict[tuple, list] = {}
+        for (removed, inserted), family in sorted(
+                pieces.items(), key=lambda t: (key(t[0][0]), key(t[0][1]))):
+            subs.setdefault(removed, []).append((inserted, family))
+        self.subs = {removed: tuple(group) for removed, group in subs.items()}
+        self.lengths = tuple(sorted({len(removed) for removed in subs}))
+        self.bases = tuple(
+            (base, rel.family)
+            for rel in rels for base in (rel.word, inverse_word(rel.word))
+        )
+
+    def encode(self, word: BraidWord) -> tuple:
+        return tuple(self.ids[l] for l in word)
+
+    def decode(self, code: tuple) -> BraidWord:
+        return tuple(self.letters[x] for x in code)
+
+
+# one table per live SurfaceParams object; it goes with the object
+_MOVE_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _move_table(s: SurfaceParams) -> _MoveTable:
+    table = _MOVE_TABLES.get(s)
+    if table is None:
+        table = _MOVE_TABLES[s] = _MoveTable(s)
+    return table
 
 
 def bounded_equal(
@@ -393,83 +471,118 @@ def bounded_equal(
     moves.  Equal answers are replayed move by move before being returned;
     Unknown (the depth ran out) is inconclusive.  Raises
     ``ResourceLimitError`` once ``node_budget`` new words were generated
-    without reaching v."""
+    without reaching v.
+
+    The moves come from the surface's move table, built on first use and
+    kept while the ``SurfaceParams`` object lives.  At each position of a
+    word the search probes the table once per removed length and splices
+    each inserted word in by cancelling at the two seams only.  Words are
+    expanded in frontier order, positions left to right, and the moves at
+    one position by (removed length, removed, inserted) in the fixed
+    letter order, so the moves returned and the word count at which the
+    budget stops are fixed by the inputs."""
     check_braid_word(u, s)
     check_braid_word(v, s)
     start, target = free_reduce(u), free_reduce(v)
     if start == target:
         return Equality("equal")
-    pieces = _move_pieces(s)
-    parents: dict[BraidWord, tuple[BraidWord, Move]] = {}
-    frontier = [start]
-    seen = {start}
-    generated = 0
+    table = _move_table(s)
+    subs, lengths = table.subs, table.lengths
+    start_code, target_code = table.encode(start), table.encode(target)
+    # word -> (previous word, position, removed length, inserted, family)
+    parents: dict[tuple, tuple] = {}
+    frontier = [start_code]
+    seen = {start_code}
 
-    def path_to(w: BraidWord) -> Equality:
+    def path_to(w: tuple) -> Equality:
         moves: list[Move] = []
-        while w != start:
-            w, mv = parents[w]
-            moves.append(mv)
+        while w != start_code:
+            w, pos, k, inserted, family = parents[w]
+            moves.append(Move(pos, table.decode(w[pos:pos + k]),
+                              table.decode(inserted), family))
         moves.reverse()
         check = start
         for mv in moves:
             check = apply_move(check, mv)
         if check != target:
             raise SurfbraidError("internal error: move replay failed")
-        return Equality("equal", tuple(moves))
+        return Equality("equal", tuple(moves), len(seen) - 1)
 
     for _ in range(depth):
-        next_frontier: list[BraidWord] = []
+        next_frontier: list[tuple] = []
         for w in frontier:
-            for pos in range(len(w) + 1):
-                for removed, inserted, family in pieces:
-                    if w[pos:pos + len(removed)] != removed:
+            n = len(w)
+            for pos in range(n + 1):
+                head = w[:pos]
+                for k in lengths:
+                    if pos + k > n:
+                        break
+                    group = subs.get(w[pos:pos + k])
+                    if group is None:
                         continue
-                    nxt = free_reduce(w[:pos] + inserted + w[pos + len(removed):])
-                    if nxt in seen:
-                        continue
-                    generated += 1
-                    seen.add(nxt)
-                    parents[nxt] = (w, Move(pos, removed, inserted, family))
-                    if nxt == target:
-                        return path_to(nxt)
-                    next_frontier.append(nxt)
-                    if generated >= node_budget:
-                        raise ResourceLimitError(
-                            f"node budget of {node_budget} words exhausted "
-                            f"within depth {depth}"
-                        )
+                    tail = w[pos + k:]
+                    for inserted, family in group:
+                        nxt = _splice(head, inserted, tail)
+                        if nxt in seen:
+                            continue
+                        seen.add(nxt)
+                        parents[nxt] = (w, pos, k, inserted, family)
+                        if nxt == target_code:
+                            return path_to(nxt)
+                        next_frontier.append(nxt)
+                        if len(seen) - 1 >= node_budget:
+                            raise ResourceLimitError(
+                                f"node budget of {node_budget} words exhausted "
+                                f"within depth {depth}"
+                            )
         frontier = next_frontier
         if not frontier:
             break
-    return Equality("unknown")
+    return Equality("unknown", nodes=len(seen) - 1)
 
 
 def random_relator_rewrite(word: BraidWord, s: SurfaceParams, rng) -> tuple[BraidWord, Move]:
     """Apply one random relator move (substitution where possible, otherwise
     insertion of a full relator conjugate); returns the rewritten word.
     Raises ``ParameterError`` on a surface whose presentation has no
-    relators, where no move exists."""
-    pieces = _move_pieces(s)
+    relators, where no move exists.
+
+    The candidates are, in order, the substitutions found in the surface's
+    move table (positions left to right, then the table's move order) and
+    the insertions of each relator and its inverse at each position; the
+    insertions are addressed by index, not listed.  ``rng`` draws among
+    them by index, so a seeded ``rng`` picks a fixed move."""
+    check_braid_word(word, s)
+    table = _move_table(s)
+    code = table.encode(word)
     subs = []
-    for pos in range(len(word) + 1):
-        for removed, inserted, family in pieces:
-            if removed and word[pos:pos + len(removed)] == removed:
-                subs.append(Move(pos, removed, inserted, family))
-    inserts = []
-    for rel in relators(s):
-        for base in (rel.word, inverse_word(rel.word)):
-            for pos in range(len(word) + 1):
-                inserts.append(Move(pos, (), base, rel.family))
-    candidates = subs + inserts
-    if not candidates:
+    for pos in range(len(code) + 1):
+        for k in table.lengths:
+            if pos + k > len(code):
+                break
+            if k:
+                for inserted, family in table.subs.get(code[pos:pos + k], ()):
+                    subs.append((pos, k, inserted, family))
+    total = len(subs) + len(table.bases) * (len(word) + 1)
+    if not total:
         raise ParameterError(
             f"no relator move exists: the presentation for genus {s.genus}, "
             f"boundary {s.boundary} on {s.strands} strands has no relators"
         )
+
+    def candidate(i: int) -> Move:
+        if i < len(subs):
+            pos, k, inserted, family = subs[i]
+            return Move(pos, word[pos:pos + k], table.decode(inserted), family)
+        b, pos = divmod(i - len(subs), len(word) + 1)
+        base, family = table.bases[b]
+        return Move(pos, (), base, family)
+
+    reduced = free_reduce(word)
     for _ in range(32):
-        mv = candidates[rng.randrange(len(candidates))]
+        mv = candidate(rng.randrange(total))
         rewritten = apply_move(word, mv)
-        if rewritten != free_reduce(word):
+        if rewritten != reduced:
             return rewritten, mv
-    return apply_move(word, candidates[0]), candidates[0]
+    mv = candidate(0)
+    return apply_move(word, mv), mv

@@ -1,12 +1,18 @@
 """Commutative quotient in chord degree <= 1 and the integer torsion check."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
+from surfbraid import abelianization
 from surfbraid.abelianization import (
+    MAX_FRAMED_ROWS,
+    _framed_instances,
+    _framed_row_bound,
     _framed_rows,
+    _frames,
     degree_one_torsion,
     format_h1,
     format_h1_key,
@@ -27,7 +33,7 @@ from surfbraid.diagrams import (
     degree_one_symbol,
     relation_instances,
 )
-from surfbraid.errors import UnsupportedDegreeError
+from surfbraid.errors import ResourceLimitError, UnsupportedDegreeError
 from surfbraid.group_algebra import JSummand
 from surfbraid.linalg import span_rank
 from surfbraid.surface import SurfaceParams, letter
@@ -182,3 +188,29 @@ class TestTorsion:
         s, trunc = SurfaceParams(g, p, n), Truncation(max_beads=beads)
         rep = degree_one_torsion(s, trunc)
         assert rep.rank == span_rank(_framed_rows(s, trunc)) == rank
+
+    @pytest.mark.parametrize("g, p, n, beads", [
+        (1, 1, 2, 3), (0, 2, 2, 4), (2, 0, 2, 2), (0, 1, 3, 2),
+    ])
+    def test_row_bound_counts_the_frames(self, g, p, n, beads):
+        s, trunc = SurfaceParams(g, p, n), Truncation(max_beads=beads)
+        instances = _framed_instances(s, trunc)
+        frames = sum(len(list(_frames(s, fb, fc))) for _, fb, fc in instances)
+        assert _framed_row_bound(s, instances) == frames
+        assert len(_framed_rows(s, trunc)) <= frames
+
+    def test_row_bound_admits_two_handles_at_four_beads(self):
+        # (2,0,2) at 4 beads builds 533,332 rows; it must stay allowed
+        s = SurfaceParams(2, 0, 2)
+        bound = _framed_row_bound(s, _framed_instances(s, TR))
+        assert 533_332 <= bound <= MAX_FRAMED_ROWS
+
+    def test_refuses_before_framing(self, monkeypatch):
+        def no_frames(*args):
+            raise AssertionError("framed before the size check")
+
+        monkeypatch.setattr(abelianization, "_frames", no_frames)
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match="over the limit"):
+            degree_one_torsion(SurfaceParams(2, 1, 3), Truncation())
+        assert time.perf_counter() - start < 1.0

@@ -1,13 +1,21 @@
 """Surface braid words, relators, wreath images, and bounded equality."""
 
+import gc
 import random
+import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from surfbraid import braid
 from surfbraid.braid import (
+    Equality,
+    Move,
     WreathElement,
     apply_move,
     bounded_equal,
+    check_braid_word,
     compose_perms,
     format_perm_cycles,
     identity_perm,
@@ -27,7 +35,13 @@ from surfbraid.errors import (
     ParseError,
     ResourceLimitError,
 )
-from surfbraid.surface import SurfaceParams, letter
+from surfbraid.surface import (
+    SurfaceParams,
+    free_reduce,
+    inverse_word,
+    letter,
+    word_sort_key,
+)
 
 A1 = letter("a", 1)
 B1 = letter("b", 1)
@@ -35,6 +49,7 @@ B1 = letter("b", 1)
 S112 = SurfaceParams(1, 1, 2)
 S013 = SurfaceParams(0, 1, 3)
 S102 = SurfaceParams(1, 0, 2)
+S123 = SurfaceParams(1, 2, 3)
 
 
 class TestPermutations:
@@ -98,6 +113,8 @@ class TestBraidWords:
             parse_braid_word("a2", S112)
         with pytest.raises(InvalidGeneratorError):
             parse_braid_word("z1", S112)
+        with pytest.raises(InvalidGeneratorError, match="sign"):
+            check_braid_word((("s", 1, 2),), S112)
 
     def test_strand_permutation(self):
         w = parse_braid_word("s1 s2", S013)
@@ -256,3 +273,188 @@ class TestRandomRewrite:
         assert relators(s) == []
         with pytest.raises(ParameterError, match="no relators"):
             random_relator_rewrite(parse_braid_word("s1", s), s, random.Random(0))
+
+
+# ---------------------------------------------------------------------------
+# reference: the flat piece list scanned at every position
+# ---------------------------------------------------------------------------
+
+
+def ref_move_pieces(s):
+    """All (removed, inserted, family) relator moves: for each rotation r of a
+    relator or its inverse and each split r = P.S, the move rewrites P into
+    S^-1 (P empty gives free insertion of a relator conjugate)."""
+    pieces = {}
+    for rel in relators(s):
+        for base in (rel.word, inverse_word(rel.word)):
+            for r in range(len(base)):
+                rot = free_reduce(base[r:] + base[:r])
+                for k in range(len(rot) + 1):
+                    removed, inserted = rot[:k], inverse_word(rot[k:])
+                    if removed != inserted:
+                        pieces.setdefault((removed, inserted), rel.family)
+    out = [(rem, ins, fam) for (rem, ins), fam in pieces.items()]
+    out.sort(key=lambda t: (len(t[0]), word_sort_key(t[0]), word_sort_key(t[1])))
+    return out
+
+
+def ref_bounded_equal(u, v, s, depth, node_budget=10**6):
+    start, target = free_reduce(u), free_reduce(v)
+    if start == target:
+        return Equality("equal")
+    pieces = ref_move_pieces(s)
+    parents = {}
+    frontier = [start]
+    seen = {start}
+    for _ in range(depth):
+        next_frontier = []
+        for w in frontier:
+            for pos in range(len(w) + 1):
+                for removed, inserted, family in pieces:
+                    if w[pos:pos + len(removed)] != removed:
+                        continue
+                    nxt = free_reduce(w[:pos] + inserted + w[pos + len(removed):])
+                    if nxt in seen:
+                        continue
+                    seen.add(nxt)
+                    parents[nxt] = (w, Move(pos, removed, inserted, family))
+                    if nxt == target:
+                        moves = []
+                        while nxt != start:
+                            nxt, mv = parents[nxt]
+                            moves.append(mv)
+                        return Equality("equal", tuple(reversed(moves)), len(seen) - 1)
+                    next_frontier.append(nxt)
+                    if len(seen) - 1 >= node_budget:
+                        raise ResourceLimitError(
+                            f"node budget of {node_budget} words exhausted "
+                            f"within depth {depth}"
+                        )
+        frontier = next_frontier
+        if not frontier:
+            break
+    return Equality("unknown", nodes=len(seen) - 1)
+
+
+def ref_random_relator_rewrite(word, s, rng):
+    pieces = ref_move_pieces(s)
+    subs = []
+    for pos in range(len(word) + 1):
+        for removed, inserted, family in pieces:
+            if removed and word[pos:pos + len(removed)] == removed:
+                subs.append(Move(pos, removed, inserted, family))
+    inserts = []
+    for rel in relators(s):
+        for base in (rel.word, inverse_word(rel.word)):
+            for pos in range(len(word) + 1):
+                inserts.append(Move(pos, (), base, rel.family))
+    candidates = subs + inserts
+    if not candidates:
+        raise ParameterError(
+            f"no relator move exists: the presentation for genus {s.genus}, "
+            f"boundary {s.boundary} on {s.strands} strands has no relators"
+        )
+    for _ in range(32):
+        mv = candidates[rng.randrange(len(candidates))]
+        rewritten = apply_move(word, mv)
+        if rewritten != free_reduce(word):
+            return rewritten, mv
+    return apply_move(word, candidates[0]), candidates[0]
+
+
+def outcome(search, *args):
+    try:
+        return search(*args)
+    except (ResourceLimitError, ParameterError) as exc:
+        return type(exc), str(exc)
+
+
+SURFACES = [SurfaceParams(*t) for t in
+            [(1, 1, 2), (1, 0, 2), (2, 1, 3), (0, 2, 3), (1, 2, 2), (0, 1, 2)]]
+
+
+def alphabet(s):
+    return [("s", i, e) for i in range(1, s.strands) for e in (1, -1)] + s.pi1_letters()
+
+
+@st.composite
+def search_inputs(draw):
+    s = draw(st.sampled_from(SURFACES))
+    words = st.lists(st.sampled_from(alphabet(s)), max_size=5).map(
+        lambda w: free_reduce(tuple(w)))
+    u = draw(words)
+    rels = relators(s)
+    if rels and draw(st.booleans()):
+        # a relator or its inverse inserted: Equal within depth 1
+        rel = draw(st.sampled_from(rels)).word
+        if draw(st.booleans()):
+            rel = inverse_word(rel)
+        pos = draw(st.integers(0, len(u)))
+        v = free_reduce(u[:pos] + rel + u[pos:])
+    else:
+        v = draw(words)
+    return s, u, v
+
+
+class TestMoveTableAgainstReference:
+    @settings(max_examples=120, deadline=None)
+    @given(search_inputs(), st.integers(0, 2), st.sampled_from([25, 2000]),
+           st.integers(0, 2**32 - 1))
+    def test_same_answers_as_the_piece_scan(self, inputs, depth, budget, seed):
+        s, u, v = inputs
+        assert outcome(bounded_equal, u, v, s, depth, budget) == \
+            outcome(ref_bounded_equal, u, v, s, depth, budget)
+        assert outcome(random_relator_rewrite, u, s, random.Random(seed)) == \
+            outcome(ref_random_relator_rewrite, u, s, random.Random(seed))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(st.sampled_from(alphabet(S123)), max_size=6),
+                    min_size=3, max_size=3))
+    def test_splice_cancels_at_the_seams(self, parts):
+        table = braid._move_table(S123)
+        head, inserted, tail = (free_reduce(tuple(w)) for w in parts)
+        spliced = braid._splice(
+            table.encode(head), table.encode(inserted), table.encode(tail))
+        assert table.decode(spliced) == free_reduce(head + inserted + tail)
+
+    def test_nodes_count_distinct_neighbours(self):
+        for s, text in ((S112, "a1 s1"), (S013, "s1 s2"), (S102, "b1 s1^-1")):
+            u = parse_braid_word(text, s)
+            # a different strand permutation: never reached
+            v = u + (("s", 1, 1),)
+            neighbours = {
+                free_reduce(u[:pos] + ins + u[pos + len(rem):])
+                for pos in range(len(u) + 1)
+                for rem, ins, _ in ref_move_pieces(s)
+                if u[pos:pos + len(rem)] == rem
+            } - {u}
+            eq = bounded_equal(u, v, s, depth=1)
+            assert eq.status == "unknown"
+            assert eq.nodes == len(neighbours) > 0
+            # the budget stops the search at its last word, not after it
+            with pytest.raises(ResourceLimitError):
+                bounded_equal(u, v, s, depth=1, node_budget=eq.nodes)
+            assert bounded_equal(u, v, s, depth=1, node_budget=eq.nodes + 1) == eq
+            assert bounded_equal(u, u, s, depth=1).nodes == 0
+
+    def test_table_lives_with_its_surface(self, monkeypatch):
+        built = []
+        table_class = braid._MoveTable
+
+        def counting(s):
+            built.append(None)
+            return table_class(s)
+
+        monkeypatch.setattr(braid, "_MoveTable", counting)
+        before = len(braid._MOVE_TABLES)
+        s = SurfaceParams(3, 1, 2)
+        u = parse_braid_word("a1 s1", s)
+        bounded_equal(u, parse_braid_word("b1", s), s, depth=1)
+        random_relator_rewrite(u, s, random.Random(0))
+        assert len(built) == 1
+        assert len(braid._MOVE_TABLES) == before + 1
+        alive = weakref.ref(s)
+        del s
+        gc.collect()
+        assert alive() is None
+        assert len(braid._MOVE_TABLES) == before
