@@ -616,9 +616,9 @@ def ideal_member(
     whose bead letters do not occur in x are skipped: they can only be
     missed, and NotFound is inconclusive anyway.
 
-    With ``certify=False`` no certificate is assembled: membership is
-    still decided by exact integer elimination, but the provenance
-    bookkeeping is skipped, which is substantially faster for bulk runs.
+    With ``certify=False`` membership is decided by the same exact integer
+    elimination; only assembling the certificate and re-expanding it
+    against x are skipped, and the certificate is None.
     """
     if window < trunc.max_beads:
         raise ParameterError(
@@ -725,11 +725,11 @@ def _component_member(
                 checked_rank = reducer.rank
                 remainder, combo = reducer.reduce(target)
                 if not remainder:
-                    return {tag: c for tag, c in combo.items() if c}
+                    return combo
         remainder, combo = reducer.reduce(target)
         checked_rank = reducer.rank
         if not remainder:
-            return {tag: c for tag, c in combo.items() if c}
+            return combo
         if len(emitted) > max_rows or not next_frontier:
             return None
         frontier = sorted(next_frontier, key=mono_key)

@@ -8,7 +8,8 @@ Two tools live here:
   yields an explicit rational certificate.  Stored rows carry integer
   entries (denominators cleared, content gcd stripped) and elimination is
   division-free, keeping the hot path in pure integer arithmetic; the
-  rational bookkeeping is deferred to certificate expansion.  Column keys
+  rational bookkeeping is left to one reverse sweep per reduction, which
+  expands the elimination chain over the original rows.  Column keys
   may be arbitrary hashable objects; each is interned once to an integer
   id in first-seen order, rows are stored over those ids, and remainders
   are mapped back to the caller's keys.  Every stored row's pivot is its
@@ -42,11 +43,11 @@ class ExactReducer:
     ``row = remainder + sum(combo[tag] * original[tag])``.  Row values may
     be ints or Fractions.
 
-    Provenance is stored lazily: each stored row keeps only its own tag,
+    Provenance is stored as integers: each stored row keeps its own tag,
     its integer scaling and the elimination chain (multiplier, row index)
-    it went through; the tag-level combination is expanded on demand and
-    memoized on the instance (stored rows are immutable), so only rows a
-    successful reduction actually touches are ever paid for in memory.
+    it went through.  A reduction expands its chain over the tags in one
+    sweep from the newest stored row down; a chain only names older rows,
+    so each row is visited once, after every row that refers to it.
     """
 
     def __init__(self, track_provenance: bool = True):
@@ -56,7 +57,6 @@ class ExactReducer:
         self.pivots: dict = {}       # column id -> row index
         self.col_ids: dict = {}      # column key -> id, in first-seen order
         self.col_keys: list = []     # column id -> key
-        self._memo: dict = {}        # row index -> tag combination
 
     @property
     def rank(self) -> int:
@@ -119,56 +119,38 @@ class ExactReducer:
         return alpha, chain
 
     def _expand(self, chain, scale: int) -> dict:
-        """Tag-level combination sum(beta / scale * E(idx)) for a chain,
-        where E(idx) expands stored row idx over original tags; memoized
-        per stored row, expanded iteratively."""
-        memo = self._memo
-        stack = [idx for _, idx in chain]
-        while stack:
-            idx = stack[-1]
-            if idx in memo:
-                stack.pop()
-                continue
-            tag, num, scl, sub = self.links[idx]
-            missing = [j for _, j in sub if j not in memo]
-            if missing:
-                stack.extend(missing)
-                continue
-            stack.pop()
-            combo = {tag: Fraction(num, scl)}
-            for beta, j in sub:
-                coef = Fraction(beta, scl)
-                for t, v in memo[j].items():
-                    nv = combo.get(t, _ZERO) - coef * v
-                    if nv:
-                        combo[t] = nv
-                    else:
-                        combo.pop(t, None)
-            memo[idx] = combo
-        total: dict = {}
+        """Tag-level combination of ``sum(beta / scale * rows[idx])`` over a
+        chain, by one sweep over the stored rows from the newest down.
+
+        Stored row ``idx`` is ``(num * original[tag] - sum(beta' * rows[j]))
+        / scl`` over its own chain, and that chain names only older rows, so
+        once the sweep reaches ``idx`` its coefficient is final: it is added
+        to the row's tag (tags may repeat) and pushed onto its chain."""
+        coef: dict = {}
         for beta, idx in chain:
-            coef = Fraction(beta, scale)
-            for t, v in memo[idx].items():
-                nv = total.get(t, _ZERO) + coef * v
-                if nv:
-                    total[t] = nv
-                else:
-                    total.pop(t, None)
-        return total
+            coef[idx] = Fraction(beta, scale)
+        links = self.links
+        combo: dict = {}
+        for idx in range(max(coef, default=-1), -1, -1):
+            c = coef.get(idx)
+            if not c:
+                continue
+            tag, num, scl, sub = links[idx]
+            c /= scl
+            combo[tag] = combo.get(tag, _ZERO) + c * num
+            for beta, j in sub:
+                coef[j] = coef.get(j, _ZERO) - c * beta
+        return {t: v for t, v in combo.items() if v}
 
-    def reduce(self, row: dict, combo_if_nonzero: bool = False) -> tuple[dict, dict]:
-        """Remainder of ``row`` modulo the span, plus the combination used.
-
-        By default the combination is only expanded when the remainder is
-        zero (a membership), which is the only case callers act on it;
-        pass ``combo_if_nonzero`` to force expansion either way.
-        """
+    def reduce(self, row: dict) -> tuple[dict, dict]:
+        """Remainder of ``row`` modulo the span, plus the combination used:
+        ``row = remainder + sum(combo[tag] * original[tag])``.  The
+        combination is returned whenever provenance is tracked, whether or
+        not the remainder is zero; without tracking it is ``{}``."""
         work, den = self._to_int_row(row)
         alpha, chain = self._eliminate(work)
         scale = alpha * den
-        combo = {}
-        if self.track and (not work or combo_if_nonzero):
-            combo = self._expand(chain, scale)
+        combo = self._expand(chain, scale) if self.track else {}
         keys = self.col_keys
         return {keys[c]: Fraction(v, scale) if scale != 1 else v
                 for c, v in work.items()}, combo

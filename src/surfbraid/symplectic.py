@@ -31,6 +31,7 @@ of total degree ``d``.  Everything is deterministic and rational.
 from __future__ import annotations
 
 import functools
+import os
 from pathlib import Path
 
 from .errors import HypothesisError, ParameterError, ResourceLimitError
@@ -340,7 +341,9 @@ def dims_table(
     word_cap: int = 200000,
 ) -> str:
     """Two-column ``degree dimension`` table, cached as versioned plain text
-    keyed by (genus, boundary, strands, max degree)."""
+    keyed by (genus, boundary, strands, max degree).  The cache file is
+    written beside its final name and renamed into place, so an interrupted
+    write never leaves a partial table behind."""
     if cache_dir is None:
         return dims_table_text(s, max_degree, word_cap)
     path = Path(cache_dir) / (
@@ -353,5 +356,11 @@ def dims_table(
             return body
     body = dims_table_text(s, max_degree, word_cap)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(DIMS_FORMAT_TAG + "\n" + body)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(DIMS_FORMAT_TAG + "\n" + body)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return body

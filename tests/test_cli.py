@@ -114,6 +114,16 @@ class TestAlgebraCommands:
         assert lines[0] == "Member"
         assert "BeadGroup[a1@1]" in out
 
+    def test_diagram_member_by_relator_insertion(self, capsys):
+        # closes only in the pass that lets relation rows grow a monomial
+        element = "1 * a1@1 b1^-1@1 + -1 * b1^-1@1 a1@1"
+        code, out, _ = run(
+            capsys, ["diagram", "member", "-g", "1", "-p", "0", "-n", "2", element]
+        )
+        assert code == EXIT_OK
+        assert out.splitlines()[0] == "Member"
+        assert "BeadRelator[1;+]" in out
+
     def test_diagram_member_negative(self, capsys):
         code, out, _ = run(
             capsys, ["diagram", "member", *S112, "1 * Z(1,2) ; perm=(1)(2)"]

@@ -11,6 +11,10 @@ from surfbraid.diagrams import (
     Membership,
     Truncation,
     WreathDiagram,
+    _component_member,
+    _instance_applicable,
+    _normalize_with_trace,
+    _support_letters,
     bead,
     chord,
     chord_generator,
@@ -329,6 +333,23 @@ class TestIdealMember:
         m = ideal_member(x, S102, trunc, window=5)
         assert m.is_member
         verify_certificate(x, m, S102, trunc)
+
+    def test_growing_pass_closes_torus_commutator(self):
+        # a1 b1^-1 and b1^-1 a1 differ by a surface relator inserted into a
+        # shorter monomial, so only the pass that allows insertions finds it
+        trunc = Truncation()
+        x = parse_diagram("1 * a1@1 b1^-1@1 + -1 * b1^-1@1 a1@1", S102, trunc)
+        m = ideal_member(x, S102, trunc, window=6)
+        assert m.is_member and m.certificate
+        verify_certificate(x, m, S102, trunc)
+        xn, _ = _normalize_with_trace(x)
+        assert {perm for (_, perm) in xn.terms} == {ID2}
+        target = {mono: c for (mono, _), c in xn.terms.items()}
+        letters = _support_letters(x)
+        usable = [inst for inst in relation_instances(S102, trunc)
+                  if _instance_applicable(inst, letters)]
+        assert _component_member(
+            target, usable, 6, 16, 60000, allow_insertions=False) is None
 
 
 class TestDegreeOneSymbol:

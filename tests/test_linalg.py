@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from surfbraid.linalg import ExactReducer, _dense_smith, elementary_divisors, span_rank
 
@@ -15,6 +17,22 @@ def random_row(rng, cols, width):
         if not row[c]:
             del row[c]
     return row
+
+
+# entries with a denominator above 1, so inserted and queried rows are
+# rescaled to integers before elimination
+FRACTIONS = st.builds(
+    Fraction, st.integers(-4, 4).filter(bool), st.integers(2, 5)
+).filter(lambda f: f.denominator > 1)
+SPARSE_ROWS = st.dictionaries(st.integers(0, 7), FRACTIONS, min_size=1, max_size=4)
+
+
+def combine(rows: dict, combo: dict) -> dict:
+    total: dict = {}
+    for tag, c in combo.items():
+        for col, v in rows[tag].items():
+            total[col] = total.get(col, 0) + c * v
+    return {col: v for col, v in total.items() if v}
 
 
 def brute_reduce(rows, target):
@@ -91,10 +109,41 @@ class TestExactReducer:
             rebuilt = {c: v for c, v in rebuilt.items() if v}
             assert rebuilt == target
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(SPARSE_ROWS, st.sampled_from([None, "t", "u"])),
+                    min_size=1, max_size=8),
+           st.lists(st.integers(-3, 3), min_size=8, max_size=8),
+           SPARSE_ROWS)
+    def test_combination_rebuilds_every_query(self, inserted, coefs, other):
+        # `unique` tags every row by its position, `shared` by a tag drawn
+        # from three (repeats included): the shared combination must be the
+        # unique one summed over each tag
+        rows = {i: row for i, (row, _) in enumerate(inserted)}
+        unique, shared = ExactReducer(), ExactReducer()
+        for i, (row, tag) in enumerate(inserted):
+            unique.insert(dict(row), tag=i)
+            shared.insert(dict(row), tag=tag)
+        member = combine(rows, {i: Fraction(c, 2) for i, c in zip(rows, coefs)})
+        for query in (member, other):
+            rem, combo = unique.reduce(dict(query))
+            rebuilt = combine(rows, combo)
+            for col, v in rem.items():
+                rebuilt[col] = rebuilt.get(col, 0) + v
+            assert {col: v for col, v in rebuilt.items() if v} == query
+            by_tag: dict = {}
+            for i, c in combo.items():
+                tag = inserted[i][1]
+                by_tag[tag] = by_tag.get(tag, 0) + c
+            assert shared.reduce(dict(query)) == (
+                rem, {tag: c for tag, c in by_tag.items() if c})
+        rem, combo = unique.reduce(dict(member))
+        assert rem == {}
+        assert combine(rows, combo) == member
+
     def test_nonzero_remainder_is_exact(self):
         r = ExactReducer()
         r.insert({0: 2, 1: 3}, tag="row")
-        rem, combo = r.reduce({0: 1}, combo_if_nonzero=True)
+        rem, combo = r.reduce({0: 1})
         # remainder = input - combo . rows
         rebuilt = dict(rem)
         for tag, c in combo.items():

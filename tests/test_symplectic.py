@@ -2,10 +2,12 @@
 
 import itertools
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from surfbraid.errors import HypothesisError, ParameterError, ResourceLimitError
+from surfbraid import symplectic
 from surfbraid.surface import SurfaceParams
 from surfbraid.symplectic import (
     DIMS_FORMAT_TAG,
@@ -230,6 +232,28 @@ class TestDimsTable:
         body2 = dims_table(GEN_S110, 2, cache_dir=tmp_path)
         assert body2 == body1
         assert cached[0].read_bytes() == content1
+
+    def test_interrupted_write_leaves_no_cache(self, tmp_path, monkeypatch):
+        write_text = Path.write_text
+
+        def cut_short(self, data, *args, **kwargs):
+            write_text(self, data[: len(data) // 2], *args, **kwargs)
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(Path, "write_text", cut_short)
+        with pytest.raises(OSError):
+            dims_table(GEN_S110, 2, cache_dir=tmp_path)
+        assert list(tmp_path.iterdir()) == []
+        monkeypatch.undo()
+
+        calls = []
+        compute = symplectic.dims_table_text
+        monkeypatch.setattr(symplectic, "dims_table_text",
+                            lambda *a: calls.append(a) or compute(*a))
+        assert dims_table(GEN_S110, 2, cache_dir=tmp_path) == "0 1\n1 2\n2 3\n"
+        assert len(calls) == 1
+        path = tmp_path / "dims_g1_p0_n1_d2.txt"
+        assert path.read_text() == DIMS_FORMAT_TAG + "\n0 1\n1 2\n2 3\n"
 
     def test_stale_header_recomputed(self, tmp_path):
         path = tmp_path / "dims_g1_p0_n1_d2.txt"
