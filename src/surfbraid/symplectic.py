@@ -360,7 +360,6 @@ def dims_table(
     try:
         tmp.write_text(DIMS_FORMAT_TAG + "\n" + body)
         os.replace(tmp, path)
-    except BaseException:
+    finally:
         tmp.unlink(missing_ok=True)
-        raise
     return body

@@ -6,8 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from surfbraid.errors import HypothesisError, ParameterError, ResourceLimitError
 from surfbraid import symplectic
+from surfbraid.errors import HypothesisError, ParameterError, ResourceLimitError
 from surfbraid.surface import SurfaceParams
 from surfbraid.symplectic import (
     DIMS_FORMAT_TAG,
