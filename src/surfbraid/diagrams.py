@@ -723,13 +723,11 @@ def _component_member(
                 break
             if reducer.rank - checked_rank >= 256:
                 checked_rank = reducer.rank
-                remainder, combo = reducer.reduce(target)
-                if not remainder:
-                    return combo
-        remainder, combo = reducer.reduce(target)
+                if reducer.contains(target):
+                    return reducer.reduce(target)[1]
         checked_rank = reducer.rank
-        if not remainder:
-            return combo
+        if reducer.contains(target):
+            return reducer.reduce(target)[1]
         if len(emitted) > max_rows or not next_frontier:
             return None
         frontier = sorted(next_frontier, key=mono_key)

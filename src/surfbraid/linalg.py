@@ -40,14 +40,15 @@ class ExactReducer:
 
     insert(row, tag) adds an original row; reduce(row) returns a remainder
     and the combination of original rows that was subtracted, so that
-    ``row = remainder + sum(combo[tag] * original[tag])``.  Row values may
-    be ints or Fractions.
+    ``row = remainder + sum(combo[tag] * original[tag])``; contains(row)
+    answers membership alone.  Row values may be ints or Fractions.
 
     Provenance is stored as integers: each stored row keeps its own tag,
     its integer scaling and the elimination chain (multiplier, row index)
     it went through.  A reduction expands its chain over the tags in one
-    sweep from the newest stored row down; a chain only names older rows,
-    so each row is visited once, after every row that refers to it.
+    sweep from the newest stored row it names down to row 0; a chain only
+    names older rows, so each row is visited once, after every row that
+    refers to it, at a cost of O(rank + chain steps).
     """
 
     def __init__(self, track_provenance: bool = True):
@@ -125,7 +126,9 @@ class ExactReducer:
         Stored row ``idx`` is ``(num * original[tag] - sum(beta' * rows[j]))
         / scl`` over its own chain, and that chain names only older rows, so
         once the sweep reaches ``idx`` its coefficient is final: it is added
-        to the row's tag (tags may repeat) and pushed onto its chain."""
+        to the row's tag (tags may repeat) and pushed onto its chain.  Every
+        index below the chain's largest is visited, so the cost is
+        O(rank + chain steps)."""
         coef: dict = {}
         for beta, idx in chain:
             coef[idx] = Fraction(beta, scale)
@@ -141,6 +144,13 @@ class ExactReducer:
             for beta, j in sub:
                 coef[j] = coef.get(j, _ZERO) - c * beta
         return {t: v for t, v in combo.items() if v}
+
+    def contains(self, row: dict) -> bool:
+        """Whether ``row`` lies in the span: ``reduce`` without expanding the
+        combination, so a query that is not a member costs one elimination."""
+        work, _ = self._to_int_row(row)
+        self._eliminate(work)
+        return not work
 
     def reduce(self, row: dict) -> tuple[dict, dict]:
         """Remainder of ``row`` modulo the span, plus the combination used:

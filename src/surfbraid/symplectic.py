@@ -316,8 +316,7 @@ def symp_twist_redundancy(s: SurfaceParams, word_cap: int = 200000) -> bool:
             reducer.insert({w: 1})
     for i in range(1, s.strands + 1):
         for j in range(i + 1, s.strands + 1):
-            rem, _ = reducer.reduce({(_zc(i, j),): 1})
-            if rem:
+            if not reducer.contains({(_zc(i, j),): 1}):
                 return False
     return True
 

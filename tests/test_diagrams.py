@@ -1,5 +1,6 @@
 """Chord-diagram algebra: products, relation catalog, and ideal membership."""
 
+import inspect
 import random
 from fractions import Fraction
 
@@ -41,6 +42,7 @@ from surfbraid.errors import (
     UnsupportedDegreeError,
 )
 from surfbraid.group_algebra import JSummand
+from surfbraid.linalg import ExactReducer
 from surfbraid.surface import SurfaceParams, letter
 
 S112 = SurfaceParams(1, 1, 2)
@@ -306,6 +308,26 @@ class TestIdealMember:
         x = WreathDiagram.unit(2, TR)
         assert ideal_member(x, S112, TR, window=5).status == "not_found"
 
+    def test_failing_saturation_expands_no_combination(self, monkeypatch):
+        # the saturation checkpoints (every 256 new ranks within a round) and
+        # round ends ask only whether the target is in the span: a search
+        # that ends NotFound never expands a combination
+        ranks = []
+        contains = ExactReducer.contains
+
+        def spy(self, row):
+            ranks.append(self.rank)
+            return contains(self, row)
+
+        def refuse(self, chain, scale):
+            raise AssertionError("combination expanded for a non-member")
+
+        monkeypatch.setattr(ExactReducer, "contains", spy)
+        monkeypatch.setattr(ExactReducer, "_expand", refuse)
+        x = conjugated_chord(S112, 1, 2, (A1,), TR) - conjugated_chord(S112, 1, 2, (B1,), TR)
+        assert ideal_member(x, S112, TR, window=6, max_rows=1000).status == "not_found"
+        assert max(ranks) >= 256
+
     def test_window_must_cover_truncation(self):
         x = WreathDiagram.zero(2, TR)
         with pytest.raises(ParameterError):
@@ -348,8 +370,12 @@ class TestIdealMember:
         letters = _support_letters(x)
         usable = [inst for inst in relation_instances(S102, trunc)
                   if _instance_applicable(inst, letters)]
+        limits = inspect.signature(ideal_member).parameters
         assert _component_member(
-            target, usable, 6, 16, 60000, allow_insertions=False) is None
+            target, usable, 6,
+            max_rounds=limits["max_rounds"].default,
+            max_rows=limits["max_rows"].default,
+            allow_insertions=False) is None
 
 
 class TestDegreeOneSymbol:

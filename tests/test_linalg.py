@@ -85,6 +85,7 @@ class TestExactReducer:
                 rem, _ = r.reduce(dict(target))
                 oracle = brute_reduce(rows, target)
                 assert bool(rem) == bool(oracle), (trial, rows, target)
+                assert r.contains(dict(target)) == (not oracle)
 
     def test_member_combo_reconstructs_input(self):
         rng = random.Random(9)
@@ -151,6 +152,19 @@ class TestExactReducer:
             for col, v in {0: 2, 1: 3}.items():
                 rebuilt[col] = rebuilt.get(col, 0) + c * v
         assert {c: v for c, v in rebuilt.items() if v} == {0: 1}
+
+    def test_contains_expands_nothing(self, monkeypatch):
+        r = ExactReducer()
+        r.insert({0: 2, 1: 3}, tag="row")
+        r.insert({1: Fraction(1, 2), 2: 1}, tag="other")
+
+        def refuse(self, chain, scale):
+            raise AssertionError("contains expanded a combination")
+
+        monkeypatch.setattr(ExactReducer, "_expand", refuse)
+        assert r.contains({0: 2, 1: 4, 2: 2})
+        assert not r.contains({0: 1})
+        assert r.rank == 2
 
     def test_no_provenance_mode(self):
         r = ExactReducer(track_provenance=False)
