@@ -11,10 +11,15 @@ Two tools live here:
   rational bookkeeping is left to one reverse sweep per reduction, which
   expands the elimination chain over the original rows.  Column keys
   may be arbitrary hashable objects; each is interned once to an integer
-  id in first-seen order, rows are stored over those ids, and remainders
-  are mapped back to the caller's keys.  Every stored row's pivot is its
+  id, rows are stored over those ids, and remainders are mapped back to
+  the caller's keys.  Ids go first to the keys a caller lists up front
+  (``columns``), in the given order, and then to any other key in
+  first-seen order; that order is the pivot order, so a caller whose
+  columns have a natural order (the symplectic words, lexicographically)
+  hands it over and gets less fill-in.  Every stored row's pivot is its
   least column id, so elimination always moves to strictly larger ids and
-  terminates without back-substitution.
+  terminates without back-substitution; the next pivot comes off a heap
+  of the work row's pivot columns, never from a rescan of the row.
 
 * ``elementary_divisors`` — integer Smith normal form over columns
   interned the same way.  Unit two-term rows ``{c1: u, c2: -u}`` with
@@ -29,6 +34,7 @@ identified and how unit rows are eliminated is decided here alone.
 
 from __future__ import annotations
 
+import heapq
 import math
 from fractions import Fraction
 
@@ -49,15 +55,22 @@ class ExactReducer:
     sweep from the newest stored row it names down to row 0; a chain only
     names older rows, so each row is visited once, after every row that
     refers to it, at a cost of O(rank + chain steps).
+
+    ``columns`` fixes the column order: those keys are interned first, in
+    the given order, and any other key after them in first-seen order.  A
+    stored row's pivot is its least column id, so the order decides the
+    pivots, and with them the stored rows, chains and certificates, but
+    never the span, the rank or whether a row is a member.
     """
 
-    def __init__(self, track_provenance: bool = True):
+    def __init__(self, track_provenance: bool = True, columns=()):
         self.track = track_provenance
         self.rows: list[dict] = []   # column id -> int, content gcd 1, pivot > 0
         self.links: list = []        # (tag, num, scl, ((beta, idx), ...))
         self.pivots: dict = {}       # column id -> row index
-        self.col_ids: dict = {}      # column key -> id, in first-seen order
-        self.col_keys: list = []     # column id -> key
+        self.col_keys: list = list(dict.fromkeys(columns))  # column id -> key
+        # column key -> id: ``columns`` first, then in first-seen order
+        self.col_ids: dict = {c: i for i, c in enumerate(self.col_keys)}
 
     @property
     def rank(self) -> int:
@@ -88,19 +101,27 @@ class ExactReducer:
 
             alpha * input = work + sum(beta * rows[idx] for beta, idx in chain).
 
-        Stored rows only contain column ids >= their pivot, so the least
-        eliminable column strictly increases and the loop terminates."""
+        The next pivot is the least column of ``work`` that has a stored row,
+        taken from a heap of those columns instead of a scan of the row.  A
+        stored row only contains column ids >= its pivot, so the eliminated
+        column strictly increases and never comes back: popping an entry
+        that has since left ``work`` skips it, and pushing each column that
+        a subtraction brings in keeps every candidate on the heap.  The pivot
+        sequence is therefore the one a full scan for the minimum would
+        choose, and the loop terminates."""
         alpha = 1
         chain: list[list] = []
         pivots, rows = self.pivots, self.rows
-        while work:
-            col = min((c for c in work if c in pivots), default=None)
-            if col is None:
-                break
+        heap = [c for c in work if c in pivots]
+        heapq.heapify(heap)
+        while heap:
+            col = heapq.heappop(heap)
+            f = work.get(col)
+            if f is None:
+                continue
             i = pivots[col]
             row = rows[i]
             p = row[col]
-            f = work[col]
             g = math.gcd(f, p)
             m_work = p // g
             m_row = f // g
@@ -111,11 +132,17 @@ class ExactReducer:
                 for entry in chain:
                     entry[0] *= m_work
             for c, v in row.items():
-                nv = work.get(c, 0) - m_row * v
-                if nv:
-                    work[c] = nv
+                old = work.get(c)
+                if old is None:
+                    work[c] = -m_row * v
+                    if c in pivots:
+                        heapq.heappush(heap, c)
                 else:
-                    work.pop(c, None)
+                    nv = old - m_row * v
+                    if nv:
+                        work[c] = nv
+                    else:
+                        del work[c]
             chain.append([m_row, i])
         return alpha, chain
 

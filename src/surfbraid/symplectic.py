@@ -25,7 +25,11 @@ Relation families (each instance homogeneous):
 
 ``symp_graded_dim`` computes dim of the degree-``d`` piece as (number of
 degree-``d`` words) minus the exact rank of all relation rows ``u * r * v``
-of total degree ``d``.  Everything is deterministic and rational.
+of total degree ``d``.  The rank is taken with the columns in lexicographic
+word order (generators in ``symp_generators`` order, as ``words_of_degree``
+lists them), so every pivot is the lex-least word of its row and a
+commutator row reduces like a rewrite, which keeps fill-in low.
+Everything is deterministic and rational.
 """
 
 from __future__ import annotations
@@ -246,8 +250,9 @@ def _word_count(gens: list, d: int) -> int:
 
 
 def words_of_degree(s: SurfaceParams, d: int, word_cap: int = 200000) -> list[tuple]:
-    """All degree-d words in the free algebra on the generators, in a fixed
-    deterministic order; guarded by a word-count cap."""
+    """All degree-d words in the free algebra on the generators, in
+    lexicographic order of the generators as ``symp_generators`` lists them;
+    guarded by a word-count cap."""
     if d < 0:
         raise ParameterError("degree must be non-negative")
     gens = symp_generators(s)
@@ -283,10 +288,13 @@ def symp_graded_dim(
         return len(words)
     if relations is None:
         relations = symp_relations(s, d)
-    reducer = ExactReducer(track_provenance=False)
-    by_degree = {dd: words_of_degree(s, dd, word_cap) for dd in range(d + 1)}
+    reducer = ExactReducer(track_provenance=False, columns=words)
+    # every relation has degree >= 2, so the frames u, v have degree <= d - 2
+    by_degree = {dd: words_of_degree(s, dd, word_cap) for dd in range(d - 1)}
     for rel in relations:
         dr = word_degree(next(iter(rel)))
+        if dr < 2:
+            raise ParameterError("relations start in degree 2")
         if dr > d:
             continue
         for du in range(d - dr + 1):

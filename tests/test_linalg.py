@@ -184,14 +184,13 @@ class TestExactReducer:
         [((7 * c) % 10, "x") for c in range(10)],   # sorts scrambled
     ], ids=["str", "tuple"])
     def test_keys_out_of_sort_order(self, names):
-        # the reducer pivots in first-seen order, the oracle in index order:
-        # a first reduce shows every column in index order, so the two
-        # remainders agree exactly, and must come back under the caller's keys
+        # the oracle pivots in index order; `columns=names` gives the reducer
+        # the same order, so the two remainders agree exactly, and must come
+        # back under the caller's keys
         rng = random.Random(41)
         for trial in range(30):
             rows = [random_row(rng, 10, 4) for _ in range(rng.randint(1, 8))]
-            r = ExactReducer()
-            r.reduce({name: 1 for name in names})
+            r = ExactReducer(columns=names)
             for row in rows:
                 r.insert({names[c]: v for c, v in row.items()})
             for _ in range(5):
@@ -199,6 +198,56 @@ class TestExactReducer:
                 rem, _ = r.reduce({names[c]: v for c, v in target.items()})
                 oracle = brute_reduce(rows, target)
                 assert rem == {names[c]: v for c, v in oracle.items()}, trial
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(SPARSE_ROWS, min_size=1, max_size=8),
+           st.permutations(range(8)),
+           st.lists(st.integers(-3, 3), min_size=8, max_size=8),
+           SPARSE_ROWS)
+    def test_column_order_keeps_the_span(self, inserted, order, coefs, other):
+        # any column order gives the same rank and membership as first-seen
+        # order, and its combinations still rebuild every query
+        rows = dict(enumerate(inserted))
+        first_seen, ordered = ExactReducer(), ExactReducer(columns=order)
+        for i, row in rows.items():
+            assert first_seen.insert(dict(row), tag=i) == \
+                ordered.insert(dict(row), tag=i)
+        assert ordered.rank == first_seen.rank
+        member = combine(rows, {i: Fraction(c, 2) for i, c in zip(rows, coefs)})
+        for query in (member, other):
+            assert ordered.contains(dict(query)) == first_seen.contains(dict(query))
+            rem, combo = ordered.reduce(dict(query))
+            rebuilt = combine(rows, combo)
+            for col, v in rem.items():
+                rebuilt[col] = rebuilt.get(col, 0) + v
+            assert {col: v for col, v in rebuilt.items() if v} == query
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.dictionaries(st.integers(0, 11), st.integers(-3, 3).filter(bool),
+                                    min_size=1, max_size=6),
+                    min_size=1, max_size=12),
+           st.permutations(range(12)))
+    def test_pivots_strictly_increase_along_a_chain(self, inserted, order):
+        # a chain's pivots strictly increase and the remainder keeps no pivot
+        # column: together that is the sequence a rescan for the least pivot
+        # column would choose (a column skipped once never comes back, since
+        # later rows start at larger pivots), so a pivot heap that pops out
+        # of order, pops a column twice or misses one fails here
+        class Recording(ExactReducer):
+            def _eliminate(self, work):
+                alpha, chain = super()._eliminate(work)
+                pivots = [min(self.rows[i]) for _, i in chain]
+                assert pivots == sorted(set(pivots)), pivots
+                assert not set(work) & set(self.pivots), work
+                return alpha, chain
+
+        for columns in ((), order):
+            r = Recording(track_provenance=False, columns=columns)
+            for row in inserted:
+                r.insert(dict(row))
+            for row in inserted:
+                assert r.contains({c: 2 * v for c, v in row.items()})
+            r.reduce({c: 1 for c in range(12)})
 
 
 class TestSpanRank:

@@ -5,6 +5,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from surfbraid import symplectic
 from surfbraid.errors import HypothesisError, ParameterError, ResourceLimitError
@@ -75,6 +77,29 @@ def brute_graded_dim(s, d):
     return len(all_words) - brute_rank(rows)
 
 
+def hilbert_series(g, p, n, dmax):
+    """Coefficients up to t^dmax of the closed-form Hilbert series (the
+    Fadell-Neuwirth fibration, one free fiber per strand):
+    ``prod_{k=1..n} 1/(1 - 2g t - (k+p-2) t^2)`` for p >= 1, and
+    ``(1-t)^-2 prod_{k=2..n} 1/(1 - 2t - (k-2) t^2)`` for the closed torus.
+    Closed surfaces of other genus have no such product."""
+    if p >= 1:
+        factors = [(2 * g, k + p - 2) for k in range(1, n + 1)]
+    elif g == 1:
+        factors = [(1, 0), (1, 0)] + [(2, k - 2) for k in range(2, n + 1)]
+    else:
+        raise ValueError("no product formula for a closed surface of genus != 1")
+    series = [1] + [0] * dmax
+    for a, b in factors:
+        # multiply by 1 / (1 - a t - b t^2): out[d] = series[d] + a out[d-1] + b out[d-2]
+        out = []
+        for d, v in enumerate(series):
+            out.append(v + (a * out[d - 1] if d >= 1 else 0)
+                       + (b * out[d - 2] if d >= 2 else 0))
+        series = out
+    return series
+
+
 GEN_S110 = SurfaceParams(genus=1, boundary=0, strands=1)
 GEN_S120 = SurfaceParams(genus=1, boundary=0, strands=2)
 
@@ -132,6 +157,8 @@ class TestRelations:
     def test_degree_floor(self):
         with pytest.raises(ParameterError):
             symp_relations(GEN_S120, 1)
+        with pytest.raises(ParameterError):
+            symp_graded_dim(GEN_S120, 3, relations=[{(("A", 1, 1),): 1}])
 
 
 class TestDimensions:
@@ -148,14 +175,36 @@ class TestDimensions:
         assert symp_graded_dim(GEN_S110, 2) == 3
 
     def test_matches_brute_force_somewhere(self):
-        # spot checks here; the full parameter grid runs in the acceptance suite
+        # spot checks here; the full parameter grid runs in the acceptance
+        # suite; closed genus >= 2 has no product formula, so this oracle
+        # is its check
         for s, d in [
             (GEN_S110, 3),
             (GEN_S120, 2),
             (SurfaceParams(0, 1, 2), 4),
             (SurfaceParams(1, 1, 1), 2),
+            (SurfaceParams(2, 0, 1), 4),
+            (SurfaceParams(2, 0, 2), 3),
+            (SurfaceParams(3, 0, 1), 3),
         ]:
             assert symp_graded_dim(s, d) == brute_graded_dim(s, d), (s, d)
+
+    @pytest.mark.parametrize("surface, dmax", [((1, 0, 2), 6), ((1, 1, 3), 5)],
+                             ids=["closed-torus", "bounded"])
+    def test_matches_hilbert_series(self, surface, dmax):
+        s = SurfaceParams(*surface)
+        dims = [symp_graded_dim(s, d) for d in range(dmax + 1)]
+        assert dims == hilbert_series(*surface, dmax)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2), st.integers(0, 3), st.integers(1, 3), st.integers(0, 6))
+    def test_matches_hilbert_series_at_random(self, g, p, n, d):
+        assume(p >= 1 or g == 1)
+        try:
+            dim = symp_graded_dim(SurfaceParams(g, p, n), d, word_cap=20000)
+        except ResourceLimitError:
+            assume(False)
+        assert dim == hilbert_series(g, p, n, d)[d]
 
     def test_more_relations_cannot_raise_dimension(self):
         s = GEN_S120
