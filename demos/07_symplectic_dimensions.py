@@ -4,8 +4,10 @@ Graded dimensions of the symplectic diagram algebra
 
 Here handle beads have degree one, chords and boundary chords degree two,
 and a twist relation expresses each chord as a commutator of handle beads
-on its two strands.  Dimensions of the graded pieces are computed as
-word counts minus the exact rank of all embedded relation rows.
+on its two strands.  Dimensions of the graded pieces are counts of normal
+words: the relations are completed into a rewriting system up to the
+largest degree asked for, and the words free of its leading words are
+counted degree by degree.
 """
 
 from surfbraid import SurfaceParams, dims_table, symp_twist_redundancy

@@ -64,7 +64,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-beads", type=int, default=None)
     parser.add_argument("--window", "-w", type=int, default=None)
     parser.add_argument("--node-budget", type=int, default=None)
-    parser.add_argument("--cache-dir", default=None)
 
 
 def _config_from(args) -> Config:
@@ -78,7 +77,6 @@ def _config_from(args) -> Config:
         max_beads=getattr(args, "max_beads", None),
         window=args.window,
         node_budget=getattr(args, "node_budget", None),
-        cache_dir=getattr(args, "cache_dir", None),
     )
 
 
@@ -154,7 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = ysub.add_parser("dims")
     _add_common(sp)
     sp.add_argument("--max-degree", type=int, required=True)
-    sp.add_argument("--word-cap", type=int, default=200000)
     sp = ysub.add_parser("twist-check")
     _add_common(sp)
 
@@ -263,8 +260,7 @@ def _run(args) -> int:
 
     if args.command == "symplectic":
         if args.subcommand == "dims":
-            table = dims_table(s, args.max_degree, cfg.cache_dir, args.word_cap)
-            sys.stdout.write(table)
+            sys.stdout.write(dims_table(s, args.max_degree))
             return EXIT_OK
         if args.subcommand == "twist-check":
             if symp_twist_redundancy(s):

@@ -11,7 +11,6 @@ _INT_KEYS = {
     "genus", "boundary", "strands", "max_chords", "max_beads",
     "window", "node_budget",
 }
-_STR_KEYS = {"cache_dir"}
 
 
 @dataclass(frozen=True)
@@ -23,7 +22,6 @@ class Config:
     max_beads: int = 4
     window: int = 6
     node_budget: int = 10**6
-    cache_dir: str | None = None
 
     def __post_init__(self):
         if self.window < self.max_chords:
@@ -45,15 +43,12 @@ def load_config(path) -> Config:
             raise ParameterError(f"{path}:{lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key in _INT_KEYS:
-            try:
-                values[key] = int(value)
-            except ValueError as exc:
-                raise ParameterError(f"{path}:{lineno}: {key} needs an integer") from exc
-        elif key in _STR_KEYS:
-            values[key] = value
-        else:
+        if key not in _INT_KEYS:
             raise ParameterError(f"{path}:{lineno}: unknown key {key!r}")
+        try:
+            values[key] = int(value)
+        except ValueError as exc:
+            raise ParameterError(f"{path}:{lineno}: {key} needs an integer") from exc
     return Config(**values)
 
 

@@ -15,8 +15,7 @@ Two tools live here:
   the caller's keys.  Ids go first to the keys a caller lists up front
   (``columns``), in the given order, and then to any other key in
   first-seen order; that order is the pivot order, so a caller whose
-  columns have a natural order (the symplectic words, lexicographically)
-  hands it over and gets less fill-in.  Every stored row's pivot is its
+  columns have a natural order hands it over and gets less fill-in.  Every stored row's pivot is its
   least column id, so elimination always moves to strictly larger ids and
   terminates without back-substitution; the next pivot comes off a heap
   of the work row's pivot columns, never from a rescan of the row.

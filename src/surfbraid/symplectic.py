@@ -1,4 +1,5 @@
-"""The symplectic chord-diagram algebra: graded dimensions by exact rank.
+"""The symplectic chord-diagram algebra: graded dimensions by counting normal
+words.
 
 Generators (all on ``n`` strands, genus ``g``, ``p`` boundary components):
 
@@ -23,43 +24,41 @@ Relation families (each instance homogeneous):
   ``[X_s^j + X_s^k, Z_jk] = 0``;
 * twist (genus >= 1 only): ``[A_s^i, B_s^j] = Z_ij`` for ``i != j``.
 
-``symp_graded_dim`` computes dim of the degree-``d`` piece as (number of
-degree-``d`` words) minus the exact rank of all relation rows ``u * r * v``
-of total degree ``d``.  The rank is taken with the columns in lexicographic
-word order (generators in ``symp_generators`` order, as ``words_of_degree``
-lists them), so every pivot is the lex-least word of its row and a
-commutator row reduces like a rewrite, which keeps fill-in low.
-Everything is deterministic and rational.
+``symp_graded_dim`` computes dim of the degree-``d`` piece by counting normal
+words.  The generators are ordered by fiber: each belongs to the largest
+strand it touches (``A/B(h, k)`` and ``Zb(alpha, k)`` to ``k``, ``Z(i, j)`` to
+``j``), strand 1 comes first, and within a fiber chords come before handle
+beads.  A relation leads with its lex-least word, a monomial order because
+every relation is homogeneous.  ``rewriting.complete`` resolves every
+ambiguity up to degree ``d``, so by the diamond lemma the words free of
+leading words are a basis of each degree up to ``d``, and
+``normal_word_counts`` counts them.  No word list is built and no rank
+taken.  Everything is deterministic and exact.
 """
 
 from __future__ import annotations
 
 import functools
-import os
-from pathlib import Path
 
 from .errors import HypothesisError, ParameterError, ResourceLimitError
 from .linalg import ExactReducer
+from .rewriting import complete
 from .surface import SurfaceParams
-
-DIMS_FORMAT_TAG = "surfbraid-dims-v1"
 
 # generator symbols: ("A", s, k), ("B", t, k), ("Zb", alpha, k), ("Z", i, j)
 
 
 def symp_generators(s: SurfaceParams) -> list[tuple]:
+    """The generators in fiber order: strand by strand, each strand's chords
+    (to lower strands, then to the boundary) before its handle beads."""
     n = s.strands
     out: list[tuple] = []
-    for h in range(1, s.genus + 1):
-        for k in range(1, n + 1):
+    for k in range(1, n + 1):
+        out.extend(("Z", i, k) for i in range(1, k))
+        out.extend(("Zb", alpha, k) for alpha in range(n + 1, n + s.boundary + 1))
+        for h in range(1, s.genus + 1):
             out.append(("A", h, k))
             out.append(("B", h, k))
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            out.append(("Z", i, j))
-    for alpha in range(n + 1, n + s.boundary + 1):
-        for k in range(1, n + 1):
-            out.append(("Zb", alpha, k))
     return out
 
 
@@ -275,38 +274,36 @@ def words_of_degree(s: SurfaceParams, d: int, word_cap: int = 200000) -> list[tu
     return list(rec(d))
 
 
-def symp_graded_dim(
-    s: SurfaceParams, d: int, relations=None, word_cap: int = 200000
-) -> int:
-    """Dimension of the degree-d graded piece of the presented algebra."""
-    if d < 0:
+def _completion(s: SurfaceParams, max_degree: int, relations=None):
+    """The relations (all of ``symp_relations`` by default) completed to
+    max_degree; letter ``x`` stands for ``symp_generators(s)[x]``."""
+    if max_degree < 0:
         raise ParameterError("degree must be non-negative")
-    if d == 0:
-        return 1
-    words = words_of_degree(s, d, word_cap)
-    if d == 1:
-        return len(words)
+    gens = symp_generators(s)
+    letter = {g: x for x, g in enumerate(gens)}
     if relations is None:
-        relations = symp_relations(s, d)
-    reducer = ExactReducer(track_provenance=False, columns=words)
-    # every relation has degree >= 2, so the frames u, v have degree <= d - 2
-    by_degree = {dd: words_of_degree(s, dd, word_cap) for dd in range(d - 1)}
+        relations = symp_relations(s, max_degree) if max_degree >= 2 else []
+    rows = []
     for rel in relations:
-        dr = word_degree(next(iter(rel)))
-        if dr < 2:
-            raise ParameterError("relations start in degree 2")
-        if dr > d:
+        degs = {word_degree(w) for w in rel if rel[w]}
+        if not degs:
             continue
-        for du in range(d - dr + 1):
-            dv = d - dr - du
-            for u in by_degree[du]:
-                for v in by_degree[dv]:
-                    row = {}
-                    for w, c in rel.items():
-                        key = u + w + v
-                        row[key] = row.get(key, 0) + c
-                    reducer.insert({k: c for k, c in row.items() if c})
-    return len(words) - reducer.rank
+        if min(degs) < 2:
+            raise ParameterError("relations start in degree 2")
+        if len(degs) != 1:
+            raise ParameterError("relations must be homogeneous")
+        try:
+            rows.append({tuple(letter[g] for g in w): c for w, c in rel.items()})
+        except KeyError as exc:
+            raise ParameterError(f"unknown generator {exc.args[0]!r}") from None
+    return complete([generator_degree(g) for g in gens], rows, max_degree)
+
+
+def symp_graded_dim(s: SurfaceParams, d: int, relations=None) -> int:
+    """Dimension of the degree-d graded piece of the presented algebra: the
+    number of degree-d normal words once the relations (all of
+    ``symp_relations`` by default) are completed to degree d."""
+    return _completion(s, d, relations).normal_word_counts(d)[d]
 
 
 def symp_twist_redundancy(s: SurfaceParams, word_cap: int = 200000) -> bool:
@@ -329,44 +326,8 @@ def symp_twist_redundancy(s: SurfaceParams, word_cap: int = 200000) -> bool:
     return True
 
 
-# ---------------------------------------------------------------------------
-# dimension tables with a plain-text cache
-# ---------------------------------------------------------------------------
-
-
-def dims_table_text(s: SurfaceParams, max_degree: int, word_cap: int = 200000) -> str:
-    lines = []
-    for d in range(max_degree + 1):
-        lines.append(f"{d} {symp_graded_dim(s, d, word_cap=word_cap)}")
-    return "\n".join(lines) + "\n"
-
-
-def dims_table(
-    s: SurfaceParams,
-    max_degree: int,
-    cache_dir=None,
-    word_cap: int = 200000,
-) -> str:
-    """Two-column ``degree dimension`` table, cached as versioned plain text
-    keyed by (genus, boundary, strands, max degree).  The cache file is
-    written beside its final name and renamed into place, so an interrupted
-    write never leaves a partial table behind."""
-    if cache_dir is None:
-        return dims_table_text(s, max_degree, word_cap)
-    path = Path(cache_dir) / (
-        f"dims_g{s.genus}_p{s.boundary}_n{s.strands}_d{max_degree}.txt"
-    )
-    if path.exists():
-        content = path.read_text()
-        header, _, body = content.partition("\n")
-        if header.strip() == DIMS_FORMAT_TAG:
-            return body
-    body = dims_table_text(s, max_degree, word_cap)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    try:
-        tmp.write_text(DIMS_FORMAT_TAG + "\n" + body)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-    return body
+def dims_table(s: SurfaceParams, max_degree: int) -> str:
+    """Two-column ``degree dimension`` table for degrees 0..max_degree, from
+    one completion to max_degree."""
+    counts = _completion(s, max_degree).normal_word_counts(max_degree)
+    return "".join(f"{d} {c}\n" for d, c in enumerate(counts))

@@ -192,18 +192,14 @@ class TestSymplecticCommands:
         assert code == EXIT_OK
         assert out == "0 1\n1 2\n2 3\n"
 
-    def test_dims_cache(self, capsys, tmp_path):
-        argv = [
-            "symplectic", "dims", "-g", "1", "-p", "0", "-n", "1",
-            "--max-degree", "2", "--cache-dir", str(tmp_path),
-        ]
-        code1, out1, _ = run(capsys, argv)
-        assert code1 == EXIT_OK
-        cache_file = tmp_path / "dims_g1_p0_n1_d2.txt"
-        assert cache_file.exists()
-        code2, out2, _ = run(capsys, argv)
-        assert code2 == EXIT_OK
-        assert out2 == out1
+    def test_dims_removed_flags(self, capsys):
+        for flag in (["--cache-dir", "tables"], ["--word-cap", "2"]):
+            code, _, _ = run(
+                capsys,
+                ["symplectic", "dims", "-g", "1", "-p", "0", "-n", "1",
+                 "--max-degree", "2", *flag],
+            )
+            assert code == EXIT_USAGE, flag
 
     def test_twist_check_yes(self, capsys):
         code, out, _ = run(
@@ -261,12 +257,3 @@ class TestConfigAndErrors:
     def test_help_exits_clean(self, capsys):
         assert main(["--help"]) == EXIT_OK
         capsys.readouterr()
-
-    def test_word_cap_resource_error(self, capsys):
-        code, _, err = run(
-            capsys,
-            ["symplectic", "dims", "-g", "1", "-p", "0", "-n", "2",
-             "--max-degree", "2", "--word-cap", "2"],
-        )
-        assert code == EXIT_RESOURCE
-        assert err.startswith("resource error: ")

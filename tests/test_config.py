@@ -12,7 +12,6 @@ class TestConfig:
         assert (cfg.genus, cfg.boundary, cfg.strands) == (1, 1, 2)
         assert (cfg.max_chords, cfg.max_beads, cfg.window) == (2, 4, 6)
         assert cfg.node_budget == 10**6
-        assert cfg.cache_dir is None
 
     def test_window_must_cover_chords(self):
         with pytest.raises(ParameterError):
@@ -42,7 +41,6 @@ class TestLoadConfig:
             "\n"
             "window = 8\n"
             "max_beads = 7\n"
-            "cache_dir = /tmp/surfcache\n"
         )
         cfg = load_config(path)
         assert cfg.genus == 2
@@ -50,7 +48,6 @@ class TestLoadConfig:
         assert cfg.strands == 3
         assert cfg.window == 8
         assert cfg.max_beads == 7
-        assert cfg.cache_dir == "/tmp/surfcache"
         # untouched keys stay at their defaults
         assert cfg.max_chords == 2
 
@@ -58,6 +55,13 @@ class TestLoadConfig:
         path = tmp_path / "bad.cfg"
         path.write_text("genus = 1\nwibble = 3\n")
         with pytest.raises(ParameterError, match="unknown key"):
+            load_config(path)
+
+    def test_cache_dir_is_gone(self, tmp_path):
+        # dimension tables are computed, never cached
+        path = tmp_path / "old.cfg"
+        path.write_text("genus = 1\ncache_dir = tables\n")
+        with pytest.raises(ParameterError, match="unknown key 'cache_dir'"):
             load_config(path)
 
     def test_non_integer_value(self, tmp_path):

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from surfbraid.errors import InvalidGeneratorError, ParameterError, ParseError
 from surfbraid.surface import (
@@ -179,3 +181,27 @@ class TestNormalForms:
             for _ in range(30):
                 w = tuple(rng.choice(letters) for _ in range(rng.randrange(6)))
                 assert pi1_mul(w, pi1_inv(w, s), s) == ()
+
+
+@st.composite
+def relator_products(draw, s):
+    """A product of conjugates u r^(+-1) u^-1 of the surface relator r."""
+    r = s.surface_relator()
+    word: tuple = ()
+    for _ in range(draw(st.integers(1, 3))):
+        u = tuple(draw(st.lists(st.sampled_from(s.pi1_letters()), max_size=5)))
+        rel = r if draw(st.booleans()) else inverse_word(r)
+        word += u + rel + inverse_word(u)
+    return word
+
+
+class TestRelatorProducts:
+    @settings(max_examples=100, deadline=None)
+    @given(relator_products(SurfaceParams(1, 0, 2)))
+    def test_trivial_on_the_torus(self, word):
+        assert pi1_normalize(word, SurfaceParams(1, 0, 2)) == ()
+
+    @settings(max_examples=100, deadline=None)
+    @given(relator_products(SurfaceParams(2, 0, 2)))
+    def test_trivial_in_genus_two(self, word):
+        assert pi1_normalize(word, SurfaceParams(2, 0, 2)) == ()

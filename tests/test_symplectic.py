@@ -2,7 +2,6 @@
 
 import itertools
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -10,9 +9,9 @@ from hypothesis import strategies as st
 
 from surfbraid import symplectic
 from surfbraid.errors import HypothesisError, ParameterError, ResourceLimitError
+from surfbraid.linalg import ExactReducer
 from surfbraid.surface import SurfaceParams
 from surfbraid.symplectic import (
-    DIMS_FORMAT_TAG,
     dims_table,
     format_symp_word,
     generator_degree,
@@ -77,6 +76,39 @@ def brute_graded_dim(s, d):
     return len(all_words) - brute_rank(rows)
 
 
+def rank_graded_dim(s, d, relations=None, word_cap=200000):
+    """The fast rank oracle: degree-d words minus the exact rank of all
+    framed relation rows, the words as columns in lexicographic order."""
+    if d < 0:
+        raise ParameterError("degree must be non-negative")
+    if d == 0:
+        return 1
+    words = words_of_degree(s, d, word_cap)
+    if d == 1:
+        return len(words)
+    if relations is None:
+        relations = symp_relations(s, d)
+    reducer = ExactReducer(track_provenance=False, columns=words)
+    # every relation has degree >= 2, so the frames u, v have degree <= d - 2
+    by_degree = {dd: words_of_degree(s, dd, word_cap) for dd in range(d - 1)}
+    for rel in relations:
+        dr = word_degree(next(iter(rel)))
+        if dr < 2:
+            raise ParameterError("relations start in degree 2")
+        if dr > d:
+            continue
+        for du in range(d - dr + 1):
+            dv = d - dr - du
+            for u in by_degree[du]:
+                for v in by_degree[dv]:
+                    row = {}
+                    for w, c in rel.items():
+                        key = u + w + v
+                        row[key] = row.get(key, 0) + c
+                    reducer.insert({k: c for k, c in row.items() if c})
+    return len(words) - reducer.rank
+
+
 def hilbert_series(g, p, n, dmax):
     """Coefficients up to t^dmax of the closed-form Hilbert series (the
     Fadell-Neuwirth fibration, one free fiber per strand):
@@ -100,6 +132,10 @@ def hilbert_series(g, p, n, dmax):
     return series
 
 
+def surface_id(surface):
+    return "-".join(map(str, surface))
+
+
 GEN_S110 = SurfaceParams(genus=1, boundary=0, strands=1)
 GEN_S120 = SurfaceParams(genus=1, boundary=0, strands=2)
 
@@ -111,6 +147,13 @@ class TestGenerators:
         assert ("Z", 1, 2) in gens
         assert ("Zb", 3, 1) in gens and ("Zb", 3, 2) in gens
         assert len(gens) == 4 + 1 + 2
+
+    def test_fiber_order(self):
+        # strand by strand; on each strand its chords come before its beads
+        assert symp_generators(SurfaceParams(1, 1, 2)) == [
+            ("Zb", 3, 1), ("A", 1, 1), ("B", 1, 1),
+            ("Z", 1, 2), ("Zb", 3, 2), ("A", 1, 2), ("B", 1, 2),
+        ]
 
     def test_degrees(self):
         assert generator_degree(("A", 1, 1)) == 1
@@ -160,6 +203,13 @@ class TestRelations:
         with pytest.raises(ParameterError):
             symp_graded_dim(GEN_S120, 3, relations=[{(("A", 1, 1),): 1}])
 
+    def test_relations_must_fit_the_surface(self):
+        a, b = ("A", 1, 1), ("B", 1, 1)
+        with pytest.raises(ParameterError, match="homogeneous"):
+            symp_graded_dim(GEN_S110, 3, relations=[{(a, b): 1, (a, b, a): -1}])
+        with pytest.raises(ParameterError, match="unknown generator"):
+            symp_graded_dim(GEN_S110, 3, relations=[{(a, ("A", 2, 1)): 1}])
+
 
 class TestDimensions:
     def test_degree_zero_is_one(self):
@@ -189,22 +239,50 @@ class TestDimensions:
         ]:
             assert symp_graded_dim(s, d) == brute_graded_dim(s, d), (s, d)
 
-    @pytest.mark.parametrize("surface, dmax", [((1, 0, 2), 6), ((1, 1, 3), 5)],
-                             ids=["closed-torus", "bounded"])
+    @pytest.mark.parametrize("surface, dmax", [
+        ((1, 0, 2), 12), ((1, 1, 3), 10), ((1, 1, 2), 12), ((0, 2, 3), 12),
+        ((2, 1, 2), 10), ((1, 2, 2), 10), ((0, 1, 4), 10), ((0, 3, 3), 10),
+    ], ids=["closed-torus", "bounded", "1-1-2", "0-2-3", "2-1-2", "1-2-2",
+            "0-1-4", "0-3-3"])
     def test_matches_hilbert_series(self, surface, dmax):
         s = SurfaceParams(*surface)
-        dims = [symp_graded_dim(s, d) for d in range(dmax + 1)]
+        dims = [int(line.split()[1]) for line in dims_table(s, dmax).splitlines()]
         assert dims == hilbert_series(*surface, dmax)
+        assert symp_graded_dim(s, dmax) == dims[dmax]
 
     @settings(max_examples=40, deadline=None)
-    @given(st.integers(0, 2), st.integers(0, 3), st.integers(1, 3), st.integers(0, 6))
+    @given(st.integers(0, 2), st.integers(0, 3), st.integers(1, 3), st.integers(0, 12))
     def test_matches_hilbert_series_at_random(self, g, p, n, d):
         assume(p >= 1 or g == 1)
-        try:
-            dim = symp_graded_dim(SurfaceParams(g, p, n), d, word_cap=20000)
-        except ResourceLimitError:
-            assume(False)
+        dim = symp_graded_dim(SurfaceParams(g, p, n), d)
         assert dim == hilbert_series(g, p, n, d)[d]
+
+    @pytest.mark.parametrize("surface", [(1, 0, 3), (2, 0, 2), (3, 0, 1)], ids=surface_id)
+    def test_closed_surfaces_match_rank_oracle(self, surface):
+        # no product formula off the closed torus: the rank is the oracle
+        s = SurfaceParams(*surface)
+        for d in range(6):
+            assert symp_graded_dim(s, d) == rank_graded_dim(s, d), (surface, d)
+
+    def test_completion_that_never_closes(self):
+        # ABA = BAB gains a rule in almost every degree; completion to degree
+        # d is still exact in degree d
+        a, b = ("A", 1, 1), ("B", 1, 1)
+        rel = [{(a, b, a): 1, (b, a, b): -1}]
+        dims = [symp_graded_dim(GEN_S110, d, relations=rel) for d in range(9)]
+        assert dims == [1, 2, 4, 7, 12, 20, 33, 54, 88]
+        assert dims == [rank_graded_dim(GEN_S110, d, relations=rel) for d in range(9)]
+
+    @pytest.mark.parametrize("surface", [
+        (1, 0, 2), (1, 1, 2), (0, 2, 3), (1, 1, 3), (2, 1, 2), (1, 0, 3), (2, 0, 2),
+    ], ids=surface_id)
+    def test_completion_is_quadratic(self, surface):
+        # every leading word is a chord or two letters, none above degree 4,
+        # and the overlap check passes in every degree completed
+        system = symplectic._completion(SurfaceParams(*surface), 8)
+        assert max(len(lead) for lead in system.rules) <= 2
+        assert max(system.degree(lead) for lead in system.rules) <= 4
+        assert system.unresolved(8) == []
 
     def test_more_relations_cannot_raise_dimension(self):
         s = GEN_S120
@@ -217,8 +295,6 @@ class TestDimensions:
     def test_word_cap(self):
         with pytest.raises(ResourceLimitError):
             words_of_degree(SurfaceParams(2, 0, 3), 4, word_cap=10)
-        with pytest.raises(ResourceLimitError):
-            symp_graded_dim(SurfaceParams(2, 0, 3), 4, word_cap=10)
 
     def test_classical_disk_comparison(self):
         # g = p = 0 regraded: our degree-2c piece must match the classical
@@ -271,42 +347,17 @@ class TestDimsTable:
         body = dims_table(GEN_S110, 2)
         assert body == "0 1\n1 2\n2 3\n"
 
-    def test_cache_round_trip(self, tmp_path):
-        body1 = dims_table(GEN_S110, 2, cache_dir=tmp_path)
-        cached = list(tmp_path.iterdir())
-        assert len(cached) == 1
-        assert cached[0].name == "dims_g1_p0_n1_d2.txt"
-        content1 = cached[0].read_bytes()
-        assert content1.decode().startswith(DIMS_FORMAT_TAG + "\n")
-        body2 = dims_table(GEN_S110, 2, cache_dir=tmp_path)
-        assert body2 == body1
-        assert cached[0].read_bytes() == content1
-
-    def test_interrupted_write_leaves_no_cache(self, tmp_path, monkeypatch):
-        write_text = Path.write_text
-
-        def cut_short(self, data, *args, **kwargs):
-            write_text(self, data[: len(data) // 2], *args, **kwargs)
-            raise OSError("no space left on device")
-
-        monkeypatch.setattr(Path, "write_text", cut_short)
-        with pytest.raises(OSError):
-            dims_table(GEN_S110, 2, cache_dir=tmp_path)
-        assert list(tmp_path.iterdir()) == []
-        monkeypatch.undo()
-
+    def test_one_completion_for_every_degree(self, monkeypatch):
+        s = SurfaceParams(1, 1, 2)
         calls = []
-        compute = symplectic.dims_table_text
-        monkeypatch.setattr(symplectic, "dims_table_text",
-                            lambda *a: calls.append(a) or compute(*a))
-        assert dims_table(GEN_S110, 2, cache_dir=tmp_path) == "0 1\n1 2\n2 3\n"
+        real = symplectic.complete
+        monkeypatch.setattr(symplectic, "complete",
+                            lambda *a: calls.append(a) or real(*a))
+        body = dims_table(s, 6)
         assert len(calls) == 1
-        path = tmp_path / "dims_g1_p0_n1_d2.txt"
-        assert path.read_text() == DIMS_FORMAT_TAG + "\n0 1\n1 2\n2 3\n"
+        monkeypatch.undo()
+        assert body == "".join(f"{d} {symp_graded_dim(s, d)}\n" for d in range(7))
 
-    def test_stale_header_recomputed(self, tmp_path):
-        path = tmp_path / "dims_g1_p0_n1_d2.txt"
-        path.write_text("old-format\ngarbage\n")
-        body = dims_table(GEN_S110, 2, cache_dir=tmp_path)
-        assert body == "0 1\n1 2\n2 3\n"
-        assert path.read_text().startswith(DIMS_FORMAT_TAG)
+    def test_negative_degree(self):
+        with pytest.raises(ParameterError):
+            dims_table(GEN_S110, -1)
