@@ -5,8 +5,9 @@ Abelianizing the degree-one piece: commutators die, the chord survives
 Quotienting the diagram algebra by all commutators collapses a degree-one
 class to: one chord count, the sign of the strand permutation, and a
 commutative multidegree in the bead letters.  Every relation instance
-maps to zero there, and an integer elementary-divisor computation shows
-the degree-one quotient is torsion-free at the default truncation.
+maps to zero there, and one completion of the relations, whose leading
+coefficients are all +-1, proves the degree-one quotient torsion-free at
+the default truncation.
 """
 
 from fractions import Fraction

@@ -5,17 +5,19 @@ In the commutative quotient the strands become indistinguishable: a bead
 or ``zbar_k``) with its sign as an integer exponent, every chord maps to
 the single degree-one variable ``Z12``, and a permutation contributes
 ``tau`` raised to its parity (``tau^2 = 1``).  The computation is exact
-over the rationals; integer structure questions (torsion of the degree-one
-piece) are answered separately by ``degree_one_torsion``, which only builds
-the framed relation rows of the truncated span and leaves their elimination
-to ``linalg.elementary_divisors``.
+over the rationals.  Integer structure (torsion of the degree-one piece)
+is answered separately by ``degree_one_torsion``: it homogenizes the
+relations with a commuting letter ``t``, completes them once with
+``rewriting.complete`` and counts normal words.  When every leading
+coefficient of the completion is +-1 the diamond lemma holds over the
+integers, so the normal words are a basis and the piece is free; when one
+is not, the check refuses rather than guess.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 from .braid import perm_sign
 from .diagrams import (
@@ -26,8 +28,8 @@ from .diagrams import (
     chord_degree,
     relation_instances,
 )
-from .errors import ResourceLimitError, UnsupportedDegreeError
-from .linalg import elementary_divisors
+from .errors import HypothesisError, UnsupportedDegreeError
+from .rewriting import RewritingSystem, complete
 from .surface import SurfaceParams
 
 # an H1 element maps keys (z_exponent, tau_bit, ((kind, idx), net), ...) to
@@ -138,7 +140,7 @@ def format_torsion_report(rep: TorsionReport) -> str:
         f"strands={rep.surface.strands}",
         f"truncation: chords<={rep.trunc.max_chords} beads<={rep.trunc.max_beads}",
         f"chord-degree-1 monomials: {rep.columns}",
-        f"relation rows: {rep.rows}, rank {rep.rank}",
+        f"relation instances completed: {rep.rows}, rank {rep.rank}",
         f"elementary divisors > 1: {divisors}",
         "torsion-free: " + ("yes" if rep.torsion_free else "NO"),
     ])
@@ -156,128 +158,68 @@ def _chord_symbols(s: SurfaceParams) -> list:
     ]
 
 
-def _monomials_fixed(s: SurfaceParams, beads_exact: int, chords_exact: int) -> list:
-    """All monomials with exactly the given bead and chord counts."""
-    beads = _bead_symbols(s)
-    out = []
-    for bs in product(beads, repeat=beads_exact):
-        if chords_exact == 0:
-            out.append(bs)
-        else:
-            for z in _chord_symbols(s):
-                for pos in range(beads_exact + 1):
-                    out.append(bs[:pos] + (z,) + bs[pos:])
-    return out
-
-
-def _frames(s: SurfaceParams, free_beads: int, free_chords: int):
-    """All (left, right) monomial pairs spending at most ``free_beads`` bead
-    symbols and exactly ``free_chords`` chords between them."""
-    cache: dict = {}
-
-    def monos(b, c):
-        if (b, c) not in cache:
-            cache[(b, c)] = _monomials_fixed(s, b, c)
-        return cache[(b, c)]
-
-    for cl in range(free_chords + 1):
-        cr = free_chords - cl
-        for bl in range(free_beads + 1):
-            for br in range(free_beads - bl + 1):
-                for left in monos(bl, cl):
-                    for right in monos(br, cr):
-                        yield left, right
-
-
-def _frame_count(s: SurfaceParams, free_beads: int, free_chords: int) -> int:
-    """How many pairs ``_frames`` yields, from the sizes of its monomial sets:
-    with B bead symbols, B^b monomials of b beads and no chord, and
-    B^b * C(n,2) * (b+1) with one chord."""
-    beads, chords = len(_bead_symbols(s)), len(_chord_symbols(s))
-
-    def monos(b, c):
-        return beads ** b * (chords * (b + 1) if c else 1)
-
-    return sum(
-        monos(bl, cl) * monos(br, free_chords - cl)
-        for cl in range(free_chords + 1)
-        for bl in range(free_beads + 1)
-        for br in range(free_beads - bl + 1)
-    )
-
-
-# Framed rows cost about 790 bytes of peak memory each (533,332 rows of
-# (2,0,2) at 4 beads peak at 420 MB), so this caps the check near 0.8 GB.
-MAX_FRAMED_ROWS = 1_000_000
-
-
-def _framed_instances(s: SurfaceParams, trunc: Truncation) -> list:
-    """(terms, free beads, free chords) of each chord-degree <= 1 relation
-    instance: the frame budget left beside it within the truncation."""
-    out = []
-    for inst in relation_instances(s, trunc):
-        if inst.element.max_chord_degree() > 1:
-            continue
-        terms = inst.mono_terms()
-        rl = max(bead_length(m) for m, _ in terms)
-        rc = max(chord_degree(m) for m, _ in terms)
-        out.append((terms, trunc.max_beads - rl, 1 - rc))
-    return out
-
-
-def _framed_row_bound(s: SurfaceParams, instances: list) -> int:
-    return sum(_frame_count(s, fb, fc) for _, fb, fc in instances)
-
-
-def _framed_rows(s: SurfaceParams, trunc: Truncation) -> list[dict]:
-    """Every chord-degree-1 relation instance framed by monomials on both
-    sides, as integer rows over monomials within the bead truncation; each
-    distinct row once.  Raises ``ResourceLimitError`` before framing when
-    the frames could give more than ``MAX_FRAMED_ROWS`` rows."""
-    instances = _framed_instances(s, trunc)
-    bound = _framed_row_bound(s, instances)
-    if bound > MAX_FRAMED_ROWS:
-        raise ResourceLimitError(
-            f"the torsion check on genus {s.genus}, boundary {s.boundary}, "
-            f"{s.strands} strands at {trunc.max_beads} beads frames up to "
-            f"{bound} relation rows, over the limit of {MAX_FRAMED_ROWS}"
-        )
-    L = trunc.max_beads
-    rows: dict = {}  # frozenset of items -> sparse row
-    for terms, free_beads, free_chords in instances:
-        for left, right in _frames(s, free_beads, free_chords):
-            row: dict = {}
-            for m, c in terms:
-                key = left + m + right
-                row[key] = row.get(key, 0) + int(c)
-            row = {m: c for m, c in row.items() if c}
-            if not row or any(bead_length(m) > L for m in row):
-                continue
-            rows.setdefault(frozenset(row.items()), row)
-    return list(rows.values())
-
-
 def degree_one_torsion(s: SurfaceParams, trunc: Truncation = Truncation()) -> TorsionReport:
-    """Elementary divisors of the chord-degree-1 relation span over the
-    integers, at the given truncation.
+    """Rank and integer torsion of the chord-degree-1 relation span at the
+    given truncation, from one completion of the relations.
 
-    The framed relation rows go to one ``elementary_divisors`` call, which
-    contracts the unit two-term rows (bead commutation and cancellation)
-    itself.  ``rank`` is the number of divisors: the rank of the span.
-    Raises ``ResourceLimitError``, before any row is built, when the frames
-    could give more than ``MAX_FRAMED_ROWS`` rows.
+    The span is that of every chord-degree <= 1 relation instance framed by
+    monomials on both sides within ``trunc.max_beads = L`` beads.  Each
+    instance becomes a homogeneous relation in letters of weight 1: one per
+    bead symbol, one per chord and a letter ``t`` that commutes with every
+    other, padding each term up to the instance's largest bead length.  A
+    chord-degree-1 monomial of k <= L beads is then a word of L + 1 letters,
+    one chord and ``t^(L-k)``, and the framed span is the ideal's piece of
+    degree L + 1 with one chord.  The padding is what makes a completion
+    bounded at L + 1 exact there: unpadded, ``gamma gamma^-1 - 1`` yields
+    rules derived through words longer than the window, which then act
+    inside it and identify more than the framed span does.
+
+    Bergman's diamond lemma holds over any commutative ring: rules whose
+    leading coefficients are +-1 and that resolve every ambiguity up to
+    degree L + 1 leave the normal words of that degree a basis of the
+    quotient over the integers.  So when ``complete`` divided only by +-1,
+    the piece is free: the report is torsion-free with no divisor above 1,
+    as a proof, and ``rank`` is ``columns`` minus the normal words with one
+    chord.  Otherwise the answer is unknown, and ``HypothesisError`` names
+    the coefficient.  ``rows`` is the number of relation instances
+    completed.
     """
-    rows = _framed_rows(s, trunc)
-    divisors = elementary_divisors(rows)
-    bad = tuple(sorted(d for d in divisors if d != 1))
+    L = trunc.max_beads
+    beads, chords = _bead_symbols(s), _chord_symbols(s)
+    letter = {sym: x for x, sym in enumerate(beads + chords)}
+    t = len(letter)
+    instances = []
+    for inst in relation_instances(s, trunc):
+        if inst.element.max_chord_degree() <= 1:
+            terms = inst.mono_terms()
+            rl = max(bead_length(m) for m, _ in terms)
+            instances.append({tuple(letter[sym] for sym in m) + (t,) * (rl - bead_length(m)):
+                              int(c) for m, c in terms})
+    commutators = [{(x, t): 1, (t, x): -1} for x in range(t)]
+    system = complete([1] * (t + 1), instances + commutators, L + 1)
+    if system.non_unit_lead is not None:
+        raise HypothesisError(
+            f"torsion unknown on genus {s.genus}, boundary {s.boundary}, "
+            f"{s.strands} strands at {L} beads: the completion divided by the "
+            f"leading coefficient {system.non_unit_lead}, so its normal words "
+            "need not be a basis over the integers"
+        )
+
+    def normal_words(chord_weight: int) -> int:
+        # normal words of weight 2L + 1: with chords of weight L + 1 these
+        # are one chord and L other letters, or 2L + 1 letters and no chord
+        weights = [1] * len(beads) + [chord_weight] * len(chords) + [1]
+        return RewritingSystem(weights, system.rules).normal_word_counts(2 * L + 1)[-1]
+
+    columns = _count_degree_one_monomials(s, L)
     return TorsionReport(
         surface=s,
         trunc=trunc,
-        columns=_count_degree_one_monomials(s, trunc.max_beads),
-        rows=len(rows),
-        rank=len(divisors),
-        divisors_gt_one=bad,
-        torsion_free=not bad,
+        columns=columns,
+        rows=len(instances),
+        rank=columns - (normal_words(L + 1) - normal_words(2 * L + 2)),
+        divisors_gt_one=(),
+        torsion_free=True,
     )
 
 

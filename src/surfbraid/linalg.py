@@ -12,20 +12,22 @@ Two tools live here:
   expands the elimination chain over the original rows.  Column keys
   may be arbitrary hashable objects; each is interned once to an integer
   id, rows are stored over those ids, and remainders are mapped back to
-  the caller's keys.  Ids go first to the keys a caller lists up front
-  (``columns``), in the given order, and then to any other key in
-  first-seen order; that order is the pivot order, so a caller whose
-  columns have a natural order hands it over and gets less fill-in.  Every stored row's pivot is its
-  least column id, so elimination always moves to strictly larger ids and
-  terminates without back-substitution; the next pivot comes off a heap
-  of the work row's pivot columns, never from a rescan of the row.
+  the caller's keys.  Ids go to keys in first-seen order, and that order
+  is the pivot order, so a caller whose columns have a natural order gets
+  less fill-in by presenting them in it first.  Every stored row's pivot
+  is its least column id, so elimination always moves to strictly larger
+  ids and terminates without back-substitution; the next pivot comes off
+  a heap of the work row's pivot columns, never from a rescan of the row.
 
 * ``elementary_divisors`` — integer Smith normal form over columns
   interned the same way.  Unit two-term rows ``{c1: u, c2: -u}`` with
   ``|u| = 1`` are contracted first by union-find (each merge is a divisor
   1); a sparse phase then repeatedly eliminates on entries equal to +-1
   (choosing the entry of least fill-in) and a dense textbook phase handles
-  whatever remains.  Exact throughout; no floating point anywhere.
+  whatever remains.  Exact throughout; no floating point anywhere.  No
+  module of the package calls it: the torsion report is proven by a
+  completion (see ``abelianization``), and the tests check it against
+  this Smith form.
 
 Callers hand over rows keyed by any hashable objects: how columns are
 identified and how unit rows are eliminated is decided here alone.
@@ -55,21 +57,19 @@ class ExactReducer:
     names older rows, so each row is visited once, after every row that
     refers to it, at a cost of O(rank + chain steps).
 
-    ``columns`` fixes the column order: those keys are interned first, in
-    the given order, and any other key after them in first-seen order.  A
-    stored row's pivot is its least column id, so the order decides the
-    pivots, and with them the stored rows, chains and certificates, but
-    never the span, the rank or whether a row is a member.
+    Column keys get ids in first-seen order.  A stored row's pivot is its
+    least column id, so that order decides the pivots, and with them the
+    stored rows, chains and certificates, but never the span, the rank or
+    whether a row is a member.
     """
 
-    def __init__(self, track_provenance: bool = True, columns=()):
+    def __init__(self, track_provenance: bool = True):
         self.track = track_provenance
         self.rows: list[dict] = []   # column id -> int, content gcd 1, pivot > 0
         self.links: list = []        # (tag, num, scl, ((beta, idx), ...))
         self.pivots: dict = {}       # column id -> row index
-        self.col_keys: list = list(dict.fromkeys(columns))  # column id -> key
-        # column key -> id: ``columns`` first, then in first-seen order
-        self.col_ids: dict = {c: i for i, c in enumerate(self.col_keys)}
+        self.col_keys: list = []     # column id -> key
+        self.col_ids: dict = {}      # column key -> id, in first-seen order
 
     @property
     def rank(self) -> int:

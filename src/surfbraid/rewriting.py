@@ -19,6 +19,14 @@ graded piece of the quotient.  ``normal_word_counts`` counts them per degree
 by dynamic programming over the automaton of leading words (Ufnarovski's
 graph of normal words), so leading words of any length are handled.
 
+The diamond lemma holds over any commutative ring, so over the integers
+too when every rule's leading coefficient is +-1.  ``complete`` divides each
+new rule by its leading coefficient and records on the system it returns
+the first one that is not +-1 (``non_unit_lead``, None if there is none):
+from integer relations, None means every rule is integral and the normal
+words are a basis over the integers, so the quotient has no torsion in the
+completed degrees.
+
 ``unresolved`` is the overlap check on its own: given rules that terminate,
 an empty answer proves their normal words a basis, whatever order produced
 the rules.  Everything is exact; no floating point anywhere.
@@ -57,6 +65,9 @@ class RewritingSystem:
     def __init__(self, weights, rules=None):
         self.weights = tuple(weights)
         self.rules: dict[tuple, dict] = {}
+        # set by ``complete``: the first leading coefficient other than +-1
+        # that it divided by, or None when every one was a unit
+        self.non_unit_lead = None
         self._lengths: dict[int, int] = {}  # lead length -> number of rules
         for lead, tail in (rules or {}).items():
             self.add_rule(lead, tail)
@@ -212,7 +223,8 @@ def complete(weights, relations, max_degree: int) -> RewritingSystem:
     Pending elements are taken lowest degree first and reduced; a nonzero
     remainder becomes a rule from its leading word, after which every rule
     whose leading word contains the new one gives way and goes back to the
-    pending elements, and the new rule's ambiguities join them."""
+    pending elements, and the new rule's ambiguities join them.  The first
+    leading coefficient other than +-1 is kept as ``non_unit_lead``."""
     system = RewritingSystem(weights)
     pending: list = []
     tick = itertools.count()
@@ -232,6 +244,8 @@ def complete(weights, relations, max_degree: int) -> RewritingSystem:
             continue
         lead = min(comb, key=system.order_key)
         head = comb.pop(lead)
+        if head not in (1, -1) and system.non_unit_lead is None:
+            system.non_unit_lead = head
         tail = {w: _quotient(-c, head) for w, c in comb.items()}
         for old in [m for m in system.rules if len(m) > len(lead) and _occurs(lead, m)]:
             old_rel = {old: 1}

@@ -1,18 +1,15 @@
 """Commutative quotient in chord degree <= 1 and the integer torsion check."""
 
+import itertools
 import random
-import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from surfbraid import abelianization
 from surfbraid.abelianization import (
-    MAX_FRAMED_ROWS,
-    _framed_instances,
-    _framed_row_bound,
-    _framed_rows,
-    _frames,
     degree_one_torsion,
     format_h1,
     format_h1_key,
@@ -24,18 +21,21 @@ from surfbraid.abelianization import (
 )
 from surfbraid.braid import identity_perm, transposition_perm
 from surfbraid.diagrams import (
+    RelationInstance,
     Truncation,
     WreathDiagram,
     bead,
+    bead_length,
     chord,
+    chord_degree,
     chord_generator,
     conjugated_chord,
     degree_one_symbol,
     relation_instances,
 )
-from surfbraid.errors import ResourceLimitError, UnsupportedDegreeError
+from surfbraid.errors import HypothesisError, UnsupportedDegreeError
 from surfbraid.group_algebra import JSummand
-from surfbraid.linalg import span_rank
+from surfbraid.linalg import elementary_divisors, span_rank
 from surfbraid.surface import SurfaceParams, letter
 
 S112 = SurfaceParams(1, 1, 2)
@@ -148,12 +148,118 @@ class TestKilledClasses:
             assert h1_class(comm, S112) == {}
 
 
+WIDE = Truncation(2, 8)
+
+
+@pytest.mark.parametrize("s", [S112, SurfaceParams(1, 0, 2)], ids=["bounded", "closed"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_products_with_an_instance_are_killed(s, data):
+    # u * r * v for a chord-degree <= 1 instance r and monomials u, v of at
+    # most two beads each, with one chord among all three
+    instances = [i.element for i in relation_instances(s, WIDE)
+                 if i.element.max_chord_degree() <= 1]
+    r = data.draw(st.sampled_from(instances))
+    beads = st.lists(st.sampled_from(bead_symbols(s)), max_size=2).map(tuple)
+    u, v = data.draw(beads), data.draw(beads)
+    if not r.max_chord_degree() and data.draw(st.booleans()):
+        z, k = data.draw(st.sampled_from(chord_symbols(s))), data.draw(st.integers(0, len(u)))
+        u = u[:k] + (z,) + u[k:]
+    product = (WreathDiagram.from_term(s.strands, WIDE, u) * r
+               * WreathDiagram.from_term(s.strands, WIDE, v))
+    assert not product.overflow
+    assert h1_class(product, s) == {}
+
+
 class TestDegreeZeroReport:
     def test_mentions_all_handles(self):
         text = h1_degree_zero_report(SurfaceParams(2, 2, 2))
         for name in ("abar1", "bbar1", "abar2", "bbar2", "zbar1", "tau"):
             assert name in text
         assert "tau^2 = 1" in text
+
+
+def bead_symbols(s):
+    return [bead(i, let) for i in range(1, s.strands + 1) for let in s.pi1_letters()]
+
+
+def chord_symbols(s):
+    return [chord(i, j) for i in range(1, s.strands + 1) for j in range(i + 1, s.strands + 1)]
+
+
+def degree_one_instances(s, trunc):
+    """(terms, free beads, free chords) of each chord-degree <= 1 relation
+    instance: what a frame may add beside it within the truncation."""
+    out = []
+    for inst in relation_instances(s, trunc):
+        if inst.element.max_chord_degree() <= 1:
+            terms = inst.mono_terms()
+            out.append((terms, trunc.max_beads - max(bead_length(m) for m, _ in terms),
+                        1 - max(chord_degree(m) for m, _ in terms)))
+    return out
+
+
+def monomials(s, beads, chords):
+    """Every monomial of exactly ``beads`` beads and ``chords`` <= 1 chords."""
+    out = []
+    for bs in itertools.product(bead_symbols(s), repeat=beads):
+        if chords:
+            out += [bs[:k] + (z,) + bs[k:] for z in chord_symbols(s) for k in range(beads + 1)]
+        else:
+            out.append(bs)
+    return out
+
+
+def frames(s, free_beads, free_chords):
+    """Every (left, right) monomial pair of at most ``free_beads`` beads and
+    exactly ``free_chords`` chords between them."""
+    for cl, bl in itertools.product(range(free_chords + 1), range(free_beads + 1)):
+        for br in range(free_beads - bl + 1):
+            for left in monomials(s, bl, cl):
+                for right in monomials(s, br, free_chords - cl):
+                    yield left, right
+
+
+def frame_count(s, trunc):
+    """How many frames ``framed_rows`` places around the instances, without
+    building them: B^b monomials of b beads, and B^b C(n,2) (b+1) with a
+    chord."""
+    b, z = len(bead_symbols(s)), len(chord_symbols(s))
+
+    def count(beads, chords):
+        return b ** beads * (z * (beads + 1) if chords else 1)
+
+    return sum(count(bl, cl) * count(br, fc - cl)
+               for _, fb, fc in degree_one_instances(s, trunc)
+               for cl in range(fc + 1)
+               for bl in range(fb + 1) for br in range(fb - bl + 1))
+
+
+def framed_rows(s, trunc):
+    """The oracle: each chord-degree <= 1 relation instance framed by
+    monomials on both sides, one chord in all and at most
+    ``trunc.max_beads`` beads, as integer rows over chord-degree-1
+    monomials; each distinct row once."""
+    rows = {}
+    for terms, fb, fc in degree_one_instances(s, trunc):
+        for left, right in frames(s, fb, fc):
+            row = {}
+            for m, c in terms:
+                row[left + m + right] = row.get(left + m + right, 0) + int(c)
+            row = {m: c for m, c in row.items() if c}
+            if row:
+                rows.setdefault(frozenset(row.items()), row)
+    return list(rows.values())
+
+
+# every (g, p, n, beads) with g <= 2, p <= 2, n <= 3, beads <= 4 whose
+# frames give between 1 and MAX_ROWS rows
+MAX_ROWS = 10_000
+SMALL_CASES = [
+    (g, p, n, beads)
+    for g, p, n, beads in itertools.product(range(3), range(3), range(1, 4), range(5))
+    if 0 < frame_count(SurfaceParams(g, p, n), Truncation(max_beads=beads)) <= MAX_ROWS
+]
 
 
 class TestTorsion:
@@ -177,7 +283,9 @@ class TestTorsion:
         assert "torsion-free: yes" in text
         assert "elementary divisors > 1: none" in text
         assert "genus=0 boundary=2 strands=2" in text
-        assert f"relation rows: {rep.rows}, rank {rep.rank}" in text
+        assert f"relation instances completed: {rep.rows}, rank {rep.rank}" in text
+        # the chord-degree <= 1 instances, not the framed rows
+        assert rep.rows == len(degree_one_instances(SurfaceParams(0, 2, 2), TR)) == 12
 
     @pytest.mark.parametrize("g, p, n, beads, rank", [
         (0, 2, 2, 4, 1552),
@@ -187,30 +295,45 @@ class TestTorsion:
     def test_rank_is_rational_rank(self, g, p, n, beads, rank):
         s, trunc = SurfaceParams(g, p, n), Truncation(max_beads=beads)
         rep = degree_one_torsion(s, trunc)
-        assert rep.rank == span_rank(_framed_rows(s, trunc)) == rank
+        assert rep.rank == span_rank(framed_rows(s, trunc)) == rank
 
     @pytest.mark.parametrize("g, p, n, beads", [
         (1, 1, 2, 3), (0, 2, 2, 4), (2, 0, 2, 2), (0, 1, 3, 2),
     ])
     def test_row_bound_counts_the_frames(self, g, p, n, beads):
+        # frame_count caps the Smith-form property test below
         s, trunc = SurfaceParams(g, p, n), Truncation(max_beads=beads)
-        instances = _framed_instances(s, trunc)
-        frames = sum(len(list(_frames(s, fb, fc))) for _, fb, fc in instances)
-        assert _framed_row_bound(s, instances) == frames
-        assert len(_framed_rows(s, trunc)) <= frames
+        count = sum(len(list(frames(s, fb, fc)))
+                    for _, fb, fc in degree_one_instances(s, trunc))
+        assert frame_count(s, trunc) == count
+        assert len(framed_rows(s, trunc)) <= count
 
-    def test_row_bound_admits_two_handles_at_four_beads(self):
-        # (2,0,2) at 4 beads builds 533,332 rows; it must stay allowed
-        s = SurfaceParams(2, 0, 2)
-        bound = _framed_row_bound(s, _framed_instances(s, TR))
-        assert 533_332 <= bound <= MAX_FRAMED_ROWS
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(SMALL_CASES))
+    def test_matches_smith_form(self, case):
+        # the completion's rank is the Smith rank of the framed rows, and the
+        # Smith form finds no divisor above 1 where the completion proves none
+        g, p, n, beads = case
+        s, trunc = SurfaceParams(g, p, n), Truncation(max_beads=beads)
+        rep = degree_one_torsion(s, trunc)
+        divisors = elementary_divisors(framed_rows(s, trunc))
+        assert rep.rank == len(divisors)
+        assert all(d == 1 for d in divisors)
+        assert rep.torsion_free and rep.divisors_gt_one == ()
 
-    def test_refuses_before_framing(self, monkeypatch):
-        def no_frames(*args):
-            raise AssertionError("framed before the size check")
+    def test_two_handles_at_four_beads(self):
+        # cross-checked once against the Smith form of its 533,332 framed rows
+        rep = degree_one_torsion(SurfaceParams(2, 0, 2), TR)
+        assert rep.columns == 344865 and rep.rank == 328863
+        assert rep.torsion_free
 
-        monkeypatch.setattr(abelianization, "_frames", no_frames)
-        start = time.perf_counter()
-        with pytest.raises(ResourceLimitError, match="over the limit"):
-            degree_one_torsion(SurfaceParams(2, 1, 3), Truncation())
-        assert time.perf_counter() - start < 1.0
+    def test_refuses_on_a_non_unit_leading_coefficient(self, monkeypatch):
+        real = abelianization.relation_instances
+
+        def doubled(s, trunc):
+            return [RelationInstance(i.family, i.rid, i.element.scale(2))
+                    for i in real(s, trunc)]
+
+        monkeypatch.setattr(abelianization, "relation_instances", doubled)
+        with pytest.raises(HypothesisError, match=r"leading coefficient -?2\b"):
+            degree_one_torsion(S112, Truncation(max_beads=2))

@@ -293,9 +293,11 @@ def test_abelianized_classes_and_torsion():
         SurfaceParams(1, 0, 2),
         SurfaceParams(0, 2, 2),
         SurfaceParams(0, 1, 2),
+        SurfaceParams(2, 1, 3),
     ]:
         rep = degree_one_torsion(s, DEFAULT_TRUNC)
         assert rep.torsion_free, (s, rep.divisors_gt_one)
+        assert rep.rank <= rep.columns, s
 
 
 # ---------------------------------------------------------------------------

@@ -184,13 +184,14 @@ class TestExactReducer:
         [((7 * c) % 10, "x") for c in range(10)],   # sorts scrambled
     ], ids=["str", "tuple"])
     def test_keys_out_of_sort_order(self, names):
-        # the oracle pivots in index order; `columns=names` gives the reducer
-        # the same order, so the two remainders agree exactly, and must come
-        # back under the caller's keys
+        # the oracle pivots in index order; a warm-up query over `names`
+        # interns them in that order, so the two remainders agree exactly,
+        # and must come back under the caller's keys
         rng = random.Random(41)
         for trial in range(30):
             rows = [random_row(rng, 10, 4) for _ in range(rng.randint(1, 8))]
-            r = ExactReducer(columns=names)
+            r = ExactReducer()
+            r.contains({name: 1 for name in names})
             for row in rows:
                 r.insert({names[c]: v for c, v in row.items()})
             for _ in range(5):
@@ -208,7 +209,9 @@ class TestExactReducer:
         # any column order gives the same rank and membership as first-seen
         # order, and its combinations still rebuild every query
         rows = dict(enumerate(inserted))
-        first_seen, ordered = ExactReducer(), ExactReducer(columns=order)
+        first_seen, ordered = ExactReducer(), ExactReducer()
+        ordered.contains({c: 1 for c in order})
+        assert ordered.col_keys == list(order) and ordered.rank == 0
         for i, row in rows.items():
             assert first_seen.insert(dict(row), tag=i) == \
                 ordered.insert(dict(row), tag=i)
@@ -242,7 +245,8 @@ class TestExactReducer:
                 return alpha, chain
 
         for columns in ((), order):
-            r = Recording(track_provenance=False, columns=columns)
+            r = Recording(track_provenance=False)
+            r.contains({c: 1 for c in columns})
             for row in inserted:
                 r.insert(dict(row))
             for row in inserted:

@@ -137,6 +137,15 @@ class TestComplete:
         for rel in rels:
             assert system.reduce(rel) == {}
 
+    def test_records_a_non_unit_leading_coefficient(self):
+        # 2x - 2y: x leads with coefficient 2, and the rule x -> y is only
+        # rational; +-1 leads record nothing
+        system = complete([1, 1], [{(0,): 2, (1,): -2}], 1)
+        assert system.non_unit_lead == 2
+        assert system.rules == {(0,): {(1,): 1}}
+        assert complete([1, 1], [{(0,): -1, (1,): 3}], 1).non_unit_lead is None
+        assert RewritingSystem([1]).non_unit_lead is None
+
     @settings(max_examples=40, deadline=None)
     @given(st.data())
     def test_counts_equal_ranks(self, data):

@@ -88,7 +88,8 @@ def rank_graded_dim(s, d, relations=None, word_cap=200000):
         return len(words)
     if relations is None:
         relations = symp_relations(s, d)
-    reducer = ExactReducer(track_provenance=False, columns=words)
+    reducer = ExactReducer(track_provenance=False)
+    reducer.contains({w: 1 for w in words})  # interns the columns in lex order
     # every relation has degree >= 2, so the frames u, v have degree <= d - 2
     by_degree = {dd: words_of_degree(s, dd, word_cap) for dd in range(d - 1)}
     for rel in relations:
