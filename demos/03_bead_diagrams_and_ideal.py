@@ -7,7 +7,9 @@ letters).  The algebra is free on such monomials modulo a finite catalog
 of homogeneous relations: chord symmetry and locality, the four-term
 relation, bead pushes across chord endpoints, and the group relations of
 the beads.  Membership in the relation ideal is decided by exact integer
-elimination and returns a replayable certificate.
+elimination and returns a replayable certificate; on a surface with
+boundary the bead normal form alone proves non-membership in chord
+degree <= 1.
 """
 
 from surfbraid import (
@@ -59,6 +61,12 @@ catalog = {inst.rid: inst for inst in relation_instances(s, trunc)}
 replayed = expand_certificate(res.certificate, catalog, s.strands, trunc)
 print("certificate re-expands to the query:", replayed == c - cr)
 
-# a bare chord is not in the ideal - relations never erase a lone chord
-bare = parse_diagram("1 * Z(1,2) ; perm=(1)(2)(3)", s, trunc)
-print("\nbare chord membership:", ideal_member(bare, s, trunc).status)
+# a bare chord is not in the ideal - relations never erase a lone chord.
+# On a surface with boundary the bead normal form decides chord degree <= 1
+# (the bead rules resolve every ambiguity), so the answer is a proof and
+# the normal form is its witness
+bounded = SurfaceParams(genus=1, boundary=1, strands=3)
+bare = parse_diagram("1 * Z(1,2) ; perm=(1)(2)(3)", bounded, trunc)
+res = ideal_member(bare, bounded, trunc)
+print("\nbare chord membership on a surface with boundary:", res.status)
+print("witness:", format_diagram(res.witness))

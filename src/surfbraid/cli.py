@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success; 1 mathematical negative (Unknown, NotFoundAtWindow,
-HypothesisNotMet, a failed redundancy check); 2 usage or hypothesis error;
+Exit codes: 0 success; 1 mathematical negative (proven: NotMember,
+NotEqual; inconclusive: Unknown, NotFoundAtWindow; HypothesisNotMet, a
+failed redundancy check); 2 usage or hypothesis error;
 3 resource exhaustion (node budgets, truncation overflow, word caps).
 """
 
@@ -232,6 +233,10 @@ def _run(args) -> int:
                 print("Member")
                 print(format_certificate(res.certificate))
                 return EXIT_OK
+            if res.status == "not_member":
+                print("NotMember")
+                print(format_diagram(res.witness))
+                return EXIT_NEGATIVE
             print("NotFoundAtWindow")
             return EXIT_NEGATIVE
         if args.subcommand == "equal":
@@ -241,7 +246,7 @@ def _run(args) -> int:
             if res.is_member:
                 print(f"Equal certificate_terms={len(res.certificate)}")
                 return EXIT_OK
-            print("NotFoundAtWindow")
+            print("NotEqual" if res.status == "not_member" else "NotFoundAtWindow")
             return EXIT_NEGATIVE
 
     if args.command == "h1":

@@ -34,12 +34,15 @@ is likewise required: the commutator form alone never mixes the two chord
 endpoints, which an explicit character of the collapsed algebra shows is
 too weak to transport conjugated chords from one strand to the other.
 
-``ideal_member`` is the equality semi-decision: it saturates relation
-instances framed by monomial factors around the monomials actually seen,
-keeps every row inside the bead-length window, and reduces the query over
-exact rationals.  Member answers return a certificate that is re-expanded
-and compared with the input before being returned; NotFound answers are
-inconclusive by design.
+``ideal_member`` first rewrites the query to its bead normal form.  On a
+surface with boundary that normal form decides chord degree <= 1: the bead
+rules are a complete rewriting system there, so a non-zero normal form is
+a proven NotMember.  Everything else goes to a saturation search that
+frames relation instances by monomial factors around the monomials
+actually seen, keeps every row inside the bead-length window, and reduces
+the query over exact rationals.  Member answers return a certificate that
+is re-expanded and compared with the input before being returned;
+NotFound answers of the search are inconclusive.
 """
 
 from __future__ import annotations
@@ -468,12 +471,20 @@ class CertificateTerm:
 
 @dataclass(frozen=True)
 class Membership:
-    """Outcome of ideal_member: Member carries a re-expanded, verified
-    certificate (or None when the caller asked not to certify); NotFound
-    is inconclusive."""
+    """Outcome of ideal_member.
 
-    status: str  # "member" | "not_found"
+    * ``member``: the certificate has been re-expanded and compared with
+      the query (it is None when the caller asked not to certify).
+    * ``not_member``: proven.  ``witness`` is the bead normal form of the
+      query's chord-degree <= 1 part, non-zero, on a surface with boundary,
+      where the bead rules are a complete rewriting system for the ideal.
+    * ``not_found``: inconclusive; the saturation search stopped without
+      reaching the query.
+    """
+
+    status: str  # "member" | "not_member" | "not_found"
     certificate: tuple[CertificateTerm, ...] | None = ()
+    witness: WreathDiagram | None = None
 
     @property
     def is_member(self) -> bool:
@@ -592,29 +603,43 @@ def expand_certificate(
     return total
 
 
+# saturation rounds per pass of _component_member
+MAX_ROUNDS = 16
+
+
 def ideal_member(
     x: WreathDiagram,
     s: SurfaceParams,
     trunc: Truncation,
     window: int = 6,
-    max_rounds: int = 16,
     max_rows: int = 60000,
     certify: bool = True,
 ) -> Membership:
-    """Span membership of x in the two-sided relation ideal.
+    """Membership of x in the two-sided relation ideal.
 
     The query is first rewritten to its bead-normal form, every step being
     a relation row kept for the certificate; the bead-moving families all
     vanish under that normal form, so many equalities finish right there.
+    The ideal is graded by permutation and by chord degree, so x is a
+    member exactly when every (permutation, chord degree) component of the
+    normal form is.
+
+    On a surface with boundary the chord-degree <= 1 relations are the bead
+    rules alone, and oriented as the normal form orients them they resolve
+    every ambiguity (Bergman's diamond lemma): a non-zero normal form there
+    is not in the ideal at any window, and the answer is NotMember with
+    that normal form as witness.
+
     What remains is a saturation search: relation instances framed by
     monomial factors taken from contiguous factorizations of monomials
     already reached, a row being admitted only if every one of its terms
     stays within ``window`` beads (chord degrees match automatically, the
     families are homogeneous).  A first pass uses only rows that never
-    lengthen a monomial — it explores a small, finite stratum — and only
-    if that fails does the search allow growing insertions.  Instances
-    whose bead letters do not occur in x are skipped: they can only be
-    missed, and NotFound is inconclusive anyway.
+    lengthen a monomial — it explores a small, finite stratum.  On closed
+    surfaces, where relator insertions are needed, a second pass that
+    allows growing insertions runs if the first fails.  Instances whose
+    bead letters do not occur in x are skipped: they can only be missed,
+    and NotFound is inconclusive anyway.
 
     With ``certify=False`` membership is decided by the same exact integer
     elimination; only assembling the certificate and re-expanding it
@@ -627,6 +652,17 @@ def ideal_member(
     if x.is_zero:
         return Membership("member", () if certify else None)
 
+    xn, trace = _normalize_with_trace(x)
+    if not s.closed:
+        decided = {
+            (mono, perm): c for (mono, perm), c in xn.terms.items()
+            if chord_degree(mono) <= 1
+        }
+        if decided:
+            return Membership(
+                "not_member", witness=WreathDiagram(x.strands, x.trunc, decided)
+            )
+
     instances = relation_instances(s, trunc)
     base_letters = _support_letters(x)
     usable = [
@@ -634,8 +670,6 @@ def ideal_member(
         if _instance_applicable(inst, base_letters)
     ]
     by_id = {inst.rid: inst for inst in usable}
-
-    xn, trace = _normalize_with_trace(x)
     certificate: list[CertificateTerm] = list(trace) if certify else []
 
     # split by permutation and chord degree: rows never mix either
@@ -643,19 +677,18 @@ def ideal_member(
     for (mono, perm), coef in xn.terms.items():
         components.setdefault((perm, chord_degree(mono)), {})[mono] = coef
 
+    passes = (False, True) if s.closed else (False,)
     for (perm, degree), target in sorted(
         components.items(), key=lambda kv: (kv[0][0], kv[0][1])
     ):
-        combo = _component_member(
-            target, usable, window, max_rounds, max_rows,
-            allow_insertions=False, track=certify,
-        )
-        if combo is None:
+        for allow_insertions in passes:
             combo = _component_member(
-                target, usable, window, max_rounds, max_rows,
-                allow_insertions=True, track=certify,
+                target, usable, window, max_rows,
+                allow_insertions=allow_insertions, track=certify,
             )
-        if combo is None:
+            if combo is not None:
+                break
+        else:
             return Membership("not_found")
         for (left, rid, right), coef in sorted(
             combo.items(), key=lambda kv: (mono_key(kv[0][0]), kv[0][1], mono_key(kv[0][2]))
@@ -677,7 +710,6 @@ def _component_member(
     target: dict,
     instances,
     window: int,
-    max_rounds: int,
     max_rows: int,
     allow_insertions: bool = True,
     track: bool = True,
@@ -715,7 +747,7 @@ def _component_member(
         return new_monos
 
     checked_rank = 0
-    for _ in range(max_rounds):
+    for _ in range(MAX_ROUNDS):
         next_frontier: list = []
         for mu in frontier:
             next_frontier.extend(try_rows(mu))

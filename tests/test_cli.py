@@ -129,7 +129,7 @@ class TestAlgebraCommands:
             capsys, ["diagram", "member", *S112, "1 * Z(1,2) ; perm=(1)(2)"]
         )
         assert code == EXIT_NEGATIVE
-        assert out == "NotFoundAtWindow\n"
+        assert out == "NotMember\n1 * Z(1,2) ; perm=(1)(2)\n"
 
     def test_diagram_equal(self, capsys):
         code, out, _ = run(
@@ -153,7 +153,7 @@ class TestAlgebraCommands:
             ],
         )
         assert code == EXIT_NEGATIVE
-        assert out == "NotFoundAtWindow\n"
+        assert out == "NotEqual\n"
 
     def test_h1_class(self, capsys):
         code, out, _ = run(

@@ -5,7 +5,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from surfbraid import diagrams
 from surfbraid.braid import identity_perm, transposition_perm, wreath_image, parse_braid_word
 from surfbraid.diagrams import (
     CertificateTerm,
@@ -18,6 +21,7 @@ from surfbraid.diagrams import (
     _support_letters,
     bead,
     chord,
+    chord_degree,
     chord_generator,
     conjugated_chord,
     degree_one_symbol,
@@ -44,6 +48,7 @@ from surfbraid.errors import (
 from surfbraid.group_algebra import JSummand
 from surfbraid.linalg import ExactReducer
 from surfbraid.surface import SurfaceParams, letter
+from test_rewriting import bead_rules
 
 S112 = SurfaceParams(1, 1, 2)
 S113 = SurfaceParams(1, 1, 3)
@@ -301,12 +306,13 @@ class TestIdealMember:
     def test_bare_chord_not_in_ideal(self):
         x = chord_generator(2, 1, 2, TR)
         m = ideal_member(x, S112, TR, window=5)
-        assert m.status == "not_found"
+        assert m.status == "not_member"
         assert not m.is_member
+        assert m.witness == x
 
     def test_unit_not_in_ideal(self):
         x = WreathDiagram.unit(2, TR)
-        assert ideal_member(x, S112, TR, window=5).status == "not_found"
+        assert ideal_member(x, S112, TR, window=5).status == "not_member"
 
     def test_failing_saturation_expands_no_combination(self, monkeypatch):
         # the saturation checkpoints (every 256 new ranks within a round) and
@@ -324,8 +330,8 @@ class TestIdealMember:
 
         monkeypatch.setattr(ExactReducer, "contains", spy)
         monkeypatch.setattr(ExactReducer, "_expand", refuse)
-        x = conjugated_chord(S112, 1, 2, (A1,), TR) - conjugated_chord(S112, 1, 2, (B1,), TR)
-        assert ideal_member(x, S112, TR, window=6, max_rows=1000).status == "not_found"
+        x = parse_diagram("1 * Z(1,2) a1@1 + -1 * Z(1,2) b1@1", S102, TR)
+        assert ideal_member(x, S102, TR, window=6, max_rows=1000).status == "not_found"
         assert max(ranks) >= 256
 
     def test_window_must_cover_truncation(self):
@@ -373,9 +379,113 @@ class TestIdealMember:
         limits = inspect.signature(ideal_member).parameters
         assert _component_member(
             target, usable, 6,
-            max_rounds=limits["max_rounds"].default,
             max_rows=limits["max_rows"].default,
             allow_insertions=False) is None
+
+
+BEAD_FAMILIES = ("BeadGroup", "BeadPush", "BeadFar", "BeadBead")
+
+
+def _surface_id(s):
+    return f"g{s.genus}p{s.boundary}n{s.strands}"
+
+
+def _draw_element(data, s, max_chords, loose):
+    """A random sum of framed bead-family rows and, when ``loose``, of loose
+    monomials, each in a random permutation, of chord degree <= max_chords."""
+    rows = [inst for inst in relation_instances(s, TR) if inst.family in BEAD_FAMILIES]
+    symbols = bead_rules(s)[0]
+    frame = st.lists(st.sampled_from(symbols), max_size=1).map(tuple)
+    pieces = [data.draw(st.sampled_from(rows)).mono_terms()
+              for _ in range(data.draw(st.integers(0, 3)))]
+    if loose:
+        pieces += [[(tuple(data.draw(st.lists(st.sampled_from(symbols), max_size=4))), 1)]
+                   for _ in range(data.draw(st.integers(0, 2)))]
+    x = WreathDiagram.zero(s.strands, TR)
+    for terms in pieces:
+        left, right = data.draw(frame), data.draw(frame)
+        perm = tuple(data.draw(st.permutations(range(s.strands))))
+        coef = data.draw(st.integers(-3, 3).filter(bool))
+        framed = {(left + m + right, perm): coef * c for m, c in terms}
+        if all(TR.fits(m) and chord_degree(m) <= max_chords for m, _ in framed):
+            x = x + WreathDiagram(s.strands, TR, framed)
+    return x
+
+
+def _bead_rule_normal_form(x, s):
+    """The normal form of x under the bead rules of the rewriting engine."""
+    symbols, code, system = bead_rules(s)
+    out: dict = {}
+    for (mono, perm), c in x.terms.items():
+        nf = system.reduce({tuple(code[sym] for sym in mono): c})
+        for word, v in nf.items():
+            key = (tuple(symbols[i] for i in word), perm)
+            out[key] = out.get(key, 0) + v
+    return WreathDiagram(x.strands, x.trunc, out)
+
+
+class TestNormalFormDecides:
+    """On a surface with boundary the bead normal form decides membership in
+    chord degree <= 1; only closed surfaces run the inserting pass."""
+
+    @pytest.mark.parametrize(
+        "s", [S112, SurfaceParams(0, 2, 3), SurfaceParams(2, 1, 3)], ids=_surface_id)
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_member_exactly_when_normal_form_vanishes(self, s, data):
+        x = _draw_element(data, s, max_chords=1, loose=True)
+        nf = _bead_rule_normal_form(x, s)
+        m = ideal_member(x, s, TR)
+        if nf.is_zero:
+            assert m.is_member
+            verify_certificate(x, m, s, TR)
+        else:
+            assert m.status == "not_member"
+            assert m.witness == nf
+
+    @pytest.mark.parametrize("s", [S112, S113, S102], ids=_surface_id)
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_framed_bead_rows_are_members(self, s, data):
+        x = _draw_element(data, s, max_chords=2, loose=False)
+        m = ideal_member(x, s, TR)
+        assert m.is_member
+        verify_certificate(x, m, s, TR)
+
+    def _passes(self, monkeypatch, x, s):
+        calls = []
+        component_member = diagrams._component_member
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs["allow_insertions"])
+            return component_member(*args, **kwargs)
+
+        monkeypatch.setattr(diagrams, "_component_member", spy)
+        assert ideal_member(x, s, TR, max_rows=300).status == "not_found"
+        return calls
+
+    def test_open_surface_runs_one_pass(self, monkeypatch):
+        x = parse_diagram("1 * Z(1,2) Z(1,2) a1@1", S112, TR)
+        assert self._passes(monkeypatch, x, S112) == [False]
+
+    def test_closed_surface_runs_both_passes(self, monkeypatch):
+        x = parse_diagram("1 * Z(1,2) Z(1,2) a1@1", S102, TR)
+        assert self._passes(monkeypatch, x, S102) == [False, True]
+
+    def test_no_search_in_chord_degree_one(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("searched a question the normal form decides")
+
+        monkeypatch.setattr(diagrams, "_component_member", refuse)
+        monkeypatch.setattr(diagrams, "relation_instances", refuse)
+        monkeypatch.setattr(ExactReducer, "insert", refuse)
+        wrong_sign = conjugated_chord(S112, 1, 2, (A1,), TR) \
+            + conjugated_chord(S112, 2, 1, (A1I,), TR)
+        for x in (parse_diagram("1 * Z(1,2) a1@1 + -1 * Z(1,2) b1@1", S112, TR),
+                  wrong_sign):
+            m = ideal_member(x, S112, TR)
+            assert m.status == "not_member"
+            assert m.witness == _normalize_with_trace(x)[0]
 
 
 class TestDegreeOneSymbol:

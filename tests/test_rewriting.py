@@ -195,7 +195,17 @@ class TestBeadRules:
     SURFACES = [SurfaceParams(1, 1, 2), SurfaceParams(0, 2, 3), SurfaceParams(2, 1, 3)]
 
     def test_every_ambiguity_resolves(self):
-        for s in self.SURFACES:
+        """The bead rules are confluent on every surface with boundary, so a
+        non-zero bead normal form proves non-membership in chord degree <= 1
+        (``ideal_member`` answers NotMember on it).  Every rule has a leading
+        word of two symbols, so an ambiguity word has three symbols: it
+        touches at most 4 strands and 3 base letters.  The rules treat all
+        strands and all letters alike (only the order of strand labels and
+        the inverse of a letter enter), and a reduction brings in no strand
+        or letter the word lacks.  So (2,1,4), with 4 strands and the letters
+        a1, b1, a2, b2, holds a copy of every ambiguity of every surface with
+        boundary, resolved in the same way."""
+        for s in self.SURFACES + [SurfaceParams(2, 1, 4)]:
             _, _, system = bead_rules(s)
             assert system.unresolved() == [], s
 
