@@ -7,9 +7,10 @@ letters).  The algebra is free on such monomials modulo a finite catalog
 of homogeneous relations: chord symmetry and locality, the four-term
 relation, bead pushes across chord endpoints, and the group relations of
 the beads.  Membership in the relation ideal is decided by exact integer
-elimination and returns a replayable certificate; on a surface with
-boundary the bead normal form alone proves non-membership in chord
-degree <= 1.
+elimination and returns a replayable certificate; in chord degree <= 1 the
+normal form alone proves non-membership on a surface with boundary (the
+bead normal form) and on the closed torus (the exponent form a1^m b1^k of
+each strand's beads).
 """
 
 from surfbraid import (
@@ -69,4 +70,12 @@ bounded = SurfaceParams(genus=1, boundary=1, strands=3)
 bare = parse_diagram("1 * Z(1,2) ; perm=(1)(2)(3)", bounded, trunc)
 res = ideal_member(bare, bounded, trunc)
 print("\nbare chord membership on a surface with boundary:", res.status)
+print("witness:", format_diagram(res.witness))
+
+# on the closed torus the normal form goes one step further, to the
+# exponent form a1^m b1^k of each strand's beads (a swap b1 a1 -> a1 b1 is
+# a ClosedSum row), and it decides chord degree <= 1 there too
+bare = parse_diagram("1 * Z(1,2) ; perm=(1)(2)(3)", s, trunc)
+res = ideal_member(bare, s, trunc)
+print("bare chord membership on the closed torus:", res.status)
 print("witness:", format_diagram(res.witness))

@@ -34,15 +34,17 @@ is likewise required: the commutator form alone never mixes the two chord
 endpoints, which an explicit character of the collapsed algebra shows is
 too weak to transport conjugated chords from one strand to the other.
 
-``ideal_member`` first rewrites the query to its bead normal form.  On a
-surface with boundary that normal form decides chord degree <= 1: the bead
-rules are a complete rewriting system there, so a non-zero normal form is
-a proven NotMember.  Everything else goes to a saturation search that
-frames relation instances by monomial factors around the monomials
-actually seen, keeps every row inside the bead-length window, and reduces
-the query over exact rationals.  Member answers return a certificate that
-is re-expanded and compared with the input before being returned;
-NotFound answers of the search are inconclusive.
+``ideal_member`` first rewrites the query to its bead normal form, and on
+the closed torus on to the exponent form ``a1^m b1^k`` per strand.  Except
+on closed surfaces of genus >= 2 that normal form decides chord degree
+<= 1: its rules are a complete rewriting system there, so a non-zero
+normal form is a proven NotMember, and a vanishing one a Member.
+Everything else goes to a saturation search that frames relation
+instances by monomial factors around the monomials actually seen, keeps
+every row inside the bead-length window, and reduces the query over exact
+rationals.  Member answers return a certificate that is re-expanded and
+compared with the input before being returned; NotFound answers of the
+search are inconclusive.
 """
 
 from __future__ import annotations
@@ -475,9 +477,11 @@ class Membership:
 
     * ``member``: the certificate has been re-expanded and compared with
       the query (it is None when the caller asked not to certify).
-    * ``not_member``: proven.  ``witness`` is the bead normal form of the
-      query's chord-degree <= 1 part, non-zero, on a surface with boundary,
-      where the bead rules are a complete rewriting system for the ideal.
+    * ``not_member``: proven.  ``witness`` is the normal form of the
+      query's chord-degree <= 1 part, non-zero, on a surface other than a
+      closed one of genus >= 2, where the normal form's rules are a complete
+      rewriting system for the ideal: the bead normal form, carried on to
+      the exponent form ``a1^m b1^k`` per strand on the closed torus.
     * ``not_found``: inconclusive; the saturation search stopped without
       reaching the query.
     """
@@ -499,6 +503,24 @@ def _mono_factorizations(mono: Monomial, part: Monomial):
             yield mono[:pos], mono[pos + lp:]
 
 
+def _cancel_pairs(work: list, coef, perm, steps_out, left=(), right=()) -> None:
+    """Cancel inverse bead pairs on one strand in ``work``, the first pair
+    first, until none is left; each cancellation is one BeadGroup row,
+    framed by ``left`` and ``right`` besides the rest of ``work``."""
+    p = 0
+    while p < len(work) - 1:
+        a, b = work[p], work[p + 1]
+        if not (a[0] == "B" and b[0] == "B" and a[1] == b[1]
+                and a[2][:2] == b[2][:2] and a[2][2] == -b[2][2]):
+            p += 1
+            continue
+        steps_out.append(CertificateTerm(
+            coef, left + tuple(work[:p]), f"BeadGroup[{_letter_name(a[2])}@{a[1]}]",
+            tuple(work[p + 2:]) + right, perm))
+        del work[p:p + 2]
+        p = max(p - 1, 0)
+
+
 def _normalize_monomial(mono: Monomial, perm, coef, steps_out) -> Monomial:
     """Directed rewrite to the bead-normal form: inverse bead pairs on one
     strand cancel, every bead slides rightward across every chord (changing
@@ -511,19 +533,8 @@ def _normalize_monomial(mono: Monomial, perm, coef, steps_out) -> Monomial:
     """
     work = list(mono)
     while True:
+        _cancel_pairs(work, coef, perm, steps_out)
         changed = False
-        for p in range(len(work) - 1):
-            a, b = work[p], work[p + 1]
-            if (a[0] == "B" and b[0] == "B" and a[1] == b[1]
-                    and a[2][:2] == b[2][:2] and a[2][2] == -b[2][2]):
-                rid = f"BeadGroup[{_letter_name(a[2])}@{a[1]}]"
-                steps_out.append(CertificateTerm(
-                    coef, tuple(work[:p]), rid, tuple(work[p + 2:]), perm))
-                del work[p:p + 2]
-                changed = True
-                break
-        if changed:
-            continue
         for p in range(len(work) - 1):
             a, b = work[p], work[p + 1]
             if a[0] == "B" and b[0] == "C":
@@ -553,6 +564,45 @@ def _normalize_monomial(mono: Monomial, perm, coef, steps_out) -> Monomial:
                 break
         if not changed:
             return tuple(work)
+
+
+def _torus_exponent_form(target: dict, perm, steps_out) -> dict:
+    """Carry a bead-normal component on the closed torus to the exponent
+    form ``a1^m b1^k`` on every strand (what ``pi1_normalize`` returns),
+    swapping each ``b1^e a1^d`` on one strand, the first one first, and
+    cancelling the inverse pairs a swap brings together.  A swap is one
+    ClosedSum row and the BeadGroup rows that cancel its frames:
+
+        b^e a^d - a^d b^e = -e d . L ClosedSum[i] R + BeadGroup rows,
+
+    with ``L`` the inverse letters among ``a^d, b^e`` in that order and ``R``
+    its reverse.  With the bead rules these swaps resolve every ambiguity
+    and reduce every chord-degree <= 1 relation to zero, so the form
+    decides chord degree <= 1 on the torus."""
+    out: dict = {}
+    for mono, coef in sorted(target.items(), key=lambda kv: mono_key(kv[0])):
+        work = list(mono)
+        while True:
+            _cancel_pairs(work, coef, perm, steps_out)
+            p = next((p for p in range(len(work) - 1)
+                      if work[p][0] == work[p + 1][0] == "B" and work[p][1] == work[p + 1][1]
+                      and work[p][2][0] == "b" and work[p + 1][2][0] == "a"), None)
+            if p is None:
+                break
+            b, a = work[p], work[p + 1]
+            i, e, d = b[1], b[2][2], a[2][2]
+            lf = tuple(sym for sym in (a, b) if sym[2][2] < 0)
+            left, right = tuple(work[:p]), tuple(work[p + 2:])
+            k = -e * d * coef
+            steps_out.append(CertificateTerm(
+                k, left + lf, f"ClosedSum[{i}]", lf[::-1] + right, perm))
+            bare_a, bare_b = ("B", i, ("a", 1, 1)), ("B", i, ("b", 1, 1))
+            for middle, sign in (((bare_a, bare_b), -1), ((bare_b, bare_a), 1)):
+                _cancel_pairs(list(lf + middle + lf[::-1]), sign * k, perm, steps_out,
+                              left, right)
+            work[p], work[p + 1] = a, b
+        out[tuple(work)] = out.get(tuple(work), 0) + coef
+    return {mono: c for mono, c in out.items() if c}
 
 
 def _normalize_with_trace(x: WreathDiagram):
@@ -618,33 +668,47 @@ def ideal_member(
     """Membership of x in the two-sided relation ideal.
 
     The query is first rewritten to its bead-normal form, every step being
-    a relation row kept for the certificate; the bead-moving families all
-    vanish under that normal form, so many equalities finish right there.
-    The ideal is graded by permutation and by chord degree, so x is a
-    member exactly when every (permutation, chord degree) component of the
-    normal form is.
+    a relation row kept for the certificate; on the closed torus each
+    strand's beads go on to the exponent form ``a1^m b1^k`` (ClosedSum and
+    BeadGroup rows).  The ideal is graded by permutation and by chord
+    degree, so x is a member exactly when every (permutation, chord degree)
+    component of the normal form is; a component whose normal form
+    vanishes is one, with the rewriting steps as its certificate.
 
-    On a surface with boundary the chord-degree <= 1 relations are the bead
-    rules alone, and oriented as the normal form orients them they resolve
-    every ambiguity (Bergman's diamond lemma): a non-zero normal form there
-    is not in the ideal at any window, and the answer is NotMember with
-    that normal form as witness.
+    Except on closed surfaces of genus >= 2, the chord-degree <= 1
+    relations, oriented as the normal form orients them, resolve every
+    ambiguity (Bergman's diamond lemma): a non-zero chord-degree <= 1
+    normal form is not in the ideal at any window, and the answer is
+    NotMember with that normal form as witness.
 
-    What remains is a saturation search: relation instances framed by
-    monomial factors taken from contiguous factorizations of monomials
-    already reached, a row being admitted only if every one of its terms
-    stays within ``window`` beads (chord degrees match automatically, the
-    families are homogeneous).  A first pass uses only rows that never
-    lengthen a monomial — it explores a small, finite stratum.  On closed
-    surfaces, where relator insertions are needed, a second pass that
-    allows growing insertions runs if the first fails.  Instances whose
-    bead letters do not occur in x are skipped: they can only be missed,
-    and NotFound is inconclusive anyway.
+    What remains is a saturation search on the bead-normal component:
+    relation instances framed by monomial factors taken from contiguous
+    factorizations of monomials already reached, a row being admitted only
+    if every one of its terms stays within ``window`` beads (chord degrees
+    match automatically, the families are homogeneous).  A first pass uses
+    only rows that never lengthen a monomial — it explores a small, finite
+    stratum.  On closed surfaces of genus >= 1, where relator insertions
+    are needed, a second pass that allows growing insertions runs if the
+    first fails.  Instances whose bead letters do not occur in x are
+    skipped: they can only be missed, and NotFound is inconclusive anyway.
 
     With ``certify=False`` membership is decided by the same exact integer
     elimination; only assembling the certificate and re-expanding it
     against x are skipped, and the certificate is None.
+
+    Raises DimensionMismatchError when x and s have different strand
+    counts, and TruncationOverflowError when a monomial of x does not fit
+    ``trunc``.
     """
+    if x.strands != s.strands:
+        raise DimensionMismatchError(
+            f"a {x.strands}-strand diagram queried on {s.strands} strands"
+        )
+    for mono, _ in x.terms:
+        if not trunc.fits(mono):
+            raise TruncationOverflowError(
+                f"monomial {format_monomial(mono)} exceeds the truncation {trunc}"
+            )
     if window < trunc.max_beads:
         raise ParameterError(
             f"window {window} is smaller than the bead truncation {trunc.max_beads}"
@@ -653,10 +717,21 @@ def ideal_member(
         return Membership("member", () if certify else None)
 
     xn, trace = _normalize_with_trace(x)
-    if not s.closed:
+    # split by permutation and chord degree: rows never mix either
+    components: dict = {}
+    for (mono, perm), coef in xn.terms.items():
+        components.setdefault((perm, chord_degree(mono)), {})[mono] = coef
+    torus = s.closed and s.genus == 1
+    forms: dict = {}
+    for (perm, degree), target in components.items():
+        steps: list[CertificateTerm] = []
+        form = _torus_exponent_form(target, perm, steps) if torus else target
+        forms[(perm, degree)] = (form, steps)
+
+    if not (s.closed and s.genus >= 2):
         decided = {
-            (mono, perm): c for (mono, perm), c in xn.terms.items()
-            if chord_degree(mono) <= 1
+            (mono, perm): c for (perm, degree), (form, _) in forms.items()
+            if degree <= 1 for mono, c in form.items()
         }
         if decided:
             return Membership(
@@ -672,15 +747,15 @@ def ideal_member(
     by_id = {inst.rid: inst for inst in usable}
     certificate: list[CertificateTerm] = list(trace) if certify else []
 
-    # split by permutation and chord degree: rows never mix either
-    components: dict = {}
-    for (mono, perm), coef in xn.terms.items():
-        components.setdefault((perm, chord_degree(mono)), {})[mono] = coef
-
-    passes = (False, True) if s.closed else (False,)
+    passes = (False, True) if s.closed and s.genus >= 1 else (False,)
     for (perm, degree), target in sorted(
         components.items(), key=lambda kv: (kv[0][0], kv[0][1])
     ):
+        form, steps = forms[(perm, degree)]
+        if not form:
+            if certify:
+                certificate.extend(steps)
+            continue
         for allow_insertions in passes:
             combo = _component_member(
                 target, usable, window, max_rows,

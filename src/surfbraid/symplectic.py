@@ -306,7 +306,7 @@ def symp_graded_dim(s: SurfaceParams, d: int, relations=None) -> int:
     return _completion(s, d, relations).normal_word_counts(d)[d]
 
 
-def symp_twist_redundancy(s: SurfaceParams, word_cap: int = 200000) -> bool:
+def symp_twist_redundancy(s: SurfaceParams) -> bool:
     """Whether every strand chord Z(i,j) is expressible in degree-1
     generators modulo the degree-2 relation span (needs genus >= 1, n >= 2)."""
     if s.genus < 1:
@@ -316,7 +316,7 @@ def symp_twist_redundancy(s: SurfaceParams, word_cap: int = 200000) -> bool:
     reducer = ExactReducer(track_provenance=False)
     for rel in symp_relations(s, 2):
         reducer.insert(dict(rel))
-    for w in words_of_degree(s, 2, word_cap):
+    for w in words_of_degree(s, 2):
         if all(generator_degree(g) == 1 for g in w):
             reducer.insert({w: 1})
     for i in range(1, s.strands + 1):

@@ -115,14 +115,15 @@ class TestAlgebraCommands:
         assert "BeadGroup[a1@1]" in out
 
     def test_diagram_member_by_relator_insertion(self, capsys):
-        # closes only in the pass that lets relation rows grow a monomial
+        # a search closes it only in the pass that lets relation rows grow a
+        # monomial; the torus exponent form closes it with a ClosedSum row
         element = "1 * a1@1 b1^-1@1 + -1 * b1^-1@1 a1@1"
         code, out, _ = run(
             capsys, ["diagram", "member", "-g", "1", "-p", "0", "-n", "2", element]
         )
         assert code == EXIT_OK
         assert out.splitlines()[0] == "Member"
-        assert "BeadRelator[1;+]" in out
+        assert "ClosedSum[1]" in out
 
     def test_diagram_member_negative(self, capsys):
         code, out, _ = run(

@@ -39,6 +39,7 @@ from surfbraid.diagrams import (
     relation_instances,
 )
 from surfbraid.errors import (
+    DimensionMismatchError,
     InvalidGeneratorError,
     ParameterError,
     ParseError,
@@ -48,7 +49,7 @@ from surfbraid.errors import (
 from surfbraid.group_algebra import JSummand
 from surfbraid.linalg import ExactReducer
 from surfbraid.surface import SurfaceParams, letter
-from test_rewriting import bead_rules
+from test_rewriting import bead_rules, torus_rules
 
 S112 = SurfaceParams(1, 1, 2)
 S113 = SurfaceParams(1, 1, 3)
@@ -255,6 +256,10 @@ class TestRelationCatalog:
             assert len(degs) == 1, inst.rid
 
 
+def _searched(*args, **kwargs):
+    raise AssertionError("searched a question the normal form decides")
+
+
 def verify_certificate(x, membership, s, trunc):
     """Independent re-expansion of a membership certificate."""
     insts = {inst.rid: inst for inst in relation_instances(s, trunc)}
@@ -330,8 +335,9 @@ class TestIdealMember:
 
         monkeypatch.setattr(ExactReducer, "contains", spy)
         monkeypatch.setattr(ExactReducer, "_expand", refuse)
-        x = parse_diagram("1 * Z(1,2) a1@1 + -1 * Z(1,2) b1@1", S102, TR)
-        assert ideal_member(x, S102, TR, window=6, max_rows=1000).status == "not_found"
+        s = SurfaceParams(2, 0, 2)
+        x = parse_diagram("1 * Z(1,2) a1@1 + -1 * Z(1,2) b1@1", s, TR)
+        assert ideal_member(x, s, TR, window=6, max_rows=1000).status == "not_found"
         assert max(ranks) >= 256
 
     def test_window_must_cover_truncation(self):
@@ -362,38 +368,60 @@ class TestIdealMember:
         assert m.is_member
         verify_certificate(x, m, S102, trunc)
 
-    def test_growing_pass_closes_torus_commutator(self):
+    def test_growing_pass_closes_torus_commutator(self, monkeypatch):
         # a1 b1^-1 and b1^-1 a1 differ by a surface relator inserted into a
-        # shorter monomial, so only the pass that allows insertions finds it
+        # shorter monomial: of the two search passes only the one that
+        # allows insertions finds it, and the torus exponent form decides it
+        # with no search at all
         trunc = Truncation()
         x = parse_diagram("1 * a1@1 b1^-1@1 + -1 * b1^-1@1 a1@1", S102, trunc)
-        m = ideal_member(x, S102, trunc, window=6)
-        assert m.is_member and m.certificate
-        verify_certificate(x, m, S102, trunc)
         xn, _ = _normalize_with_trace(x)
         assert {perm for (_, perm) in xn.terms} == {ID2}
         target = {mono: c for (mono, _), c in xn.terms.items()}
         letters = _support_letters(x)
         usable = [inst for inst in relation_instances(S102, trunc)
                   if _instance_applicable(inst, letters)]
-        limits = inspect.signature(ideal_member).parameters
+        max_rows = inspect.signature(ideal_member).parameters["max_rows"].default
         assert _component_member(
-            target, usable, 6,
-            max_rows=limits["max_rows"].default,
-            allow_insertions=False) is None
+            target, usable, 6, max_rows, allow_insertions=False) is None
+        combo = _component_member(target, usable, 6, max_rows, allow_insertions=True)
+        assert combo
+        terms = [CertificateTerm(c, left, rid, right, ID2)
+                 for (left, rid, right), c in combo.items()]
+        assert expand_certificate(
+            terms, {inst.rid: inst for inst in usable}, 2, trunc) == xn
+
+        monkeypatch.setattr(diagrams, "_component_member", _searched)
+        m = ideal_member(x, S102, trunc, window=6)
+        assert m.is_member and m.certificate
+        verify_certificate(x, m, S102, trunc)
+
+    def test_query_on_other_strands_is_refused(self):
+        x = parse_diagram("1 * Z(2,3)", S113, TR)
+        with pytest.raises(DimensionMismatchError):
+            ideal_member(x, S112, TR)
+
+    def test_query_outside_the_truncation_is_refused(self):
+        # relation_instances drops what does not fit the truncation, so a
+        # certificate could name an instance that is not there
+        x = parse_diagram("1 * a1@1 a1^-1@1 + -1 * 1", S112, TR)
+        with pytest.raises(TruncationOverflowError):
+            ideal_member(x, S112, Truncation(2, 1), window=5)
 
 
 BEAD_FAMILIES = ("BeadGroup", "BeadPush", "BeadFar", "BeadBead")
+DEGREE_ONE_FAMILIES = BEAD_FAMILIES + ("ClosedSum", "BeadRelator")
 
 
 def _surface_id(s):
     return f"g{s.genus}p{s.boundary}n{s.strands}"
 
 
-def _draw_element(data, s, max_chords, loose):
-    """A random sum of framed bead-family rows and, when ``loose``, of loose
-    monomials, each in a random permutation, of chord degree <= max_chords."""
-    rows = [inst for inst in relation_instances(s, TR) if inst.family in BEAD_FAMILIES]
+def _draw_element(data, s, max_chords, loose, families=BEAD_FAMILIES):
+    """A random sum of framed rows of ``families`` and, when ``loose``, of
+    loose monomials, each in a random permutation, of chord degree <=
+    max_chords."""
+    rows = [inst for inst in relation_instances(s, TR) if inst.family in families]
     symbols = bead_rules(s)[0]
     frame = st.lists(st.sampled_from(symbols), max_size=1).map(tuple)
     pieces = [data.draw(st.sampled_from(rows)).mono_terms()
@@ -412,9 +440,10 @@ def _draw_element(data, s, max_chords, loose):
     return x
 
 
-def _bead_rule_normal_form(x, s):
-    """The normal form of x under the bead rules of the rewriting engine."""
-    symbols, code, system = bead_rules(s)
+def _bead_rule_normal_form(x, s, rules=bead_rules):
+    """The normal form of x under the bead rules of the rewriting engine
+    (or under other ``rules`` on the same symbols)."""
+    symbols, code, system = rules(s)
     out: dict = {}
     for (mono, perm), c in x.terms.items():
         nf = system.reduce({tuple(code[sym] for sym in mono): c})
@@ -425,16 +454,20 @@ def _bead_rule_normal_form(x, s):
 
 
 class TestNormalFormDecides:
-    """On a surface with boundary the bead normal form decides membership in
-    chord degree <= 1; only closed surfaces run the inserting pass."""
+    """Except on closed surfaces of genus >= 2 the normal form decides
+    membership in chord degree <= 1: the bead normal form on a surface with
+    boundary and on the sphere, the exponent form on the torus.  Only closed
+    surfaces of genus >= 1 run the inserting pass."""
 
     @pytest.mark.parametrize(
-        "s", [S112, SurfaceParams(0, 2, 3), SurfaceParams(2, 1, 3)], ids=_surface_id)
+        "s", [S112, SurfaceParams(0, 2, 3), SurfaceParams(2, 1, 3),
+              S102, SurfaceParams(1, 0, 3)], ids=_surface_id)
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_member_exactly_when_normal_form_vanishes(self, s, data):
-        x = _draw_element(data, s, max_chords=1, loose=True)
-        nf = _bead_rule_normal_form(x, s)
+        # on the closed torus the normal form is the exponent form
+        x = _draw_element(data, s, max_chords=1, loose=True, families=DEGREE_ONE_FAMILIES)
+        nf = _bead_rule_normal_form(x, s, torus_rules if s.closed else bead_rules)
         m = ideal_member(x, s, TR)
         if nf.is_zero:
             assert m.is_member
@@ -448,6 +481,15 @@ class TestNormalFormDecides:
     @given(data=st.data())
     def test_framed_bead_rows_are_members(self, s, data):
         x = _draw_element(data, s, max_chords=2, loose=False)
+        m = ideal_member(x, s, TR)
+        assert m.is_member
+        verify_certificate(x, m, s, TR)
+
+    def test_torus_commutator_under_chords_needs_no_search(self, monkeypatch):
+        s = SurfaceParams(1, 0, 3)
+        x = parse_diagram("1 * Z(1,2) Z(1,3) a1@1 b1^-1@1"
+                          " + -1 * Z(1,2) Z(1,3) b1^-1@1 a1@1", s, TR)
+        monkeypatch.setattr(diagrams, "_component_member", _searched)
         m = ideal_member(x, s, TR)
         assert m.is_member
         verify_certificate(x, m, s, TR)
@@ -468,17 +510,22 @@ class TestNormalFormDecides:
         x = parse_diagram("1 * Z(1,2) Z(1,2) a1@1", S112, TR)
         assert self._passes(monkeypatch, x, S112) == [False]
 
+    def test_sphere_runs_one_pass(self, monkeypatch):
+        sphere = SurfaceParams(0, 0, 3)
+        x = parse_diagram("1 * Z(1,2) Z(2,3)", sphere, TR)
+        assert self._passes(monkeypatch, x, sphere) == [False]
+
     def test_closed_surface_runs_both_passes(self, monkeypatch):
         x = parse_diagram("1 * Z(1,2) Z(1,2) a1@1", S102, TR)
         assert self._passes(monkeypatch, x, S102) == [False, True]
 
-    def test_no_search_in_chord_degree_one(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("searched a question the normal form decides")
+    def _refuse_search(self, monkeypatch):
+        monkeypatch.setattr(diagrams, "_component_member", _searched)
+        monkeypatch.setattr(diagrams, "relation_instances", _searched)
+        monkeypatch.setattr(ExactReducer, "insert", _searched)
 
-        monkeypatch.setattr(diagrams, "_component_member", refuse)
-        monkeypatch.setattr(diagrams, "relation_instances", refuse)
-        monkeypatch.setattr(ExactReducer, "insert", refuse)
+    def test_no_search_in_chord_degree_one(self, monkeypatch):
+        self._refuse_search(monkeypatch)
         wrong_sign = conjugated_chord(S112, 1, 2, (A1,), TR) \
             + conjugated_chord(S112, 2, 1, (A1I,), TR)
         for x in (parse_diagram("1 * Z(1,2) a1@1 + -1 * Z(1,2) b1@1", S112, TR),
@@ -486,6 +533,16 @@ class TestNormalFormDecides:
             m = ideal_member(x, S112, TR)
             assert m.status == "not_member"
             assert m.witness == _normalize_with_trace(x)[0]
+
+    def test_no_search_on_the_torus_and_the_sphere(self, monkeypatch):
+        self._refuse_search(monkeypatch)
+        sphere = SurfaceParams(0, 0, 3)
+        for s, text in ((S102, "1 * Z(1,2) a1@1 + -1 * Z(1,2) b1@1"),
+                        (S102, "1 * Z(1,2)"), (sphere, "1 * Z(1,2)")):
+            x = parse_diagram(text, s, TR)
+            m = ideal_member(x, s, TR)
+            assert m.status == "not_member"
+            assert m.witness == x
 
 
 class TestDegreeOneSymbol:

@@ -8,7 +8,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from surfbraid.diagrams import _normalize_monomial, bead, chord
+from surfbraid.diagrams import Truncation, _normalize_monomial, bead, chord, relation_instances
 from surfbraid.rewriting import RewritingSystem, complete
 from surfbraid.surface import SurfaceParams
 
@@ -191,6 +191,21 @@ def bead_rules(s: SurfaceParams):
     return symbols, code, RewritingSystem([1] * len(symbols), rules)
 
 
+def torus_rules(s: SurfaceParams):
+    """The bead rules plus, on each strand of the closed torus, the four
+    swaps b1^e a1^d -> a1^d b1^e that carry a strand to its exponent form."""
+    symbols, code, system = bead_rules(s)
+    for i in range(1, s.strands + 1):
+        for e in (1, -1):
+            for d in (1, -1):
+                b, a = code[bead(i, ("b", 1, e))], code[bead(i, ("a", 1, d))]
+                system.add_rule((b, a), {(a, b): 1})
+    return symbols, code, system
+
+
+TORI = [SurfaceParams(1, 0, 2), SurfaceParams(1, 0, 3), SurfaceParams(1, 0, 4)]
+
+
 class TestBeadRules:
     SURFACES = [SurfaceParams(1, 1, 2), SurfaceParams(0, 2, 3), SurfaceParams(2, 1, 3)]
 
@@ -223,3 +238,31 @@ class TestBeadRules:
                 word = tuple(code[sym] for sym in mono)
                 assert system.reduce({word: 1}) == \
                     {tuple(code[sym] for sym in nf): 1}, (s, mono)
+
+    def test_torus_rules_resolve_every_ambiguity(self):
+        """The torus rules are confluent on every closed torus, so with the
+        next test a non-zero exponent form proves non-membership in chord
+        degree <= 1 (``ideal_member`` answers NotMember on it).  Every rule
+        has a leading word of two symbols, the first a bead, so an
+        ambiguity word has three symbols, two of them beads: it touches at
+        most 4 strands.  The rules treat all strands alike (only the order
+        of strand labels enters), the torus has only the letters a1 and b1,
+        and a reduction brings in no strand the word lacks.  So (1,0,4)
+        holds a copy of every ambiguity of every closed torus."""
+        for s in TORI:
+            _, _, system = torus_rules(s)
+            assert system.unresolved() == [], s
+
+    def test_torus_rules_reduce_every_relation(self):
+        # the chord-degree <= 1 instances, ClosedSum and BeadRelator among
+        # them, lie in the ideal of the rules, whose every rule is a
+        # certified row of ``ideal_member``: the two ideals agree there
+        for s in TORI:
+            symbols, code, system = torus_rules(s)
+            families = set()
+            for inst in relation_instances(s, Truncation(1, 4)):
+                families.add(inst.family)
+                word = {tuple(code[sym] for sym in mono): c
+                        for mono, c in inst.mono_terms()}
+                assert system.reduce(word) == {}, inst.rid
+            assert {"ClosedSum", "BeadRelator", "BeadPush"} <= families
