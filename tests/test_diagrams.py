@@ -440,9 +440,9 @@ def _draw_element(data, s, max_chords, loose, families=BEAD_FAMILIES):
     return x
 
 
-def _bead_rule_normal_form(x, s, rules=bead_rules):
-    """The normal form of x under the bead rules of the rewriting engine
-    (or under other ``rules`` on the same symbols)."""
+def _rule_normal_form(x, s, rules):
+    """The normal form of x under ``rules`` (``bead_rules`` or
+    ``torus_rules``) of the rewriting engine."""
     symbols, code, system = rules(s)
     out: dict = {}
     for (mono, perm), c in x.terms.items():
@@ -467,7 +467,7 @@ class TestNormalFormDecides:
     def test_member_exactly_when_normal_form_vanishes(self, s, data):
         # on the closed torus the normal form is the exponent form
         x = _draw_element(data, s, max_chords=1, loose=True, families=DEGREE_ONE_FAMILIES)
-        nf = _bead_rule_normal_form(x, s, torus_rules if s.closed else bead_rules)
+        nf = _rule_normal_form(x, s, torus_rules if s.closed else bead_rules)
         m = ideal_member(x, s, TR)
         if nf.is_zero:
             assert m.is_member
