@@ -35,10 +35,13 @@ endpoints, which an explicit character of the collapsed algebra shows is
 too weak to transport conjugated chords from one strand to the other.
 
 ``ideal_member`` first rewrites the query to its bead normal form, and on
-the closed torus on to the exponent form ``a1^m b1^k`` per strand.  Except
-on closed surfaces of genus >= 2 that normal form decides chord degree
-<= 1: its rules are a complete rewriting system there, so a non-zero
-normal form is a proven NotMember, and a vanishing one a Member.
+the closed torus on to the exponent form ``a1^m b1^k`` per strand, with
+``rewriting.RewritingSystem`` over one table of rules per surface; each
+rule carries its proof as relation rows, so the rewriting steps frame into
+a certificate, and the same table is what the confluence tests check.
+Except on closed surfaces of genus >= 2 that normal form decides chord
+degree <= 1: its rules are a complete rewriting system there, so a
+non-zero normal form is a proven NotMember, and a vanishing one a Member.
 Everything else goes to a saturation search that frames relation
 instances by monomial factors around the monomials actually seen, keeps
 every row inside the bead-length window, and reduces the query over exact
@@ -49,6 +52,7 @@ search are inconclusive.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -67,10 +71,12 @@ from .errors import (
     InvalidGeneratorError,
     ParameterError,
     ParseError,
+    SurfbraidError,
     TruncationOverflowError,
     UnsupportedDegreeError,
 )
 from .linalg import ExactReducer
+from .rewriting import RewritingSystem, _add
 from .surface import SurfaceParams, Word, inverse_word
 
 # symbols: ("B", strand, (kind, idx, sign)) and ("C", i, j) with i < j
@@ -503,123 +509,93 @@ def _mono_factorizations(mono: Monomial, part: Monomial):
             yield mono[:pos], mono[pos + lp:]
 
 
-def _cancel_pairs(work: list, coef, perm, steps_out, left=(), right=()) -> None:
-    """Cancel inverse bead pairs on one strand in ``work``, the first pair
-    first, until none is left; each cancellation is one BeadGroup row,
-    framed by ``left`` and ``right`` besides the rest of ``work``."""
-    p = 0
-    while p < len(work) - 1:
-        a, b = work[p], work[p + 1]
-        if not (a[0] == "B" and b[0] == "B" and a[1] == b[1]
-                and a[2][:2] == b[2][:2] and a[2][2] == -b[2][2]):
-            p += 1
-            continue
-        steps_out.append(CertificateTerm(
-            coef, left + tuple(work[:p]), f"BeadGroup[{_letter_name(a[2])}@{a[1]}]",
-            tuple(work[p + 2:]) + right, perm))
-        del work[p:p + 2]
-        p = max(p - 1, 0)
+@dataclass(frozen=True)
+class _RuleTable:
+    """The normal-form rules of one surface over int-coded symbols, each
+    with its proof: ``proofs[lead]`` lists ``(coef, left, relation id,
+    right)`` rows whose framed relations sum to ``lead - tail``."""
+
+    symbols: tuple  # code -> bead or chord symbol
+    code: dict  # bead or chord symbol -> code
+    beads: RewritingSystem  # the bead rules
+    rules: RewritingSystem  # the bead rules, and the swaps on the closed torus
+    proofs: dict
+
+    def word(self, mono: Monomial) -> tuple:
+        return tuple(self.code[sym] for sym in mono)
+
+    def mono(self, word: tuple) -> Monomial:
+        return tuple(self.symbols[x] for x in word)
+
+    def rows(self, steps):
+        """The relation rows of rewriting steps ``(coef, left, lead, right)``,
+        as ``(coef, left, relation id, right)``: they sum to what the steps
+        took away."""
+        for coef, left, lead, right in steps:
+            left, right = self.mono(left), self.mono(right)
+            for c, inner_left, rid, inner_right in self.proofs[lead]:
+                yield coef * c, left + inner_left, rid, inner_right + right
 
 
-def _normalize_monomial(mono: Monomial, perm, coef, steps_out) -> Monomial:
-    """Directed rewrite to the bead-normal form: inverse bead pairs on one
-    strand cancel, every bead slides rightward across every chord (changing
-    strand when it sits on the chord), and the final bead tail is stably
-    sorted by strand.  Each step is one relation row, appended to
-    ``steps_out`` so that ``mono == normal_form + sum(steps)``.
-
-    Terminates: the measure (bead-before-chord inversions, length,
-    cross-strand bead disorder) drops lexicographically at every step.
-    """
-    work = list(mono)
-    while True:
-        _cancel_pairs(work, coef, perm, steps_out)
-        changed = False
-        for p in range(len(work) - 1):
-            a, b = work[p], work[p + 1]
-            if a[0] == "B" and b[0] == "C":
-                strand, i, j = a[1], b[1], b[2]
-                left, right = tuple(work[:p]), tuple(work[p + 2:])
-                if strand == i or strand == j:
-                    other = j if strand == i else i
-                    rid = f"BeadPush[{_letter_name(a[2])};{strand}>{other}]"
-                    work[p], work[p + 1] = b, ("B", other, a[2])
-                else:
-                    rid = f"BeadFar[{_letter_name(a[2])}@{strand};{i},{j}]"
-                    work[p], work[p + 1] = b, a
-                steps_out.append(CertificateTerm(coef, left, rid, right, perm))
-                changed = True
-                break
-        if changed:
-            continue
-        for p in range(len(work) - 1):
-            a, b = work[p], work[p + 1]
-            if a[0] == "B" and b[0] == "B" and a[1] > b[1]:
-                rid = (f"BeadBead[{_letter_name(b[2])}@{b[1]},"
-                       f"{_letter_name(a[2])}@{a[1]}]")
-                steps_out.append(CertificateTerm(
-                    -coef, tuple(work[:p]), rid, tuple(work[p + 2:]), perm))
-                work[p], work[p + 1] = b, a
-                changed = True
-                break
-        if not changed:
-            return tuple(work)
-
-
-def _torus_exponent_form(target: dict, perm, steps_out) -> dict:
-    """Carry a bead-normal component on the closed torus to the exponent
-    form ``a1^m b1^k`` on every strand (what ``pi1_normalize`` returns),
-    swapping each ``b1^e a1^d`` on one strand, the first one first, and
-    cancelling the inverse pairs a swap brings together.  A swap is one
-    ClosedSum row and the BeadGroup rows that cancel its frames:
+@functools.lru_cache(maxsize=None)
+def _rule_table(s: SurfaceParams) -> _RuleTable:
+    """The rules of the bead normal form: an inverse bead pair on one strand
+    cancels (BeadGroup), a bead slides right across a chord, onto the
+    chord's other strand when it sits on the chord (BeadPush, BeadFar), and
+    beads on different strands sort by strand (BeadBead).  On the closed
+    torus the swaps ``b1^e a1^d -> a1^d b1^e`` on each strand carry a strand
+    on to its exponent form ``a1^m b1^k``, what ``pi1_normalize`` returns.  A
+    swap is one ClosedSum row and the BeadGroup rows that cancel its frames:
 
         b^e a^d - a^d b^e = -e d . L ClosedSum[i] R + BeadGroup rows,
 
     with ``L`` the inverse letters among ``a^d, b^e`` in that order and ``R``
-    its reverse.  With the bead rules these swaps resolve every ambiguity
-    and reduce every chord-degree <= 1 relation to zero, so the form
-    decides chord degree <= 1 on the torus."""
-    out: dict = {}
-    for mono, coef in sorted(target.items(), key=lambda kv: mono_key(kv[0])):
-        work = list(mono)
-        while True:
-            _cancel_pairs(work, coef, perm, steps_out)
-            p = next((p for p in range(len(work) - 1)
-                      if work[p][0] == work[p + 1][0] == "B" and work[p][1] == work[p + 1][1]
-                      and work[p][2][0] == "b" and work[p + 1][2][0] == "a"), None)
-            if p is None:
-                break
-            b, a = work[p], work[p + 1]
-            i, e, d = b[1], b[2][2], a[2][2]
-            lf = tuple(sym for sym in (a, b) if sym[2][2] < 0)
-            left, right = tuple(work[:p]), tuple(work[p + 2:])
-            k = -e * d * coef
-            steps_out.append(CertificateTerm(
-                k, left + lf, f"ClosedSum[{i}]", lf[::-1] + right, perm))
-            bare_a, bare_b = ("B", i, ("a", 1, 1)), ("B", i, ("b", 1, 1))
-            for middle, sign in (((bare_a, bare_b), -1), ((bare_b, bare_a), 1)):
-                _cancel_pairs(list(lf + middle + lf[::-1]), sign * k, perm, steps_out,
-                              left, right)
-            work[p], work[p + 1] = a, b
-        out[tuple(work)] = out.get(tuple(work), 0) + coef
-    return {mono: c for mono, c in out.items() if c}
+    its reverse; the bead rules' trace finds the BeadGroup rows."""
+    n = s.strands
+    beads = [bead(i, let) for i in range(1, n + 1) for let in s.pi1_letters()]
+    chords = [chord(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    symbols = tuple(beads + chords)
+    weights = [1] * len(symbols)
+    table = _RuleTable(symbols, {sym: x for x, sym in enumerate(symbols)},
+                       RewritingSystem(weights), RewritingSystem(weights), {})
 
+    def add(lead, tail, proof, systems=(table.beads, table.rules)):
+        for system in systems:
+            system.add_rule(table.word(lead), {table.word(tail): 1})
+        table.proofs[table.word(lead)] = tuple(proof)
 
-def _normalize_with_trace(x: WreathDiagram):
-    """Bead-normalize every term of x; returns (normal form, trace rows)."""
-    steps: list[CertificateTerm] = []
-    acc: dict = {}
-    for (mono, perm), c in sorted(
-        x.terms.items(), key=lambda kv: (kv[0][1], mono_key(kv[0][0]))
-    ):
-        nf = _normalize_monomial(mono, perm, c, steps)
-        key = (nf, perm)
-        v = acc.get(key, 0) + c
-        if v:
-            acc[key] = v
-        else:
-            acc.pop(key, None)
-    return WreathDiagram(x.strands, x.trunc, acc), steps
+    for b in beads:
+        _, i, let = b
+        name = _letter_name(let)
+        add((b, bead(i, (let[0], let[1], -let[2]))), (), [(1, (), f"BeadGroup[{name}@{i}]", ())])
+        for c in chords:
+            _, lo, hi = c
+            if i in (lo, hi):
+                other = lo + hi - i
+                add((b, c), (c, bead(other, let)), [(1, (), f"BeadPush[{name};{i}>{other}]", ())])
+            else:
+                add((b, c), (c, b), [(1, (), f"BeadFar[{name}@{i};{lo},{hi}]", ())])
+        for a in beads:
+            if a[1] < i:
+                rid = f"BeadBead[{_letter_name(a[2])}@{a[1]},{name}@{i}]"
+                add((b, a), (a, b), [(-1, (), rid, ())])
+    if s.closed and s.genus == 1:
+        for i in range(1, n + 1):
+            bare = (bead(i, ("a", 1, 1)), bead(i, ("b", 1, 1)))
+            for e in (1, -1):
+                for d in (1, -1):
+                    b, a = bead(i, ("b", 1, e)), bead(i, ("a", 1, d))
+                    lf = tuple(sym for sym in (a, b) if sym[2][2] < 0)
+                    k = -e * d
+                    rest: dict = {}
+                    for mono, c in (((b, a), 1), ((a, b), -1),
+                                    (lf + bare + lf[::-1], -k), (lf + bare[::-1] + lf[::-1], k)):
+                        _add(rest, table.word(mono), c)
+                    steps: list = []
+                    table.beads.reduce(rest, steps)  # to zero, checked by the tests
+                    add((b, a), (a, b), [(k, lf, f"ClosedSum[{i}]", lf[::-1]), *table.rows(steps)],
+                        systems=(table.rules,))
+    return table
 
 
 def _support_letters(x: WreathDiagram) -> set:
@@ -667,8 +643,9 @@ def ideal_member(
 ) -> Membership:
     """Membership of x in the two-sided relation ideal.
 
-    The query is first rewritten to its bead-normal form, every step being
-    a relation row kept for the certificate; on the closed torus each
+    The query is first rewritten to its bead-normal form by the surface's
+    rule table (``_rule_table``), every step framing its rule's proof into
+    relation rows kept for the certificate; on the closed torus each
     strand's beads go on to the exponent form ``a1^m b1^k`` (ClosedSum and
     BeadGroup rows).  The ideal is graded by permutation and by chord
     degree, so x is a member exactly when every (permutation, chord degree)
@@ -698,11 +675,16 @@ def ideal_member(
 
     Raises DimensionMismatchError when x and s have different strand
     counts, and TruncationOverflowError when a monomial of x does not fit
-    ``trunc``.
+    ``trunc`` or x carries the overflow flag (a product that dropped terms
+    outside the window is not the element it stands for).
     """
     if x.strands != s.strands:
         raise DimensionMismatchError(
             f"a {x.strands}-strand diagram queried on {s.strands} strands"
+        )
+    if x.overflow:
+        raise TruncationOverflowError(
+            f"the query left the truncation {trunc}: the terms it lost are unknown"
         )
     for mono, _ in x.terms:
         if not trunc.fits(mono):
@@ -716,17 +698,28 @@ def ideal_member(
     if x.is_zero:
         return Membership("member", () if certify else None)
 
-    xn, trace = _normalize_with_trace(x)
+    table = _rule_table(s)
+    trace: list[CertificateTerm] = []
+    normal: dict = {}
+    for (mono, perm), c in sorted(
+        x.terms.items(), key=lambda kv: (kv[0][1], mono_key(kv[0][0]))
+    ):
+        steps: list = []
+        for word, v in table.beads.reduce({table.word(mono): c}, steps).items():
+            _add(normal, (table.mono(word), perm), v)
+        trace.extend(CertificateTerm(*row, perm) for row in table.rows(steps))
     # split by permutation and chord degree: rows never mix either
     components: dict = {}
-    for (mono, perm), coef in xn.terms.items():
+    for (mono, perm), coef in normal.items():
         components.setdefault((perm, chord_degree(mono)), {})[mono] = coef
     torus = s.closed and s.genus == 1
     forms: dict = {}
     for (perm, degree), target in components.items():
-        steps: list[CertificateTerm] = []
-        form = _torus_exponent_form(target, perm, steps) if torus else target
-        forms[(perm, degree)] = (form, steps)
+        form, steps = target, []
+        if torus:
+            reduced = table.rules.reduce({table.word(m): c for m, c in target.items()}, steps)
+            form = {table.mono(word): c for word, c in reduced.items()}
+        forms[(perm, degree)] = (form, [CertificateTerm(*row, perm) for row in table.rows(steps)])
 
     if not (s.closed and s.genus >= 2):
         decided = {
@@ -775,8 +768,6 @@ def ideal_member(
     result = Membership("member", tuple(certificate))
     check = expand_certificate(result.certificate, by_id, x.strands, trunc)
     if check.terms != x.terms:
-        from .errors import SurfbraidError
-
         raise SurfbraidError("internal error: certificate re-expansion mismatch")
     return result
 

@@ -106,10 +106,15 @@ class RewritingSystem:
         left, right = word[:i], word[i + len(lead):]
         return {left + w + right: coef * c for w, c in self.rules[lead].items()}
 
-    def reduce(self, comb: dict) -> dict:
+    def reduce(self, comb: dict, steps: list | None = None) -> dict:
         """The normal form of a combination: no word of it contains a leading
         word.  Words are rewritten leading word first, each once per time it
-        appears, so any terminating set of rules reaches the end."""
+        appears, so any terminating set of rules reaches the end.
+
+        Each step appends ``(coef, left, lead, right)`` to ``steps`` if given:
+        ``coef * left lead right`` became ``coef * left tail right``, so
+        ``comb`` minus its normal form is the sum over the steps of
+        ``coef * left (lead - tail) right``."""
         out: dict = {}
         work: dict = {}
         heap: list = []
@@ -126,6 +131,9 @@ class RewritingSystem:
             if hit is None:
                 _add(out, w, c)
                 continue
+            if steps is not None:
+                i, lead = hit
+                steps.append((c, w[:i], lead, w[i + len(lead):]))
             for v, cv in self._rewrite(w, *hit, coef=c).items():
                 if v not in work:
                     heapq.heappush(heap, (self.order_key(v), v))

@@ -17,7 +17,7 @@ from surfbraid.diagrams import (
     WreathDiagram,
     _component_member,
     _instance_applicable,
-    _normalize_with_trace,
+    _rule_table,
     _support_letters,
     bead,
     chord,
@@ -49,7 +49,6 @@ from surfbraid.errors import (
 from surfbraid.group_algebra import JSummand
 from surfbraid.linalg import ExactReducer
 from surfbraid.surface import SurfaceParams, letter
-from test_rewriting import bead_rules, torus_rules
 
 S112 = SurfaceParams(1, 1, 2)
 S113 = SurfaceParams(1, 1, 3)
@@ -373,11 +372,12 @@ class TestIdealMember:
         # shorter monomial: of the two search passes only the one that
         # allows insertions finds it, and the torus exponent form decides it
         # with no search at all
+        # x is bead-normal (beads on one strand, no inverse pair): it is
+        # the search target as it stands
         trunc = Truncation()
         x = parse_diagram("1 * a1@1 b1^-1@1 + -1 * b1^-1@1 a1@1", S102, trunc)
-        xn, _ = _normalize_with_trace(x)
-        assert {perm for (_, perm) in xn.terms} == {ID2}
-        target = {mono: c for (mono, _), c in xn.terms.items()}
+        assert {perm for (_, perm) in x.terms} == {ID2}
+        target = {mono: c for (mono, _), c in x.terms.items()}
         letters = _support_letters(x)
         usable = [inst for inst in relation_instances(S102, trunc)
                   if _instance_applicable(inst, letters)]
@@ -389,7 +389,7 @@ class TestIdealMember:
         terms = [CertificateTerm(c, left, rid, right, ID2)
                  for (left, rid, right), c in combo.items()]
         assert expand_certificate(
-            terms, {inst.rid: inst for inst in usable}, 2, trunc) == xn
+            terms, {inst.rid: inst for inst in usable}, 2, trunc) == x
 
         monkeypatch.setattr(diagrams, "_component_member", _searched)
         m = ideal_member(x, S102, trunc, window=6)
@@ -407,6 +407,12 @@ class TestIdealMember:
         x = parse_diagram("1 * a1@1 a1^-1@1 + -1 * 1", S112, TR)
         with pytest.raises(TruncationOverflowError):
             ideal_member(x, S112, Truncation(2, 1), window=5)
+        # a product that left the window lost terms: it answers nothing
+        z = chord_generator(2, 1, 2, TR)
+        cubed = z * z * z
+        assert cubed.overflow and cubed.is_zero
+        with pytest.raises(TruncationOverflowError):
+            ideal_member(cubed, S112, TR)
 
 
 BEAD_FAMILIES = ("BeadGroup", "BeadPush", "BeadFar", "BeadBead")
@@ -422,7 +428,7 @@ def _draw_element(data, s, max_chords, loose, families=BEAD_FAMILIES):
     loose monomials, each in a random permutation, of chord degree <=
     max_chords."""
     rows = [inst for inst in relation_instances(s, TR) if inst.family in families]
-    symbols = bead_rules(s)[0]
+    symbols = _rule_table(s).symbols
     frame = st.lists(st.sampled_from(symbols), max_size=1).map(tuple)
     pieces = [data.draw(st.sampled_from(rows)).mono_terms()
               for _ in range(data.draw(st.integers(0, 3)))]
@@ -440,19 +446,6 @@ def _draw_element(data, s, max_chords, loose, families=BEAD_FAMILIES):
     return x
 
 
-def _rule_normal_form(x, s, rules):
-    """The normal form of x under ``rules`` (``bead_rules`` or
-    ``torus_rules``) of the rewriting engine."""
-    symbols, code, system = rules(s)
-    out: dict = {}
-    for (mono, perm), c in x.terms.items():
-        nf = system.reduce({tuple(code[sym] for sym in mono): c})
-        for word, v in nf.items():
-            key = (tuple(symbols[i] for i in word), perm)
-            out[key] = out.get(key, 0) + v
-    return WreathDiagram(x.strands, x.trunc, out)
-
-
 class TestNormalFormDecides:
     """Except on closed surfaces of genus >= 2 the normal form decides
     membership in chord degree <= 1: the bead normal form on a surface with
@@ -465,22 +458,32 @@ class TestNormalFormDecides:
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_member_exactly_when_normal_form_vanishes(self, s, data):
-        # on the closed torus the normal form is the exponent form
+        # with the rules confluent (test_rewriting.TestBeadRules), a witness
+        # that is normal and differs from x by a member is x's normal form;
+        # on the closed torus that is the exponent form
         x = _draw_element(data, s, max_chords=1, loose=True, families=DEGREE_ONE_FAMILIES)
-        nf = _rule_normal_form(x, s, torus_rules if s.closed else bead_rules)
         m = ideal_member(x, s, TR)
-        if nf.is_zero:
-            assert m.is_member
+        if m.is_member:
             verify_certificate(x, m, s, TR)
-        else:
-            assert m.status == "not_member"
-            assert m.witness == nf
+            return
+        assert m.status == "not_member" and not m.witness.is_zero
+        table = _rule_table(s)
+        for (mono, _), c in m.witness.terms.items():
+            word = table.word(mono)
+            assert table.rules.reduce({word: c}) == {word: c}, format_monomial(mono)
+        rest = ideal_member(x - m.witness, s, TR)
+        assert rest.is_member
+        verify_certificate(x - m.witness, rest, s, TR)
 
-    @pytest.mark.parametrize("s", [S112, S113, S102], ids=_surface_id)
+    @pytest.mark.parametrize(
+        "s", [S112, S113, S102, SurfaceParams(0, 2, 3), SurfaceParams(1, 0, 3),
+              SurfaceParams(0, 1, 4)], ids=_surface_id)
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_framed_bead_rows_are_members(self, s, data):
-        x = _draw_element(data, s, max_chords=2, loose=False)
+        # ChordFar rows need four strands: the disk (0,1,4) has them
+        x = _draw_element(data, s, max_chords=2, loose=False,
+                          families=BEAD_FAMILIES + ("ChordFar", "FourT"))
         m = ideal_member(x, s, TR)
         assert m.is_member
         verify_certificate(x, m, s, TR)
@@ -528,11 +531,12 @@ class TestNormalFormDecides:
         self._refuse_search(monkeypatch)
         wrong_sign = conjugated_chord(S112, 1, 2, (A1,), TR) \
             + conjugated_chord(S112, 2, 1, (A1I,), TR)
-        for x in (parse_diagram("1 * Z(1,2) a1@1 + -1 * Z(1,2) b1@1", S112, TR),
-                  wrong_sign):
+        bead_normal = parse_diagram("1 * Z(1,2) a1@1 + -1 * Z(1,2) b1@1", S112, TR)
+        for x, witness in ((bead_normal, bead_normal),
+                           (wrong_sign, parse_diagram("2 * Z(1,2) a1^-1@1 a1@2", S112, TR))):
             m = ideal_member(x, S112, TR)
             assert m.status == "not_member"
-            assert m.witness == _normalize_with_trace(x)[0]
+            assert m.witness == witness
 
     def test_no_search_on_the_torus_and_the_sphere(self, monkeypatch):
         self._refuse_search(monkeypatch)

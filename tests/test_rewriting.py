@@ -2,14 +2,22 @@
 completion and counts of normal words, against brute-force oracles."""
 
 import itertools
-import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from surfbraid.diagrams import Truncation, _normalize_monomial, bead, chord, relation_instances
-from surfbraid.rewriting import RewritingSystem, complete
+from surfbraid.braid import identity_perm
+from surfbraid.diagrams import (
+    CertificateTerm,
+    Truncation,
+    WreathDiagram,
+    _rule_table,
+    expand_certificate,
+    relation_instances,
+)
+from surfbraid.rewriting import RewritingSystem, _add, complete
 from surfbraid.surface import SurfaceParams
 
 
@@ -62,12 +70,17 @@ def quotient_dims(weights, relations, max_degree):
     return dims
 
 
+# xy -> yx style rules on three letters: normal words are the sorted ones,
+# so every monomial has exactly one
+COMMUTATIVE = RewritingSystem(
+    [1, 1, 1], {(j, i): {(i, j): 1} for i in range(3) for j in range(i + 1, 3)})
+# x X -> 1 and X x -> 1: the free group on one generator
+FREE_GROUP = RewritingSystem([1, 1], {(0, 1): {(): 1}, (1, 0): {(): 1}})
+
+
 class TestReduce:
     def test_commutative_polynomials(self):
-        # xy -> yx style rules on three letters: normal words are the sorted
-        # ones, so every monomial has exactly one
-        rules = {(j, i): {(i, j): 1} for i in range(3) for j in range(i + 1, 3)}
-        system = RewritingSystem([1, 1, 1], rules)
+        system = COMMUTATIVE
         assert system.reduce({(2, 1, 0, 2): 3, (0, 1, 2, 2): -3}) == {}
         assert system.reduce({(2, 0): 1, (1,): Fraction(1, 2)}) == \
             {(0, 2): 1, (1,): Fraction(1, 2)}
@@ -88,10 +101,27 @@ class TestReduce:
         assert system.unresolved(max_degree=2) == []
 
     def test_empty_word_tail(self):
-        # x X -> 1 and X x -> 1: the free group on one generator
-        system = RewritingSystem([1, 1], {(0, 1): {(): 1}, (1, 0): {(): 1}})
+        system = FREE_GROUP
         assert system.unresolved() == []
         assert system.reduce({(0, 0, 1, 0, 1, 1, 1): 1}) == {(1,): 1}
+
+    @pytest.mark.parametrize("system", [COMMUTATIVE, FREE_GROUP], ids=["commutative", "free"])
+    @settings(max_examples=60, deadline=None)
+    @given(st.dictionaries(st.lists(st.integers(0, 2), max_size=6).map(tuple),
+                           st.integers(-3, 3), max_size=5))
+    def test_steps_sum_to_what_reduce_took_away(self, system, comb):
+        comb = {tuple(x % len(system.weights) for x in w): c for w, c in comb.items()}
+        steps = []
+        removed = {}
+        for w, c in comb.items():
+            _add(removed, w, c)
+        for w, c in system.reduce(comb, steps).items():
+            _add(removed, w, -c)
+        for coef, left, lead, right in steps:
+            _add(removed, left + lead + right, -coef)
+            for w, c in system.rules[lead].items():
+                _add(removed, left + w + right, coef * c)
+        assert removed == {}
 
 
 class TestCounting:
@@ -167,46 +197,12 @@ class TestComplete:
         assert system.normal_word_counts(5) == quotient_dims(weights, relations, 5)
 
 
-def bead_rules(s: SurfaceParams):
-    """The three rules of the bead normal form, over int letters: an inverse
-    bead pair on one strand cancels, a bead slides right across a chord
-    (onto the chord's other strand when it sits on the chord), and beads on
-    different strands sort by strand."""
-    n = s.strands
-    beads = [bead(i, let) for i in range(1, n + 1) for let in s.pi1_letters()]
-    chords = [chord(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    symbols = beads + chords
-    code = {sym: x for x, sym in enumerate(symbols)}
-    rules = {}
-    for b in beads:
-        _, i, (kind, idx, sign) = b
-        rules[(code[b], code[bead(i, (kind, idx, -sign))])] = {(): 1}
-        for c in chords:
-            _, lo, hi = c
-            target = {lo: hi, hi: lo}.get(i, i)
-            rules[(code[b], code[c])] = {(code[c], code[bead(target, b[2])]): 1}
-        for other in beads:
-            if b[1] > other[1]:
-                rules[(code[b], code[other])] = {(code[other], code[b]): 1}
-    return symbols, code, RewritingSystem([1] * len(symbols), rules)
-
-
-def torus_rules(s: SurfaceParams):
-    """The bead rules plus, on each strand of the closed torus, the four
-    swaps b1^e a1^d -> a1^d b1^e that carry a strand to its exponent form."""
-    symbols, code, system = bead_rules(s)
-    for i in range(1, s.strands + 1):
-        for e in (1, -1):
-            for d in (1, -1):
-                b, a = code[bead(i, ("b", 1, e))], code[bead(i, ("a", 1, d))]
-                system.add_rule((b, a), {(a, b): 1})
-    return symbols, code, system
-
-
 TORI = [SurfaceParams(1, 0, 2), SurfaceParams(1, 0, 3), SurfaceParams(1, 0, 4)]
 
 
 class TestBeadRules:
+    """The rule table that ``ideal_member`` normalizes with."""
+
     SURFACES = [SurfaceParams(1, 1, 2), SurfaceParams(0, 2, 3), SurfaceParams(2, 1, 3)]
 
     def test_every_ambiguity_resolves(self):
@@ -221,23 +217,7 @@ class TestBeadRules:
         a1, b1, a2, b2, holds a copy of every ambiguity of every surface with
         boundary, resolved in the same way."""
         for s in self.SURFACES + [SurfaceParams(2, 1, 4)]:
-            _, _, system = bead_rules(s)
-            assert system.unresolved() == [], s
-
-    def test_same_normal_form_as_the_diagrams(self):
-        rng = random.Random(3)
-        for s in self.SURFACES:
-            symbols, code, system = bead_rules(s)
-            beads = [sym for sym in symbols if sym[0] == "B"]
-            chords = [sym for sym in symbols if sym[0] == "C"]
-            for _ in range(100):
-                mono = [rng.choice(beads) for _ in range(rng.randrange(6))]
-                if chords and rng.random() < 0.7:
-                    mono.insert(rng.randrange(len(mono) + 1), rng.choice(chords))
-                nf = _normalize_monomial(tuple(mono), None, 1, [])
-                word = tuple(code[sym] for sym in mono)
-                assert system.reduce({word: 1}) == \
-                    {tuple(code[sym] for sym in nf): 1}, (s, mono)
+            assert _rule_table(s).rules.unresolved() == [], s
 
     def test_torus_rules_resolve_every_ambiguity(self):
         """The torus rules are confluent on every closed torus, so with the
@@ -250,19 +230,37 @@ class TestBeadRules:
         and a reduction brings in no strand the word lacks.  So (1,0,4)
         holds a copy of every ambiguity of every closed torus."""
         for s in TORI:
-            _, _, system = torus_rules(s)
-            assert system.unresolved() == [], s
+            assert _rule_table(s).rules.unresolved() == [], s
 
     def test_torus_rules_reduce_every_relation(self):
         # the chord-degree <= 1 instances, ClosedSum and BeadRelator among
         # them, lie in the ideal of the rules, whose every rule is a
         # certified row of ``ideal_member``: the two ideals agree there
         for s in TORI:
-            symbols, code, system = torus_rules(s)
+            table = _rule_table(s)
             families = set()
             for inst in relation_instances(s, Truncation(1, 4)):
                 families.add(inst.family)
-                word = {tuple(code[sym] for sym in mono): c
-                        for mono, c in inst.mono_terms()}
-                assert system.reduce(word) == {}, inst.rid
+                word = {table.word(mono): c for mono, c in inst.mono_terms()}
+                assert table.rules.reduce(word) == {}, inst.rid
             assert {"ClosedSum", "BeadRelator", "BeadPush"} <= families
+
+    @pytest.mark.parametrize("s", [SurfaceParams(2, 1, 4), SurfaceParams(1, 0, 4)])
+    def test_every_rule_is_proven(self, s):
+        """Every rule's proof re-expands to its leading word minus its tail,
+        so every rewriting step of a certificate is a sum of relation rows.
+        A rule touches at most 3 strands and 2 base letters, and its proof
+        neither, so by the argument of the two tests above these surfaces
+        hold a copy of every rule of every surface with boundary and of
+        every closed torus."""
+        trunc = Truncation(1, 4)
+        table = _rule_table(s)
+        by_id = {inst.rid: inst for inst in relation_instances(s, trunc)}
+        ident = identity_perm(s.strands)
+        for lead, tail in table.rules.rules.items():
+            proof = [CertificateTerm(*row, ident) for row in table.proofs[lead]]
+            difference = WreathDiagram(s.strands, trunc, {(table.mono(lead), ident): 1}) - \
+                WreathDiagram(s.strands, trunc,
+                              {(table.mono(w), ident): c for w, c in tail.items()})
+            assert expand_certificate(proof, by_id, s.strands, trunc) == difference, \
+                table.mono(lead)
