@@ -1,9 +1,12 @@
 """Command-line front end.
 
 Exit codes: 0 success; 1 mathematical negative (proven: NotMember,
-NotEqual; inconclusive: Unknown, NotFoundAtWindow; HypothesisNotMet, a
-failed redundancy check); 2 usage or hypothesis error;
-3 resource exhaustion (node budgets, truncation overflow, word caps).
+NotEqual; proven at the bead window only, not against the whole ideal:
+NotMemberAtWindow, printed with its windowed normal-form witness, and
+NotEqualAtWindow; inconclusive: Unknown; HypothesisNotMet, a failed
+redundancy check); 2 usage or hypothesis error; 3 resource exhaustion
+(node budgets, truncation overflow, word caps, the completion's rule
+limit).
 """
 
 from __future__ import annotations
@@ -233,11 +236,8 @@ def _run(args) -> int:
                 print("Member")
                 print(format_certificate(res.certificate))
                 return EXIT_OK
-            if res.status == "not_member":
-                print("NotMember")
-                print(format_diagram(res.witness))
-                return EXIT_NEGATIVE
-            print("NotFoundAtWindow")
+            print("NotMember" if res.status == "not_member" else "NotMemberAtWindow")
+            print(format_diagram(res.witness))
             return EXIT_NEGATIVE
         if args.subcommand == "equal":
             x = parse_diagram(args.element1, s, trunc)
@@ -246,7 +246,7 @@ def _run(args) -> int:
             if res.is_member:
                 print(f"Equal certificate_terms={len(res.certificate)}")
                 return EXIT_OK
-            print("NotEqual" if res.status == "not_member" else "NotFoundAtWindow")
+            print("NotEqual" if res.status == "not_member" else "NotEqualAtWindow")
             return EXIT_NEGATIVE
 
     if args.command == "h1":

@@ -34,27 +34,26 @@ is likewise required: the commutator form alone never mixes the two chord
 endpoints, which an explicit character of the collapsed algebra shows is
 too weak to transport conjugated chords from one strand to the other.
 
-``ideal_member`` first rewrites the query to its bead normal form, and on
-the closed torus on to the exponent form ``a1^m b1^k`` per strand, with
-``rewriting.RewritingSystem`` over one table of rules per surface; each
-rule carries its proof as relation rows, so the rewriting steps frame into
-a certificate, and the same table is what the confluence tests check.
-Except on closed surfaces of genus >= 2 that normal form decides chord
-degree <= 1: its rules are a complete rewriting system there, so a
-non-zero normal form is a proven NotMember, and a vanishing one a Member.
-Everything else goes to a saturation search that frames relation
-instances by monomial factors around the monomials actually seen, keeps
-every row inside the bead-length window, and reduces the query over exact
-rationals.  Member answers return a certificate that is re-expanded and
-compared with the input before being returned; NotFound answers of the
-search are inconclusive.
+``ideal_member`` answers membership at a bead window.  It first rewrites
+the query to its bead normal form, and on the closed torus on to the
+exponent form ``a1^m b1^k`` per strand, with ``rewriting.RewritingSystem``
+over one table of rules per surface; each rule carries its proof as
+relation rows, so the rewriting steps frame into a certificate, and the
+same table is what the confluence tests check.  Except on closed surfaces
+of genus >= 2 that normal form decides chord degree <= 1: its rules are a
+complete rewriting system there, so a non-zero normal form is a proven
+NotMember, and a vanishing one a Member.  Everything else is decided by
+one completion truncated to the window: NotMemberAtWindow is proven at
+that window, not against the whole ideal.  Member answers return a
+certificate that is re-expanded and compared with the input before being
+returned.
 """
 
 from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .braid import (
@@ -75,8 +74,7 @@ from .errors import (
     TruncationOverflowError,
     UnsupportedDegreeError,
 )
-from .linalg import ExactReducer
-from .rewriting import RewritingSystem, _add
+from .rewriting import RewritingSystem, _add, complete
 from .surface import SurfaceParams, Word, inverse_word
 
 # symbols: ("B", strand, (kind, idx, sign)) and ("C", i, j) with i < j
@@ -481,32 +479,26 @@ class CertificateTerm:
 class Membership:
     """Outcome of ideal_member.
 
-    * ``member``: the certificate has been re-expanded and compared with
-      the query (it is None when the caller asked not to certify).
-    * ``not_member``: proven.  ``witness`` is the normal form of the
-      query's chord-degree <= 1 part, non-zero, on a surface other than a
-      closed one of genus >= 2, where the normal form's rules are a complete
-      rewriting system for the ideal: the bead normal form, carried on to
-      the exponent form ``a1^m b1^k`` per strand on the closed torus.
-    * ``not_found``: inconclusive; the saturation search stopped without
-      reaching the query.
+    * ``member``: at the window; the certificate has been re-expanded and
+      compared with the query (None when the caller asked not to certify).
+    * ``not_member``: proven at every window.  ``witness`` is the normal
+      form of the query's chord-degree <= 1 part, non-zero, on a surface
+      other than a closed one of genus >= 2, where the normal form's rules
+      are a complete rewriting system for the ideal: the bead normal form,
+      carried on to the exponent form ``a1^m b1^k`` per strand on the
+      closed torus.
+    * ``not_member_at_window``: proven at the window only, not against the
+      whole ideal.  ``witness`` is the query's normal form in the truncated
+      completion; the query minus it is a member at the window.
     """
 
-    status: str  # "member" | "not_member" | "not_found"
+    status: str  # "member" | "not_member" | "not_member_at_window"
     certificate: tuple[CertificateTerm, ...] | None = ()
     witness: WreathDiagram | None = None
 
     @property
     def is_member(self) -> bool:
         return self.status == "member"
-
-
-def _mono_factorizations(mono: Monomial, part: Monomial):
-    """All contiguous splittings mono == left + part + right."""
-    lp = len(part)
-    for pos in range(len(mono) - lp + 1):
-        if mono[pos:pos + lp] == part:
-            yield mono[:pos], mono[pos + lp:]
 
 
 @dataclass(frozen=True)
@@ -517,7 +509,6 @@ class _RuleTable:
 
     symbols: tuple  # code -> bead or chord symbol
     code: dict  # bead or chord symbol -> code
-    beads: RewritingSystem  # the bead rules
     rules: RewritingSystem  # the bead rules, and the swaps on the closed torus
     proofs: dict
 
@@ -557,11 +548,10 @@ def _rule_table(s: SurfaceParams) -> _RuleTable:
     symbols = tuple(beads + chords)
     weights = [1] * len(symbols)
     table = _RuleTable(symbols, {sym: x for x, sym in enumerate(symbols)},
-                       RewritingSystem(weights), RewritingSystem(weights), {})
+                       RewritingSystem(weights), {})
 
-    def add(lead, tail, proof, systems=(table.beads, table.rules)):
-        for system in systems:
-            system.add_rule(table.word(lead), {table.word(tail): 1})
+    def add(lead, tail, proof):
+        table.rules.add_rule(table.word(lead), {table.word(tail): 1})
         table.proofs[table.word(lead)] = tuple(proof)
 
     for b in beads:
@@ -579,6 +569,7 @@ def _rule_table(s: SurfaceParams) -> _RuleTable:
             if a[1] < i:
                 rid = f"BeadBead[{_letter_name(a[2])}@{a[1]},{name}@{i}]"
                 add((b, a), (a, b), [(-1, (), rid, ())])
+    swaps = []
     if s.closed and s.genus == 1:
         for i in range(1, n + 1):
             bare = (bead(i, ("a", 1, 1)), bead(i, ("b", 1, 1)))
@@ -592,27 +583,21 @@ def _rule_table(s: SurfaceParams) -> _RuleTable:
                                     (lf + bare + lf[::-1], -k), (lf + bare[::-1] + lf[::-1], k)):
                         _add(rest, table.word(mono), c)
                     steps: list = []
-                    table.beads.reduce(rest, steps)  # to zero, checked by the tests
-                    add((b, a), (a, b), [(k, lf, f"ClosedSum[{i}]", lf[::-1]), *table.rows(steps)],
-                        systems=(table.rules,))
+                    table.rules.reduce(rest, steps)  # to zero, checked by the tests
+                    swaps.append(((b, a), (a, b), [(k, lf, f"ClosedSum[{i}]", lf[::-1]),
+                                                   *table.rows(steps)]))
+    for swap in swaps:  # after the bead rules alone have traced every proof
+        add(*swap)
     return table
 
 
 def _support_letters(x: WreathDiagram) -> set:
-    base = set()
-    for (mono, _) in x.terms:
-        for sym in mono:
-            if sym[0] == "B":
-                base.add(sym[2][:2])
-    return base
+    return {sym[2][:2] for mono, _ in x.terms for sym in mono if sym[0] == "B"}
 
 
-def _instance_applicable(inst: RelationInstance, base_letters: set) -> bool:
-    for (mono, _) in inst.element.terms:
-        for sym in mono:
-            if sym[0] == "B" and sym[2][:2] not in base_letters:
-                return False
-    return True
+def _instance_applicable(inst: RelationInstance, base_letters) -> bool:
+    return all(sym[0] == "C" or sym[2][:2] in base_letters
+               for mono, _ in inst.element.terms for sym in mono)
 
 
 def expand_certificate(
@@ -629,8 +614,57 @@ def expand_certificate(
     return total
 
 
-# saturation rounds per pass of _component_member
-MAX_ROUNDS = 16
+@dataclass(frozen=True)
+class _Box:
+    """A completion over chords, then beads, then a letter ``t`` (code
+    ``len(symbols)``) that commutes with every other; input relation
+    ``index`` is instance ``rids[index]``, or a commutator ``x t - t x`` when
+    that is None."""
+
+    symbols: tuple  # code -> chord or bead symbol
+    code: dict  # chord or bead symbol -> code
+    system: RewritingSystem | None = None
+    rids: tuple = ()
+
+    def word(self, mono: Monomial, length: int) -> tuple:
+        """``mono`` padded with ``t`` to ``length`` beads."""
+        return tuple(self.code[sym] for sym in mono) + (len(self.symbols),) * (length - bead_length(mono))
+
+    def mono(self, word: tuple) -> Monomial:
+        return tuple(self.symbols[x] for x in word if x < len(self.symbols))
+
+    def rows(self, steps, perm) -> list[CertificateTerm]:
+        """The relation rows of rewriting steps with ``t`` erased, which
+        erases the commutators."""
+        acc: dict = {}
+        for (left, index, right), c in self.system.proof(steps).items():
+            if self.rids[index] is not None:
+                _add(acc, (self.mono(left), self.rids[index], self.mono(right)), c)
+        return [CertificateTerm(Fraction(c), *key, perm) for key, c in acc.items()]
+
+
+@functools.lru_cache(maxsize=None)
+def _box(s: SurfaceParams, letters: tuple, trunc: Truncation, window: int, degree: int) -> _Box:
+    """The instances of ``relation_instances(s, trunc)`` on the base
+    ``letters``, padded with ``t`` to their longest term, completed over the
+    words of at most ``degree`` chords and ``window`` beads and ``t``."""
+    n = s.strands
+    chords = [chord(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    symbols = tuple(chords + [bead(i, let) for i in range(1, n + 1)
+                              for let in s.pi1_letters() if let[:2] in letters])
+    box = _Box(symbols, {sym: x for x, sym in enumerate(symbols)})
+    insts = [inst for inst in relation_instances(s, trunc) if _instance_applicable(inst, letters)]
+    t = len(symbols)
+    relations = [{box.word(mono, max(bead_length(m) for m, _ in inst.mono_terms())): int(c)
+                  for mono, c in inst.mono_terms()} for inst in insts]
+    relations += [{(x, t): 1, (t, x): -1} for x in range(t)]
+
+    def inside(word):
+        k = sum(x < len(chords) for x in word)
+        return k <= degree and len(word) - k <= window
+
+    return replace(box, system=complete([1] * (t + 1), relations, inside),
+                   rids=tuple(inst.rid for inst in insts) + (None,) * t)
 
 
 def ideal_member(
@@ -638,45 +672,41 @@ def ideal_member(
     s: SurfaceParams,
     trunc: Truncation,
     window: int = 6,
-    max_rows: int = 60000,
     certify: bool = True,
 ) -> Membership:
-    """Membership of x in the two-sided relation ideal.
+    """Membership of x in the two-sided relation ideal at ``window``: in the
+    span of the instances of ``relation_instances(s, trunc)`` framed by
+    monomials so that every term keeps at most ``window`` beads.
 
-    The query is first rewritten to its bead-normal form by the surface's
-    rule table (``_rule_table``), every step framing its rule's proof into
-    relation rows kept for the certificate; on the closed torus each
-    strand's beads go on to the exponent form ``a1^m b1^k`` (ClosedSum and
-    BeadGroup rows).  The ideal is graded by permutation and by chord
-    degree, so x is a member exactly when every (permutation, chord degree)
-    component of the normal form is; a component whose normal form
-    vanishes is one, with the rewriting steps as its certificate.
+    The surface's rule table (``_rule_table``) rewrites the query to its
+    bead normal form, on the closed torus on to the exponent form ``a1^m
+    b1^k`` per strand, every step framing its rule's proof into relation
+    rows kept for the certificate.  The ideal is graded by permutation and
+    chord degree, so x is a member exactly when every (permutation, chord
+    degree) component of the normal form is; a vanishing one is.  Except on
+    closed surfaces of genus >= 2 the chord-degree <= 1 rules resolve every
+    ambiguity (Bergman's diamond lemma), so a non-zero chord-degree <= 1
+    normal form is NotMember at every window, with it as witness.
 
-    Except on closed surfaces of genus >= 2, the chord-degree <= 1
-    relations, oriented as the normal form orients them, resolve every
-    ambiguity (Bergman's diamond lemma): a non-zero chord-degree <= 1
-    normal form is not in the ideal at any window, and the answer is
-    NotMember with that normal form as witness.
+    Every other non-zero component, padded with a central letter ``t`` to
+    ``window`` beads, is reduced by the relations padded likewise and
+    completed over every ambiguity with at most its chord degree and at most
+    ``window`` beads and ``t`` (``_box``, cached).  Both counts are
+    homogeneous, so by the diamond lemma in each piece of that box it
+    reduces to zero exactly when it is a member at ``window``.  If one does
+    not, the answer is NotMemberAtWindow, proven at ``window`` only and not
+    against the whole ideal; its witness is the normal form with ``t``
+    erased, and x minus the witness is a member at ``window``.  Except on
+    closed surfaces of genus >= 2, where the relator needs every letter, the
+    completion takes only the query's bead letters: sending the others to 1
+    maps every relation into the ideal of the rest and lengthens nothing.
 
-    What remains is a saturation search on the bead-normal component:
-    relation instances framed by monomial factors taken from contiguous
-    factorizations of monomials already reached, a row being admitted only
-    if every one of its terms stays within ``window`` beads (chord degrees
-    match automatically, the families are homogeneous).  A first pass uses
-    only rows that never lengthen a monomial — it explores a small, finite
-    stratum.  On closed surfaces of genus >= 1, where relator insertions
-    are needed, a second pass that allows growing insertions runs if the
-    first fails.  Instances whose bead letters do not occur in x are
-    skipped: they can only be missed, and NotFound is inconclusive anyway.
-
-    With ``certify=False`` membership is decided by the same exact integer
-    elimination; only assembling the certificate and re-expanding it
-    against x are skipped, and the certificate is None.
-
-    Raises DimensionMismatchError when x and s have different strand
-    counts, and TruncationOverflowError when a monomial of x does not fit
-    ``trunc`` or x carries the overflow flag (a product that dropped terms
-    outside the window is not the element it stands for).
+    With ``certify=False`` the certificate is None: it is neither expanded
+    nor re-expanded against x.  Raises DimensionMismatchError when x and s
+    have different strand counts, TruncationOverflowError when a monomial
+    of x does not fit ``trunc`` or x carries the overflow flag (it lost
+    terms outside the window), and ResourceLimitError when the completion
+    passes ``rewriting.MAX_RULES`` rules.
     """
     if x.strands != s.strands:
         raise DimensionMismatchError(
@@ -699,137 +729,48 @@ def ideal_member(
         return Membership("member", () if certify else None)
 
     table = _rule_table(s)
-    trace: list[CertificateTerm] = []
-    normal: dict = {}
+    certificate: list[CertificateTerm] = []
+    components: dict = {}  # (perm, chord degree) -> normal form: rows mix neither
     for (mono, perm), c in sorted(
         x.terms.items(), key=lambda kv: (kv[0][1], mono_key(kv[0][0]))
     ):
         steps: list = []
-        for word, v in table.beads.reduce({table.word(mono): c}, steps).items():
-            _add(normal, (table.mono(word), perm), v)
-        trace.extend(CertificateTerm(*row, perm) for row in table.rows(steps))
-    # split by permutation and chord degree: rows never mix either
-    components: dict = {}
-    for (mono, perm), coef in normal.items():
-        components.setdefault((perm, chord_degree(mono)), {})[mono] = coef
-    torus = s.closed and s.genus == 1
-    forms: dict = {}
-    for (perm, degree), target in components.items():
-        form, steps = target, []
-        if torus:
-            reduced = table.rules.reduce({table.word(m): c for m, c in target.items()}, steps)
-            form = {table.mono(word): c for word, c in reduced.items()}
-        forms[(perm, degree)] = (form, [CertificateTerm(*row, perm) for row in table.rows(steps)])
+        for word, v in table.rules.reduce({table.word(mono): c}, steps).items():
+            form = table.mono(word)
+            _add(components.setdefault((perm, chord_degree(form)), {}), form, v)
+        certificate.extend(CertificateTerm(*row, perm) for row in table.rows(steps))
 
     if not (s.closed and s.genus >= 2):
-        decided = {
-            (mono, perm): c for (perm, degree), (form, _) in forms.items()
-            if degree <= 1 for mono, c in form.items()
-        }
+        decided = {(mono, perm): c for (perm, degree), form in components.items()
+                   if degree <= 1 for mono, c in form.items()}
         if decided:
-            return Membership(
-                "not_member", witness=WreathDiagram(x.strands, x.trunc, decided)
-            )
+            return Membership("not_member", witness=WreathDiagram(x.strands, x.trunc, decided))
 
-    instances = relation_instances(s, trunc)
-    base_letters = _support_letters(x)
-    usable = [
-        inst for inst in instances
-        if _instance_applicable(inst, base_letters)
-    ]
-    by_id = {inst.rid: inst for inst in usable}
-    certificate: list[CertificateTerm] = list(trace) if certify else []
-
-    passes = (False, True) if s.closed and s.genus >= 1 else (False,)
-    for (perm, degree), target in sorted(
-        components.items(), key=lambda kv: (kv[0][0], kv[0][1])
-    ):
-        form, steps = forms[(perm, degree)]
-        if not form:
-            if certify:
-                certificate.extend(steps)
-            continue
-        for allow_insertions in passes:
-            combo = _component_member(
-                target, usable, window, max_rows,
-                allow_insertions=allow_insertions, track=certify,
-            )
-            if combo is not None:
-                break
-        else:
-            return Membership("not_found")
-        for (left, rid, right), coef in sorted(
-            combo.items(), key=lambda kv: (mono_key(kv[0][0]), kv[0][1], mono_key(kv[0][2]))
-        ):
-            certificate.append(CertificateTerm(coef, left, rid, right, perm))
-
+    letters = {let[:2] for let in s.pi1_letters()} if s.closed and s.genus >= 2 \
+        else _support_letters(x)
+    witness: dict = {}
+    reduced: list = []
+    for (perm, degree), form in components.items():
+        if form:
+            box = _box(s, tuple(sorted(letters)), trunc, window, degree)
+            steps = []
+            padded = {box.word(mono, window): c for mono, c in form.items()}
+            for word, c in box.system.reduce(padded, steps).items():
+                _add(witness, (box.mono(word), perm), c)
+            reduced.append((box, steps, perm))
+    if witness:
+        return Membership("not_member_at_window",
+                          witness=WreathDiagram(x.strands, x.trunc, witness))
     if not certify:
         return Membership("member", None)
+    for box, steps, perm in reduced:
+        certificate.extend(box.rows(steps, perm))
     result = Membership("member", tuple(certificate))
+    by_id = {inst.rid: inst for inst in relation_instances(s, trunc)}
     check = expand_certificate(result.certificate, by_id, x.strands, trunc)
     if check.terms != x.terms:
         raise SurfbraidError("internal error: certificate re-expansion mismatch")
     return result
-
-
-def _component_member(
-    target: dict,
-    instances,
-    window: int,
-    max_rows: int,
-    allow_insertions: bool = True,
-    track: bool = True,
-):
-    if not target:
-        return {}
-    reducer = ExactReducer(track_provenance=track)
-    emitted: set = set()
-    seen = set(target)
-    frontier = sorted(target, key=mono_key)
-
-    def try_rows(mu):
-        new_monos = []
-        for inst in instances:
-            for part, _ in inst.mono_terms():
-                if not part and not allow_insertions:
-                    continue
-                for left, right in _mono_factorizations(mu, part):
-                    tag = (left, inst.rid, right)
-                    if tag in emitted:
-                        continue
-                    row: dict = {}
-                    for mono, c in inst.mono_terms():
-                        m = left + mono + right
-                        row[m] = row.get(m, 0) + c
-                    row = {m: c for m, c in row.items() if c}
-                    if any(bead_length(m) > window for m in row):
-                        continue
-                    emitted.add(tag)
-                    reducer.insert(row, tag)
-                    for m in row:
-                        if m not in seen:
-                            seen.add(m)
-                            new_monos.append(m)
-        return new_monos
-
-    checked_rank = 0
-    for _ in range(MAX_ROUNDS):
-        next_frontier: list = []
-        for mu in frontier:
-            next_frontier.extend(try_rows(mu))
-            if len(emitted) > max_rows:
-                break
-            if reducer.rank - checked_rank >= 256:
-                checked_rank = reducer.rank
-                if reducer.contains(target):
-                    return reducer.reduce(target)[1]
-        checked_rank = reducer.rank
-        if reducer.contains(target):
-            return reducer.reduce(target)[1]
-        if len(emitted) > max_rows or not next_frontier:
-            return None
-        frontier = sorted(next_frontier, key=mono_key)
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -24,10 +24,11 @@ Two tools live here:
   ``|u| = 1`` are contracted first by union-find (each merge is a divisor
   1); a sparse phase then repeatedly eliminates on entries equal to +-1
   (choosing the entry of least fill-in) and a dense textbook phase handles
-  whatever remains.  Exact throughout; no floating point anywhere.  No
-  module of the package calls it: the torsion report is proven by a
-  completion (see ``abelianization``), and the tests check it against
-  this Smith form.
+  whatever remains.  Exact throughout; no floating point anywhere.
+
+No module of the package calls either: membership, the torsion report and
+the chord redundancy check are proven by completions (``rewriting``), and
+the tests check them against these two as oracles.
 
 Callers hand over rows keyed by any hashable objects: how columns are
 identified and how unit rows are eliminated is decided here alone.

@@ -1,5 +1,5 @@
-"""Rewriting systems on words: normal forms, degree-bounded completion and
-counting normal words.
+"""Rewriting systems on words: normal forms, bounded completion with
+derivations, and counting normal words.
 
 A word is a tuple of int letters; letter ``x`` weighs ``weights[x]`` and a
 word's degree is the sum of its letters' weights.  A combination is a dict
@@ -10,12 +10,15 @@ word, wherever it occurs as a factor, to a combination of other words.
 and within one degree the lexicographically least word leads (deglex with
 the letter order reversed; words of one degree never prefix one another, so
 lex order is compatible with multiplication).  It is a noncommutative
-Buchberger completion that resolves every overlap and inclusion ambiguity
-whose word has degree <= ``max_degree``.  For homogeneous relations that is
-exact in every degree up to the bound, whether or not the system ever
-closes: by Bergman's diamond lemma (Adv. Math. 29, 1978) the words that
-contain no leading word as a factor, the normal words, form a basis of each
-graded piece of the quotient.  ``normal_word_counts`` counts them per degree
+Buchberger completion (Mora, TCS 134, 1994) that resolves every overlap and
+inclusion ambiguity whose word lies inside a bound: a degree, or any test
+such as a box of letter counts.  For relations homogeneous in the bound's
+gradings that is exact in every graded piece inside the bound, whether or
+not the system ever closes: by Bergman's diamond lemma (Adv. Math. 29,
+1978), piece by piece as in the truncated Groebner bases of La Scala and
+Levandovskyy (J. Symb. Comput. 44, 2009), the words that contain no
+leading word as a factor, the normal words, form a basis of each graded
+piece of the quotient.  ``normal_word_counts`` counts them per degree
 by dynamic programming over the automaton of leading words (Ufnarovski's
 graph of normal words), so leading words of any length are handled.
 
@@ -39,6 +42,11 @@ import itertools
 from collections import deque
 from fractions import Fraction
 
+from .errors import ResourceLimitError
+
+# the most rules a completion may hold: past it ``complete`` refuses
+MAX_RULES = 2000
+
 
 def _add(acc: dict, word: tuple, coef) -> None:
     c = acc.get(word, 0) + coef
@@ -50,6 +58,8 @@ def _add(acc: dict, word: tuple, coef) -> None:
 
 def _quotient(a, b):
     """a / b, exact, as an int whenever it is one."""
+    if b in (1, -1):
+        return a * b
     q = Fraction(a) / b
     return q.numerator if q.denominator == 1 else q
 
@@ -57,6 +67,14 @@ def _quotient(a, b):
 def _occurs(factor: tuple, word: tuple) -> bool:
     k = len(factor)
     return any(word[i:i + k] == factor for i in range(len(word) - k + 1))
+
+
+def _inside(bound, system):
+    """The test of a bound: None bounds nothing, an int caps the degree, and
+    anything else is already a test ``word -> bool``."""
+    if callable(bound):
+        return bound
+    return lambda word: bound is None or system.degree(word) <= bound
 
 
 class RewritingSystem:
@@ -68,12 +86,14 @@ class RewritingSystem:
         # set by ``complete``: the first leading coefficient other than +-1
         # that it divided by, or None when every one was a unit
         self.non_unit_lead = None
+        # set by ``complete``: leading word -> derivation, see there
+        self.derivations: dict[tuple, tuple] = {}
         self._lengths: dict[int, int] = {}  # lead length -> number of rules
         for lead, tail in (rules or {}).items():
             self.add_rule(lead, tail)
 
     def degree(self, word: tuple) -> int:
-        return sum(self.weights[x] for x in word)
+        return sum(map(self.weights.__getitem__, word))
 
     def order_key(self, word: tuple) -> tuple:
         """The least key leads: higher degree first, then lex-least."""
@@ -140,9 +160,10 @@ class RewritingSystem:
                 _add(work, v, cv)
         return out
 
-    def _ambiguities_of(self, lead: tuple, others, max_degree):
-        """Ambiguities of ``lead`` against each rule of ``others``, as
-        ``(word, difference of two one-step rewrites of word)``."""
+    def _ambiguities_of(self, lead: tuple, others, inside):
+        """Ambiguities of ``lead`` against each rule of ``others`` whose word
+        is ``inside``, as ``(word, i, one, j, other)``: leading word ``one``
+        occurs in ``word`` at ``i`` and ``other`` at ``j``."""
         for other in others:
             pairs = ((lead, other),) if other == lead else ((lead, other), (other, lead))
             for first, second in pairs:
@@ -150,15 +171,13 @@ class RewritingSystem:
                 for k in range(1, min(len(first), len(second))):
                     if first[-k:] == second[:k]:
                         word = first + second[k:]
-                        if max_degree is None or self.degree(word) <= max_degree:
-                            yield word, self._difference(word, 0, first,
-                                                         len(first) - k, second)
+                        if inside(word):
+                            yield word, 0, first, len(first) - k, second
                 # inclusions: first a proper factor of second
-                if len(first) < len(second) and (
-                        max_degree is None or self.degree(second) <= max_degree):
+                if len(first) < len(second) and inside(second):
                     for i in range(len(second) - len(first) + 1):
                         if second[i:i + len(first)] == first:
-                            yield second, self._difference(second, 0, second, i, first)
+                            yield second, 0, second, i, first
 
     def _difference(self, word: tuple, i: int, one: tuple, j: int, other: tuple) -> dict:
         diff = self._rewrite(word, i, one)
@@ -168,12 +187,34 @@ class RewritingSystem:
 
     def unresolved(self, max_degree=None) -> list[tuple]:
         """Words of the overlap and inclusion ambiguities (each pair of rules
-        once, up to ``max_degree`` if given) whose two rewrites reduce to
-        different normal forms; empty means the diamond lemma applies."""
+        once, inside ``max_degree`` if given, a bound as for ``complete``)
+        whose two rewrites reduce to different normal forms; empty means the
+        diamond lemma applies."""
+        inside = _inside(max_degree, self)
         leads = list(self.rules)
-        return [word for i, lead in enumerate(leads)
-                for word, diff in self._ambiguities_of(lead, leads[:i + 1], max_degree)
-                if self.reduce(diff)]
+        return [amb[0] for i, lead in enumerate(leads)
+                for amb in self._ambiguities_of(lead, leads[:i + 1], inside)
+                if self.reduce(self._difference(*amb))]
+
+    def proof(self, steps) -> dict:
+        """The input relations behind rewriting steps ``(coef, left, lead,
+        right)`` by rules of ``complete``: ``(left, index, right) -> coef``,
+        the framed input relations summing to what the steps took away.  A
+        derivation names only earlier leading words, so one sweep from the
+        newest expands each framed rule once, after everything using it."""
+        framed: dict = {}  # lead -> {(left, right): coef}
+        for coef, left, lead, right in steps:
+            _add(framed.setdefault(lead, {}), (left, right), coef)
+        rows: dict = {}
+        for lead in reversed(self.derivations):
+            for (left, right), coef in framed.pop(lead, {}).items():
+                for c, inner_left, src, inner_right in self.derivations[lead]:
+                    outer = (left + inner_left, inner_right + right)
+                    if isinstance(src, tuple):
+                        _add(framed.setdefault(src, {}), outer, coef * c)
+                    else:
+                        _add(rows, (outer[0], src, outer[1]), coef * c)
+        return rows
 
     def normal_word_counts(self, max_degree: int) -> list[int]:
         """Number of normal words of each degree 0..max_degree, by dynamic
@@ -224,30 +265,39 @@ class RewritingSystem:
         return [sum(layer.values()) for layer in dp]
 
 
-def complete(weights, relations, max_degree: int) -> RewritingSystem:
+def complete(weights, relations, bound) -> RewritingSystem:
     """Buchberger completion of ``relations`` (combinations, each meaning
-    ``= 0``) that resolves every ambiguity of degree <= ``max_degree``.
+    ``= 0``) that resolves every ambiguity whose word lies inside ``bound``
+    (an int caps the degree, a callable tests the word).
 
     Pending elements are taken lowest degree first and reduced; a nonzero
     remainder becomes a rule from its leading word, after which every rule
     whose leading word contains the new one gives way and goes back to the
     pending elements, and the new rule's ambiguities join them.  The first
-    leading coefficient other than +-1 is kept as ``non_unit_lead``."""
+    leading coefficient other than +-1 is kept as ``non_unit_lead``.  Past
+    ``MAX_RULES`` rules the completion refuses with ``ResourceLimitError``.
+
+    ``derivations[lead]`` keeps terms ``(coef, left, source, right)`` whose
+    framed sources sum to ``lead - tail``; a source is the index of an input
+    relation or the leading word of an earlier rule.  A leading word that
+    gave way contains a current one, so it never leads again and keys its
+    derivation for good."""
     system = RewritingSystem(weights)
+    inside = _inside(bound, system)
     pending: list = []
     tick = itertools.count()
 
-    def push(comb: dict):
-        if comb:
-            deg = max(system.degree(w) for w in comb)
-            if deg <= max_degree:
-                heapq.heappush(pending, (deg, next(tick), comb))
+    def push(comb: dict, derivation):
+        if comb and all(map(inside, comb)):
+            deg = max(map(system.degree, comb))
+            heapq.heappush(pending, (deg, next(tick), comb, derivation))
 
-    for rel in relations:
-        push({w: c for w, c in rel.items() if c})
+    for index, rel in enumerate(relations):
+        push({w: c for w, c in rel.items() if c}, ((1, (), index, ()),))
     while pending:
-        _, _, comb = heapq.heappop(pending)
-        comb = system.reduce(comb)
+        _, _, comb, derivation = heapq.heappop(pending)
+        steps: list = []
+        comb = system.reduce(comb, steps)
         if not comb:
             continue
         lead = min(comb, key=system.order_key)
@@ -259,8 +309,15 @@ def complete(weights, relations, max_degree: int) -> RewritingSystem:
             old_rel = {old: 1}
             for w, c in system.remove_rule(old).items():
                 _add(old_rel, w, -c)
-            push(old_rel)
+            push(old_rel, ((1, (), old, ()),))
         system.add_rule(lead, tail)
-        for _, diff in system._ambiguities_of(lead, system.rules, max_degree):
-            push(diff)
+        if len(system.rules) > MAX_RULES:
+            raise ResourceLimitError(f"the completion passed {MAX_RULES} rules")
+        system.derivations[lead] = tuple(
+            (_quotient(c, head), left, src, right) for c, left, src, right in derivation
+        ) + tuple((_quotient(-c, head), left, src, right) for c, left, src, right in steps)
+        for word, i, one, j, other in system._ambiguities_of(lead, system.rules, inside):
+            push(system._difference(word, i, one, j, other),
+                 ((-1, word[:i], one, word[i + len(one):]),
+                  (1, word[:j], other, word[j + len(other):])))
     return system

@@ -41,7 +41,6 @@ from __future__ import annotations
 import functools
 
 from .errors import HypothesisError, ParameterError, ResourceLimitError
-from .linalg import ExactReducer
 from .rewriting import complete
 from .surface import SurfaceParams
 
@@ -308,22 +307,20 @@ def symp_graded_dim(s: SurfaceParams, d: int, relations=None) -> int:
 
 def symp_twist_redundancy(s: SurfaceParams) -> bool:
     """Whether every strand chord Z(i,j) is expressible in degree-1
-    generators modulo the degree-2 relation span (needs genus >= 1, n >= 2)."""
+    generators modulo the degree-2 relation span (needs genus >= 1, n >= 2):
+    with every word of two degree-1 generators added to the relations, the
+    completion to degree 2 reduces each chord to zero."""
     if s.genus < 1:
         raise HypothesisError("chord redundancy requires genus >= 1")
     if s.strands < 2:
         raise HypothesisError("chord redundancy requires at least 2 strands")
-    reducer = ExactReducer(track_provenance=False)
-    for rel in symp_relations(s, 2):
-        reducer.insert(dict(rel))
-    for w in words_of_degree(s, 2):
-        if all(generator_degree(g) == 1 for g in w):
-            reducer.insert({w: 1})
-    for i in range(1, s.strands + 1):
-        for j in range(i + 1, s.strands + 1):
-            if not reducer.contains({(_zc(i, j),): 1}):
-                return False
-    return True
+    gens = symp_generators(s)
+    beads = [g for g in gens if generator_degree(g) == 1]
+    system = _completion(s, 2, symp_relations(s, 2) + [{(g, h): 1} for g in beads for h in beads])
+    return not any(
+        system.reduce({(gens.index(_zc(i, j)),): 1})
+        for i in range(1, s.strands + 1) for j in range(i + 1, s.strands + 1)
+    )
 
 
 def dims_table(s: SurfaceParams, max_degree: int) -> str:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from surfbraid import rewriting
 from surfbraid.cli import (
     EXIT_NEGATIVE,
     EXIT_OK,
@@ -131,6 +132,25 @@ class TestAlgebraCommands:
         )
         assert code == EXIT_NEGATIVE
         assert out == "NotMember\n1 * Z(1,2) ; perm=(1)(2)\n"
+
+    def test_diagram_member_negative_at_window(self, capsys):
+        # closed genus 2: the box completion proves it only at the window
+        code, out, _ = run(
+            capsys, ["diagram", "member", "-g", "2", "-p", "0", "-n", "2",
+                     "1 * Z(1,2) a1@1 + -1 * Z(1,2) b1@1"]
+        )
+        assert code == EXIT_NEGATIVE
+        assert out == "NotMemberAtWindow\n" \
+            "1 * a1@2 Z(1,2) ; perm=(1)(2) + -1 * b1@2 Z(1,2) ; perm=(1)(2)\n"
+
+    def test_diagram_member_refused_past_the_rule_limit(self, capsys, monkeypatch):
+        # a window no other test uses, so that the box is completed here
+        monkeypatch.setattr(rewriting, "MAX_RULES", 10)
+        code, out, err = run(
+            capsys, ["diagram", "member", *S112, "--window", "9", "1 * Z(1,2) Z(1,2) a1@1"]
+        )
+        assert code == EXIT_RESOURCE
+        assert out == "" and "10 rules" in err
 
     def test_diagram_equal(self, capsys):
         code, out, _ = run(

@@ -1,6 +1,6 @@
 """Chord-diagram algebra: products, relation catalog, and ideal membership."""
 
-import inspect
+import functools
 import random
 from fractions import Fraction
 
@@ -8,17 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from surfbraid import diagrams
+from surfbraid import diagrams, rewriting
 from surfbraid.braid import identity_perm, transposition_perm, wreath_image, parse_braid_word
 from surfbraid.diagrams import (
     CertificateTerm,
     Membership,
     Truncation,
     WreathDiagram,
-    _component_member,
-    _instance_applicable,
     _rule_table,
-    _support_letters,
     bead,
     chord,
     chord_degree,
@@ -34,6 +31,7 @@ from surfbraid.diagrams import (
     format_diagram,
     format_monomial,
     ideal_member,
+    mono_key,
     parse_diagram,
     parse_monomial,
     relation_instances,
@@ -43,6 +41,7 @@ from surfbraid.errors import (
     InvalidGeneratorError,
     ParameterError,
     ParseError,
+    ResourceLimitError,
     TruncationOverflowError,
     UnsupportedDegreeError,
 )
@@ -256,7 +255,7 @@ class TestRelationCatalog:
 
 
 def _searched(*args, **kwargs):
-    raise AssertionError("searched a question the normal form decides")
+    raise AssertionError("completed a box for a question the normal form decides")
 
 
 def verify_certificate(x, membership, s, trunc):
@@ -318,26 +317,33 @@ class TestIdealMember:
         x = WreathDiagram.unit(2, TR)
         assert ideal_member(x, S112, TR, window=5).status == "not_member"
 
-    def test_failing_saturation_expands_no_combination(self, monkeypatch):
-        # the saturation checkpoints (every 256 new ranks within a round) and
-        # round ends ask only whether the target is in the span: a search
-        # that ends NotFound never expands a combination
-        ranks = []
-        contains = ExactReducer.contains
+    def test_windowed_negative_on_closed_genus_two(self, monkeypatch):
+        # the normal form stops at the bead rules on closed genus >= 2: the
+        # window-6 box of chord degree 1 decides the query, and a negative
+        # expands no derivation
+        def refuse(self, steps):
+            raise AssertionError("proof expanded for a non-member")
 
-        def spy(self, row):
-            ranks.append(self.rank)
-            return contains(self, row)
-
-        def refuse(self, chain, scale):
-            raise AssertionError("combination expanded for a non-member")
-
-        monkeypatch.setattr(ExactReducer, "contains", spy)
-        monkeypatch.setattr(ExactReducer, "_expand", refuse)
         s = SurfaceParams(2, 0, 2)
         x = parse_diagram("1 * Z(1,2) a1@1 + -1 * Z(1,2) b1@1", s, TR)
-        assert ideal_member(x, s, TR, window=6, max_rows=1000).status == "not_found"
-        assert max(ranks) >= 256
+        with monkeypatch.context() as patch:
+            patch.setattr(rewriting.RewritingSystem, "proof", refuse)
+            m = ideal_member(x, s, TR, window=6)
+        assert m.status == "not_member_at_window" and not m.is_member
+        assert not m.witness.is_zero
+        rest = ideal_member(x - m.witness, s, TR, window=6)
+        assert rest.is_member
+        verify_certificate(x - m.witness, rest, s, TR)
+
+    def test_completion_past_the_rule_limit_is_refused(self, monkeypatch):
+        # a window no other test uses, so that the box is completed here;
+        # a refusal is not cached
+        monkeypatch.setattr(rewriting, "MAX_RULES", 10)
+        x = parse_diagram("1 * Z(1,2) Z(1,2) a1@1", S112, TR)
+        with pytest.raises(ResourceLimitError):
+            ideal_member(x, S112, TR, window=8)
+        monkeypatch.undo()
+        assert ideal_member(x, S112, TR, window=8).status == "not_member_at_window"
 
     def test_window_must_cover_truncation(self):
         x = WreathDiagram.zero(2, TR)
@@ -369,29 +375,10 @@ class TestIdealMember:
 
     def test_growing_pass_closes_torus_commutator(self, monkeypatch):
         # a1 b1^-1 and b1^-1 a1 differ by a surface relator inserted into a
-        # shorter monomial: of the two search passes only the one that
-        # allows insertions finds it, and the torus exponent form decides it
-        # with no search at all
-        # x is bead-normal (beads on one strand, no inverse pair): it is
-        # the search target as it stands
+        # shorter monomial; the torus exponent form decides it with no box
         trunc = Truncation()
         x = parse_diagram("1 * a1@1 b1^-1@1 + -1 * b1^-1@1 a1@1", S102, trunc)
-        assert {perm for (_, perm) in x.terms} == {ID2}
-        target = {mono: c for (mono, _), c in x.terms.items()}
-        letters = _support_letters(x)
-        usable = [inst for inst in relation_instances(S102, trunc)
-                  if _instance_applicable(inst, letters)]
-        max_rows = inspect.signature(ideal_member).parameters["max_rows"].default
-        assert _component_member(
-            target, usable, 6, max_rows, allow_insertions=False) is None
-        combo = _component_member(target, usable, 6, max_rows, allow_insertions=True)
-        assert combo
-        terms = [CertificateTerm(c, left, rid, right, ID2)
-                 for (left, rid, right), c in combo.items()]
-        assert expand_certificate(
-            terms, {inst.rid: inst for inst in usable}, 2, trunc) == x
-
-        monkeypatch.setattr(diagrams, "_component_member", _searched)
+        monkeypatch.setattr(diagrams, "_box", _searched)
         m = ideal_member(x, S102, trunc, window=6)
         assert m.is_member and m.certificate
         verify_certificate(x, m, S102, trunc)
@@ -449,8 +436,8 @@ def _draw_element(data, s, max_chords, loose, families=BEAD_FAMILIES):
 class TestNormalFormDecides:
     """Except on closed surfaces of genus >= 2 the normal form decides
     membership in chord degree <= 1: the bead normal form on a surface with
-    boundary and on the sphere, the exponent form on the torus.  Only closed
-    surfaces of genus >= 1 run the inserting pass."""
+    boundary and on the sphere, the exponent form on the torus.  Everything
+    else goes to a box-truncated completion."""
 
     @pytest.mark.parametrize(
         "s", [S112, SurfaceParams(0, 2, 3), SurfaceParams(2, 1, 3),
@@ -492,40 +479,37 @@ class TestNormalFormDecides:
         s = SurfaceParams(1, 0, 3)
         x = parse_diagram("1 * Z(1,2) Z(1,3) a1@1 b1^-1@1"
                           " + -1 * Z(1,2) Z(1,3) b1^-1@1 a1@1", s, TR)
-        monkeypatch.setattr(diagrams, "_component_member", _searched)
+        monkeypatch.setattr(diagrams, "_box", _searched)
         m = ideal_member(x, s, TR)
         assert m.is_member
         verify_certificate(x, m, s, TR)
 
-    def _passes(self, monkeypatch, x, s):
-        calls = []
-        component_member = diagrams._component_member
+    def _negative_at_window(self, x, s):
+        # the witness is x's normal form in the window-6 box: its own
+        # witness, and x minus it a member
+        m = ideal_member(x, s, TR)
+        assert m.status == "not_member_at_window"
+        assert ideal_member(m.witness, s, TR).witness == m.witness
+        rest = ideal_member(x - m.witness, s, TR)
+        assert rest.is_member
+        verify_certificate(x - m.witness, rest, s, TR)
 
-        def spy(*args, **kwargs):
-            calls.append(kwargs["allow_insertions"])
-            return component_member(*args, **kwargs)
-
-        monkeypatch.setattr(diagrams, "_component_member", spy)
-        assert ideal_member(x, s, TR, max_rows=300).status == "not_found"
-        return calls
-
-    def test_open_surface_runs_one_pass(self, monkeypatch):
+    def test_open_surface_negative_at_window(self):
         x = parse_diagram("1 * Z(1,2) Z(1,2) a1@1", S112, TR)
-        assert self._passes(monkeypatch, x, S112) == [False]
+        self._negative_at_window(x, S112)
 
-    def test_sphere_runs_one_pass(self, monkeypatch):
+    def test_sphere_negative_at_window(self):
         sphere = SurfaceParams(0, 0, 3)
         x = parse_diagram("1 * Z(1,2) Z(2,3)", sphere, TR)
-        assert self._passes(monkeypatch, x, sphere) == [False]
+        self._negative_at_window(x, sphere)
 
-    def test_closed_surface_runs_both_passes(self, monkeypatch):
+    def test_closed_surface_negative_at_window(self):
         x = parse_diagram("1 * Z(1,2) Z(1,2) a1@1", S102, TR)
-        assert self._passes(monkeypatch, x, S102) == [False, True]
+        self._negative_at_window(x, S102)
 
     def _refuse_search(self, monkeypatch):
-        monkeypatch.setattr(diagrams, "_component_member", _searched)
+        monkeypatch.setattr(diagrams, "_box", _searched)
         monkeypatch.setattr(diagrams, "relation_instances", _searched)
-        monkeypatch.setattr(ExactReducer, "insert", _searched)
 
     def test_no_search_in_chord_degree_one(self, monkeypatch):
         self._refuse_search(monkeypatch)
@@ -547,6 +531,94 @@ class TestNormalFormDecides:
             m = ideal_member(x, s, TR)
             assert m.status == "not_member"
             assert m.witness == x
+
+
+ORACLE_TRUNC = Truncation(2, 3)
+ORACLE_WINDOW = 3
+
+
+def _words(symbols, chords, beads):
+    """Every monomial with exactly ``chords`` chords and at most ``beads``
+    beads."""
+    out, layer = [()], [()]
+    for _ in range(chords + beads):
+        layer = [m + (sym,) for m in layer for sym in symbols]
+        out += layer
+    return [m for m in out if chord_degree(m) == chords and len(m) - chords <= beads]
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_rows(s) -> dict:
+    """Every relation instance of ``s`` framed by monomials into a row of
+    chord degree 2 whose terms all keep at most the window's beads, grouped
+    by bead multidegree (every row is homogeneous in it)."""
+    symbols = _rule_table(s).symbols
+    rows: dict = {}
+    for inst in relation_instances(s, ORACLE_TRUNC):
+        terms = inst.mono_terms()
+        chords = chord_degree(terms[0][0])
+        room = ORACLE_WINDOW - max(len(m) - chords for m, _ in terms)
+        for outer in sorted(_words(symbols, 2 - chords, room), key=mono_key):
+            for cut in range(len(outer) + 1):
+                left, right = outer[:cut], outer[cut:]
+                row = {left + m + right: c for m, c in terms}
+                rows.setdefault(diagrams.bead_multidegree(next(iter(row))), []).append(row)
+    return rows
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_pools(s) -> tuple:
+    """The framed rows and the monomials that queries are drawn from."""
+    rows = [row for key in sorted(_oracle_rows(s)) for row in _oracle_rows(s)[key]]
+    loose = sorted(_words(_rule_table(s).symbols, 2, ORACLE_WINDOW), key=mono_key)
+    return rows, loose
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_span(s, key) -> ExactReducer:
+    reducer = ExactReducer(track_provenance=False)
+    for row in _oracle_rows(s).get(key, ()):
+        reducer.insert(row)
+    return reducer
+
+
+def _in_window_span(x, s):
+    """Membership of x at the oracle window by elimination over every framed
+    row, one bead multidegree at a time."""
+    parts: dict = {}
+    for (mono, _), c in x.terms.items():
+        parts.setdefault(diagrams.bead_multidegree(mono), {})[mono] = c
+    return all(_oracle_span(s, key).contains(part) for key, part in parts.items())
+
+
+class TestWindowedMembershipOracle:
+    """The box completion against elimination over every framed row inside
+    the window, over all letters of the surface."""
+
+    @pytest.mark.parametrize("s", [S112, SurfaceParams(0, 2, 3)], ids=_surface_id)
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_completion_agrees_with_elimination(self, s, data):
+        # a random sum of framed rows (a member) and of loose monomials,
+        # drawn by index: sampled_from hashes its whole pool at every draw
+        trunc = ORACLE_TRUNC
+        rows, loose = _oracle_pools(s)
+        ident = identity_perm(s.strands)
+        x = WreathDiagram.zero(s.strands, trunc)
+        for _ in range(data.draw(st.integers(0, 3))):
+            row = rows[data.draw(st.integers(0, len(rows) - 1))]
+            coef = data.draw(st.integers(-3, 3).filter(bool))
+            x = x + WreathDiagram(s.strands, trunc, {(m, ident): coef * c for m, c in row.items()})
+        for _ in range(data.draw(st.integers(0, 2))):
+            mono = loose[data.draw(st.integers(0, len(loose) - 1))]
+            x = x + WreathDiagram(s.strands, trunc, {(mono, ident): data.draw(st.integers(-2, 2))})
+        m = ideal_member(x, s, trunc, window=ORACLE_WINDOW)
+        assert m.is_member == _in_window_span(x, s)
+        if m.is_member:
+            verify_certificate(x, m, s, trunc)
+        else:
+            assert m.status == "not_member_at_window"
+            assert _in_window_span(x - m.witness, s)
 
 
 class TestDegreeOneSymbol:
@@ -663,4 +735,5 @@ class TestSerialization:
 class TestMembershipDataclass:
     def test_is_member(self):
         assert Membership("member").is_member
-        assert not Membership("not_found").is_member
+        assert not Membership("not_member").is_member
+        assert not Membership("not_member_at_window").is_member

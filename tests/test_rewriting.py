@@ -17,6 +17,8 @@ from surfbraid.diagrams import (
     expand_certificate,
     relation_instances,
 )
+from surfbraid import rewriting
+from surfbraid.errors import ResourceLimitError
 from surfbraid.rewriting import RewritingSystem, _add, complete
 from surfbraid.surface import SurfaceParams
 
@@ -195,6 +197,61 @@ class TestComplete:
         system = complete(weights, relations, 5)
         assert system.unresolved(5) == []
         assert system.normal_word_counts(5) == quotient_dims(weights, relations, 5)
+
+
+def framed_sum(relations, rows):
+    """The sum of ``coef * left relations[index] right`` over ``rows``."""
+    total: dict = {}
+    for (left, index, right), coef in rows.items():
+        for w, c in relations[index].items():
+            _add(total, left + w + right, coef * c)
+    return total
+
+
+class TestBoxAndDerivations:
+    # x y x - y x y in letters 0, 1 (never closes) and a central letter 2
+    RELATIONS = [{(0, 1, 0): 1, (1, 0, 1): -1}, {(0, 2): 1, (2, 0): -1},
+                 {(1, 2): 1, (2, 1): -1}]
+
+    def test_box_bound(self):
+        # at most 5 of x, y and at most 2 of t
+        def box(word):
+            return word.count(2) <= 2 and len(word) - word.count(2) <= 5
+
+        system = complete([1, 1, 1], self.RELATIONS, box)
+        assert system.unresolved(box) == []
+        assert all(box(lead) for lead in system.rules)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_every_derivation_expands_to_its_rule(self, data):
+        weights = [1, 1]
+        relations = []
+        for _ in range(data.draw(st.integers(1, 3))):
+            chosen = data.draw(st.lists(st.sampled_from(words_up_to(weights, 3)[3]),
+                                        min_size=1, max_size=3, unique=True))
+            coefs = data.draw(st.lists(st.integers(-2, 2).filter(bool),
+                                       min_size=len(chosen), max_size=len(chosen)))
+            relations.append(dict(zip(chosen, coefs)))
+        system = complete(weights, relations, 5)
+        for lead, tail in system.rules.items():
+            difference = {lead: 1}
+            for w, c in tail.items():
+                _add(difference, w, -c)
+            assert framed_sum(relations, system.proof([(1, (), lead, ())])) == difference
+
+    def test_proof_of_a_reduction_to_zero(self):
+        system = complete([1, 1, 1], self.RELATIONS, 6)
+        # x y t x - t y x y: the central letter moves, then x y x = y x y
+        target = {(0, 1, 2, 0, 2): 1, (2, 1, 0, 2, 1): -1}
+        steps = []
+        assert system.reduce(target, steps) == {}
+        assert framed_sum(self.RELATIONS, system.proof(steps)) == target
+
+    def test_refuses_past_the_rule_limit(self, monkeypatch):
+        monkeypatch.setattr(rewriting, "MAX_RULES", 3)
+        with pytest.raises(ResourceLimitError):
+            complete([1, 1], self.RELATIONS[:1], 10)
 
 
 TORI = [SurfaceParams(1, 0, 2), SurfaceParams(1, 0, 3), SurfaceParams(1, 0, 4)]

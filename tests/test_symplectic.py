@@ -336,6 +336,21 @@ class TestTwistRedundancy:
         assert symp_twist_redundancy(SurfaceParams(1, 0, 2))
         assert symp_twist_redundancy(SurfaceParams(1, 0, 3))
 
+    @pytest.mark.parametrize("surface", [(1, 0, 2), (1, 1, 3), (2, 0, 2), (1, 2, 2)])
+    def test_agrees_with_elimination(self, surface):
+        # each chord in the span of the degree-2 relations and of every
+        # word of two degree-1 generators
+        s = SurfaceParams(*surface)
+        reducer = ExactReducer(track_provenance=False)
+        for rel in symp_relations(s, 2):
+            reducer.insert(dict(rel))
+        for w in words_of_degree(s, 2):
+            if all(generator_degree(g) == 1 for g in w):
+                reducer.insert({w: 1})
+        expected = all(reducer.contains({(("Z", i, j),): 1})
+                       for i in range(1, s.strands + 1) for j in range(i + 1, s.strands + 1))
+        assert symp_twist_redundancy(s) == expected
+
     def test_needs_genus(self):
         with pytest.raises(HypothesisError):
             symp_twist_redundancy(SurfaceParams(0, 1, 2))
