@@ -628,7 +628,8 @@ class _Box:
 
     def word(self, mono: Monomial, length: int) -> tuple:
         """``mono`` padded with ``t`` to ``length`` beads."""
-        return tuple(self.code[sym] for sym in mono) + (len(self.symbols),) * (length - bead_length(mono))
+        pad = (len(self.symbols),) * (length - bead_length(mono))
+        return tuple(self.code[sym] for sym in mono) + pad
 
     def mono(self, word: tuple) -> Monomial:
         return tuple(self.symbols[x] for x in word if x < len(self.symbols))
