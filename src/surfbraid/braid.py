@@ -370,71 +370,79 @@ def apply_move(word: BraidWord, move: Move) -> BraidWord:
     return free_reduce(word[:move.pos] + move.inserted + word[end:])
 
 
-def _inverse_code(word: tuple) -> tuple:
-    return tuple(-x for x in reversed(word))
-
-
-def _splice(head: tuple, inserted: tuple, tail: tuple) -> tuple:
-    """``free_reduce(head + inserted + tail)`` for three freely reduced
-    int-coded words: cancellation can only happen at the two seams."""
-    if head and inserted and head[-1] == -inserted[0]:
+def _splice(head: str, inserted: str, tail: str) -> str:
+    """``free_reduce(head + inserted + tail)`` for three freely reduced words
+    with one character per letter: cancellation can only happen at the two
+    seams, where a letter meets its inverse (the code with the low bit
+    flipped)."""
+    if head and inserted and ord(head[-1]) ^ ord(inserted[0]) == 1:
         i, n = 1, min(len(head), len(inserted))
-        while i < n and head[-1 - i] == -inserted[i]:
+        while i < n and ord(head[-1 - i]) ^ ord(inserted[i]) == 1:
             i += 1
         left = head[:-i] + inserted[i:]
     else:
         left = head + inserted
-    if left and tail and left[-1] == -tail[0]:
+    if left and tail and ord(left[-1]) ^ ord(tail[0]) == 1:
         j, n = 1, min(len(left), len(tail))
-        while j < n and left[-1 - j] == -tail[j]:
+        while j < n and ord(left[-1 - j]) ^ ord(tail[j]) == 1:
             j += 1
         return left[:-j] + tail[j:]
     return left + tail
 
 
 class _MoveTable:
-    """Every relator move of one surface, on int-coded letters: a letter has
-    a positive id and its inverse the negated id.
+    """Every relator move of one surface, on words with one character per
+    letter: letter id ``k`` is ``chr(2k)`` and its inverse ``chr(2k + 1)``,
+    so inverting a letter flips the low bit of its code.
 
     For each rotation r of a relator or its inverse and each split r = P.S,
     the move rewrites P into S^-1 (P empty inserts a relator conjugate).
-    ``subs`` maps each removed word P to its ``(inserted, family)`` pairs,
-    ordered by ``word_sort_key`` of the inserted word, first family kept;
-    ``lengths`` holds the removed lengths, ascending.  Scanning the lengths
-    in order and each group in order visits the moves that apply at one
-    position in the order of one list sorted by (removed, inserted).
-    ``bases`` are the relators and their inverses, as letter words, that
-    ``random_relator_rewrite`` inserts."""
+    ``subs`` maps each removed word P to its moves ``(inserted, family,
+    first, last)``, ordered by ``word_sort_key`` of the inserted word, first
+    family kept; ``first`` and ``last`` are the inverses of the inserted
+    word's first and last letters (both empty for the empty word), so a
+    caller sees that no seam cancels without calling ``_splice``.  ``lengths`` holds the
+    removed lengths, ascending.  Scanning the lengths in order and each
+    group in order visits the moves that apply at one position in the order
+    of one list sorted by (removed, inserted).  ``bases`` are the relators
+    and their inverses, as letter words, that ``random_relator_rewrite``
+    inserts."""
 
     def __init__(self, s: SurfaceParams):
         rels = relators(s)
-        self.ids: dict[tuple, int] = {}
-        self.letters: dict[int, tuple] = {}
+        self.chars: dict[tuple, str] = {}
+        self.letters: dict[str, tuple] = {}
         for k, (kind, idx, _) in enumerate(
-                [_s(i) for i in range(1, s.strands)] + _loop_letters(s), 1):
-            for sign in (1, -1):
-                self.ids[(kind, idx, sign)] = sign * k
-                self.letters[sign * k] = (kind, idx, sign)
-        rank = {x: letter_sort_key(l) for l, x in self.ids.items()}
+                [_s(i) for i in range(1, s.strands)] + _loop_letters(s)):
+            for bit, sign in ((0, 1), (1, -1)):
+                self.chars[(kind, idx, sign)] = chr(2 * k + bit)
+                self.letters[chr(2 * k + bit)] = (kind, idx, sign)
+        self.flip = {ord(c): ord(c) ^ 1 for c in self.letters}
+        # letters tied in letter_sort_key (s_i and z_i) share a rank character,
+        # so the stable sort below keeps their insertion order
+        keys = sorted({letter_sort_key(l) for l in self.chars})
+        rank = {ord(c): keys.index(letter_sort_key(l)) for l, c in self.chars.items()}
         pieces: dict[tuple, str] = {}
         for rel in rels:
             code = self.encode(rel.word)
-            for base in (code, _inverse_code(code)):
+            for base in (code, self.inverse(code)):
                 for r in range(len(base)):
                     # relators are freely reduced: a rotation cancels at its seam
-                    rot = _splice(base[r:], (), base[:r])
-                    for k in range(len(rot) + 1):
-                        removed, inserted = rot[:k], _inverse_code(rot[k:])
+                    rot = _splice(base[r:], "", base[:r])
+                    inv, m = self.inverse(rot), len(rot)
+                    for k in range(m + 1):
+                        removed, inserted = rot[:k], inv[:m - k]
                         if removed != inserted:
                             pieces.setdefault((removed, inserted), rel.family)
 
-        def key(w):
-            return len(w), tuple(rank[x] for x in w)
-
-        subs: dict[tuple, list] = {}
+        subs: dict[str, list] = {}
         for (removed, inserted), family in sorted(
-                pieces.items(), key=lambda t: (key(t[0][0]), key(t[0][1]))):
-            subs.setdefault(removed, []).append((inserted, family))
+                pieces.items(), key=lambda t: (
+                    len(t[0][0]), t[0][0].translate(rank),
+                    len(t[0][1]), t[0][1].translate(rank))):
+            subs.setdefault(removed, []).append((
+                inserted, family,
+                inserted[:1].translate(self.flip), inserted[-1:].translate(self.flip)))
         self.subs = {removed: tuple(group) for removed, group in subs.items()}
         self.lengths = tuple(sorted({len(removed) for removed in subs}))
         self.bases = tuple(
@@ -442,11 +450,14 @@ class _MoveTable:
             for rel in rels for base in (rel.word, inverse_word(rel.word))
         )
 
-    def encode(self, word: BraidWord) -> tuple:
-        return tuple(self.ids[l] for l in word)
+    def encode(self, word: BraidWord) -> str:
+        return "".join([self.chars[l] for l in word])
 
-    def decode(self, code: tuple) -> BraidWord:
-        return tuple(self.letters[x] for x in code)
+    def decode(self, code: str) -> BraidWord:
+        return tuple([self.letters[c] for c in code])
+
+    def inverse(self, code: str) -> str:
+        return code[::-1].translate(self.flip)
 
 
 # one table per live SurfaceParams object; it goes with the object
@@ -474,13 +485,17 @@ def bounded_equal(
     without reaching v.
 
     The moves come from the surface's move table, built on first use and
-    kept while the ``SurfaceParams`` object lives.  At each position of a
-    word the search probes the table once per removed length and splices
-    each inserted word in by cancelling at the two seams only.  Words are
-    expanded in frontier order, positions left to right, and the moves at
-    one position by (removed length, removed, inserted) in the fixed
-    letter order, so the moves returned and the word count at which the
-    budget stops are fixed by the inputs."""
+    kept while the ``SurfaceParams`` object lives.  Words are strings with
+    one character per letter, so each is hashed once.  At each position of
+    a word the search probes the table once per removed length; an
+    inserted word is concatenated in where neither seam cancels and
+    spliced by ``_splice`` otherwise.  Words of the last level are only
+    recorded as seen: they keep no parent record and form no frontier,
+    and the move that reaches v there is handed to the path directly.
+    Words are expanded in frontier order, positions left to right, and the
+    moves at one position by (removed length, removed, inserted) in the
+    fixed letter order, so the moves returned and the word count at which
+    the budget stops are fixed by the inputs."""
     check_braid_word(u, s)
     check_braid_word(v, s)
     start, target = free_reduce(u), free_reduce(v)
@@ -489,17 +504,21 @@ def bounded_equal(
     table = _move_table(s)
     subs, lengths = table.subs, table.lengths
     start_code, target_code = table.encode(start), table.encode(target)
-    # word -> (previous word, position, removed length, inserted, family)
-    parents: dict[tuple, tuple] = {}
+    # word -> the step that first reached it: (previous word, position,
+    # removed length, inserted, family)
+    parents: dict[str, tuple] = {}
     frontier = [start_code]
     seen = {start_code}
 
-    def path_to(w: tuple) -> Equality:
+    def path_to(step: tuple) -> Equality:
         moves: list[Move] = []
-        while w != start_code:
-            w, pos, k, inserted, family = parents[w]
+        while True:
+            w, pos, k, inserted, family = step
             moves.append(Move(pos, table.decode(w[pos:pos + k]),
                               table.decode(inserted), family))
+            if w == start_code:
+                break
+            step = parents[w]
         moves.reverse()
         check = start
         for mv in moves:
@@ -508,28 +527,34 @@ def bounded_equal(
             raise SurfbraidError("internal error: move replay failed")
         return Equality("equal", tuple(moves), len(seen) - 1)
 
-    for _ in range(depth):
-        next_frontier: list[tuple] = []
+    for level in range(1, depth + 1):
+        last_level = level == depth
+        next_frontier: list[str] = []
         for w in frontier:
             n = len(w)
             for pos in range(n + 1):
-                head = w[:pos]
+                head, h = w[:pos], w[pos - 1:pos]
                 for k in lengths:
                     if pos + k > n:
                         break
                     group = subs.get(w[pos:pos + k])
                     if group is None:
                         continue
-                    tail = w[pos + k:]
-                    for inserted, family in group:
-                        nxt = _splice(head, inserted, tail)
+                    tail, t = w[pos + k:], w[pos + k:pos + k + 1]
+                    for inserted, family, first, last in group:
+                        # an empty inserted word has no seam letters: splice it
+                        if inserted and h != first and t != last:
+                            nxt = head + inserted + tail
+                        else:
+                            nxt = _splice(head, inserted, tail)
                         if nxt in seen:
                             continue
                         seen.add(nxt)
-                        parents[nxt] = (w, pos, k, inserted, family)
                         if nxt == target_code:
-                            return path_to(nxt)
-                        next_frontier.append(nxt)
+                            return path_to((w, pos, k, inserted, family))
+                        if not last_level:
+                            parents[nxt] = (w, pos, k, inserted, family)
+                            next_frontier.append(nxt)
                         if len(seen) - 1 >= node_budget:
                             raise ResourceLimitError(
                                 f"node budget of {node_budget} words exhausted "
@@ -561,7 +586,7 @@ def random_relator_rewrite(word: BraidWord, s: SurfaceParams, rng) -> tuple[Brai
             if pos + k > len(code):
                 break
             if k:
-                for inserted, family in table.subs.get(code[pos:pos + k], ()):
+                for inserted, family, _, _ in table.subs.get(code[pos:pos + k], ()):
                     subs.append((pos, k, inserted, family))
     total = len(subs) + len(table.bases) * (len(word) + 1)
     if not total:

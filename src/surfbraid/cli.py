@@ -207,14 +207,14 @@ def _run(args) -> int:
             v = parse_braid_word(args.word2, s)
             res = bounded_equal(u, v, s, args.depth, cfg.node_budget)
             if res.is_equal:
-                print(f"Equal moves={len(res.moves)}")
+                print(f"Equal moves={len(res.moves)} nodes={res.nodes}")
                 for mv in res.moves:
                     print(
                         f"  at {mv.pos}: {format_word(mv.removed)} -> "
                         f"{format_word(mv.inserted)} [{mv.family}]"
                     )
             else:
-                print("Unknown")
+                print(f"Unknown nodes={res.nodes}")
                 return EXIT_NEGATIVE
         return EXIT_OK
 

@@ -437,6 +437,48 @@ class TestMoveTableAgainstReference:
             assert bounded_equal(u, v, s, depth=1, node_budget=eq.nodes + 1) == eq
             assert bounded_equal(u, u, s, depth=1).nodes == 0
 
+    def test_groups_hold_the_reference_order(self):
+        # (0,2,3) and (1,2,2) tie s_i with z_i in letter_sort_key, so a wrong
+        # tie order in the table's sort shows up here first
+        for s in SURFACES:
+            table = braid._move_table(s)
+            flat = []
+            for k in table.lengths:
+                for removed, group in table.subs.items():
+                    if len(removed) != k:
+                        continue
+                    for inserted, family, first, last in group:
+                        flat.append((table.decode(removed), table.decode(inserted), family))
+                        assert table.decode(first) == inverse_word(table.decode(inserted[:1]))
+                        assert table.decode(last) == inverse_word(table.decode(inserted[-1:]))
+            # the reference interleaves tied removed words (s1 and z1) in one
+            # flat list; the table groups each removed word, keeping its order
+            ref: dict = {}
+            for removed, inserted, family in ref_move_pieces(s):
+                ref.setdefault(removed, []).append((removed, inserted, family))
+            assert flat == [piece for group in ref.values() for piece in group]
+
+    def test_depth_two_runs_its_last_level_to_the_end(self):
+        # Unknown: every word of the second level is generated
+        u, v = (), parse_braid_word("s1", S112)
+        eq = bounded_equal(u, v, S112, depth=2)
+        assert eq == ref_bounded_equal(u, v, S112, 2)
+        assert eq.status == "unknown" and eq.nodes == 12596
+        with pytest.raises(ResourceLimitError):
+            bounded_equal(u, v, S112, depth=2, node_budget=eq.nodes)
+        assert bounded_equal(u, v, S112, depth=2, node_budget=eq.nodes + 1) == eq
+        # Equal, found on the second level after thousands of words
+        u = parse_braid_word("s1", S112)
+        v = parse_braid_word(
+            "s1 a1 s1^-1 a1 s1^-1 a1^-1 s1 a1^-1 b1 s1^-1 b1 s1 b1^-1 s1 b1^-1", S112)
+        eq = bounded_equal(u, v, S112, depth=2)
+        assert eq == ref_bounded_equal(u, v, S112, 2)
+        assert eq.is_equal and len(eq.moves) == 2 and eq.nodes == 4302
+        # the budget is checked after the target, as in the reference
+        assert bounded_equal(u, v, S112, depth=2, node_budget=eq.nodes) == eq
+        assert outcome(bounded_equal, u, v, S112, 2, eq.nodes - 1) == \
+            outcome(ref_bounded_equal, u, v, S112, 2, eq.nodes - 1)
+
     def test_table_lives_with_its_surface(self, monkeypatch):
         built = []
         table_class = braid._MoveTable

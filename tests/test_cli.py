@@ -63,7 +63,7 @@ class TestBraidCommands:
     def test_equal_positive(self, capsys):
         code, out, _ = run(capsys, ["braid", "equal", *S112, "s1 s1^-1", "1"])
         assert code == EXIT_OK
-        assert out == "Equal moves=0\n"
+        assert out == "Equal moves=0 nodes=0\n"
 
     def test_equal_with_moves(self, capsys):
         # one handle-relation rewrite turns the commutator into s1^2
@@ -73,8 +73,7 @@ class TestBraidCommands:
         )
         assert code == EXIT_OK
         lines = out.splitlines()
-        assert lines[0].startswith("Equal moves=")
-        assert int(lines[0].split("=")[1]) >= 1
+        assert lines[0] == "Equal moves=1 nodes=30"
         assert all(line.startswith("  at ") for line in lines[1:])
 
     def test_equal_unknown(self, capsys):
@@ -82,7 +81,7 @@ class TestBraidCommands:
             capsys, ["braid", "equal", *S112, "--depth", "1", "a1", "b1"]
         )
         assert code == EXIT_NEGATIVE
-        assert out == "Unknown\n"
+        assert out == "Unknown nodes=88\n"
 
     def test_equal_node_budget_exits_resource(self, capsys):
         code, out, err = run(
