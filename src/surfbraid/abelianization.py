@@ -6,12 +6,12 @@ or ``zbar_k``) with its sign as an integer exponent, every chord maps to
 the single degree-one variable ``Z12``, and a permutation contributes
 ``tau`` raised to its parity (``tau^2 = 1``).  The computation is exact
 over the rationals.  Integer structure (torsion of the degree-one piece)
-is answered separately by ``degree_one_torsion``: it homogenizes the
-relations with a commuting letter ``t``, completes them once with
-``rewriting.complete`` and counts normal words.  When every leading
-coefficient of the completion is +-1 the diamond lemma holds over the
-integers, so the normal words are a basis and the piece is free; when one
-is not, the check refuses rather than guess.
+is answered separately by ``degree_one_torsion``: it counts normal words
+in the box completion that windowed membership uses (``diagrams._box``,
+the relations homogenized by a commuting letter ``t``).  When every
+leading coefficient of the completion is +-1 the diamond lemma holds over
+the integers, so the normal words are a basis and the piece is free; when
+one is not, the check refuses rather than guess.
 """
 
 from __future__ import annotations
@@ -23,13 +23,13 @@ from .braid import perm_sign
 from .diagrams import (
     Truncation,
     WreathDiagram,
-    bead_length,
+    _box,
     bead_multidegree,
     chord_degree,
     relation_instances,
 )
-from .errors import HypothesisError, UnsupportedDegreeError
-from .rewriting import RewritingSystem, complete
+from .errors import HypothesisError, ParameterError, UnsupportedDegreeError
+from .rewriting import RewritingSystem
 from .surface import SurfaceParams
 
 # an H1 element maps keys (z_exponent, tau_bit, ((kind, idx), net), ...) to
@@ -146,87 +146,65 @@ def format_torsion_report(rep: TorsionReport) -> str:
     ])
 
 
-def _bead_symbols(s: SurfaceParams) -> list:
-    return [("B", i, let) for i in range(1, s.strands + 1) for let in s.pi1_letters()]
-
-
-def _chord_symbols(s: SurfaceParams) -> list:
-    return [
-        ("C", i, j)
-        for i in range(1, s.strands + 1)
-        for j in range(i + 1, s.strands + 1)
-    ]
-
-
 def degree_one_torsion(s: SurfaceParams, trunc: Truncation = Truncation()) -> TorsionReport:
     """Rank and integer torsion of the chord-degree-1 relation span at the
     given truncation, from one completion of the relations.
 
     The span is that of every chord-degree <= 1 relation instance framed by
-    monomials on both sides within ``trunc.max_beads = L`` beads.  Each
-    instance becomes a homogeneous relation in letters of weight 1: one per
-    bead symbol, one per chord and a letter ``t`` that commutes with every
-    other, padding each term up to the instance's largest bead length.  A
-    chord-degree-1 monomial of k <= L beads is then a word of L + 1 letters,
-    one chord and ``t^(L-k)``, and the framed span is the ideal's piece of
-    degree L + 1 with one chord.  The padding is what makes a completion
-    bounded at L + 1 exact there: unpadded, ``gamma gamma^-1 - 1`` yields
-    rules derived through words longer than the window, which then act
-    inside it and identify more than the framed span does.
+    monomials on both sides within ``trunc.max_beads = L`` beads.  The
+    completion is the box of ``diagrams._box`` over every base letter, at
+    window L and chord degree 1, the one windowed membership reads: each
+    instance padded up to its largest bead length with a letter ``t`` that
+    commutes with every other, and every ambiguity with at most one chord
+    and L beads and ``t`` resolved.  A chord-degree-1 monomial of k <= L
+    beads is then a word of one chord, k beads and ``t^(L-k)``, and the
+    framed span is the ideal's piece of the box with one chord and L other
+    letters.  The padding is what makes a completion bounded at L exact
+    there: unpadded, ``gamma gamma^-1 - 1`` yields rules derived through
+    words longer than the window, which then act inside it and identify
+    more than the framed span does.
 
     Bergman's diamond lemma holds over any commutative ring: rules whose
-    leading coefficients are +-1 and that resolve every ambiguity up to
-    degree L + 1 leave the normal words of that degree a basis of the
-    quotient over the integers.  So when ``complete`` divided only by +-1,
-    the piece is free: the report is torsion-free with no divisor above 1,
-    as a proof, and ``rank`` is ``columns`` minus the normal words with one
-    chord.  Otherwise the answer is unknown, and ``HypothesisError`` names
-    the coefficient.  ``rows`` is the number of relation instances
-    completed.
+    leading coefficients are +-1 and that resolve every ambiguity in that
+    piece leave its normal words a basis of the quotient over the integers.
+    So when the completion divided only by +-1, the piece is free: the
+    report is torsion-free with no divisor above 1, as a proof, and
+    ``rank`` is ``columns`` minus the normal words with one chord.
+    Otherwise the answer is unknown, and ``HypothesisError`` names the
+    coefficient.  ``rows`` is the number of relation instances completed.
+    A truncation without chords has no chord-degree-1 piece:
+    ``ParameterError``.
     """
+    if trunc.max_chords < 1:
+        raise ParameterError("the chord-degree-1 piece needs a truncation with chords")
     L = trunc.max_beads
-    beads, chords = _bead_symbols(s), _chord_symbols(s)
-    letter = {sym: x for x, sym in enumerate(beads + chords)}
-    t = len(letter)
-    instances = []
-    for inst in relation_instances(s, trunc):
-        if inst.element.max_chord_degree() <= 1:
-            terms = inst.mono_terms()
-            rl = max(bead_length(m) for m, _ in terms)
-            instances.append({tuple(letter[sym] for sym in m) + (t,) * (rl - bead_length(m)):
-                              int(c) for m, c in terms})
-    commutators = [{(x, t): 1, (t, x): -1} for x in range(t)]
-    system = complete([1] * (t + 1), instances + commutators, L + 1)
-    if system.non_unit_lead is not None:
+    box = _box(s, tuple(sorted({let[:2] for let in s.pi1_letters()})), trunc, L, 1)
+    if box.system.non_unit_lead is not None:
         raise HypothesisError(
             f"torsion unknown on genus {s.genus}, boundary {s.boundary}, "
             f"{s.strands} strands at {L} beads: the completion divided by the "
-            f"leading coefficient {system.non_unit_lead}, so its normal words "
+            f"leading coefficient {box.system.non_unit_lead}, so its normal words "
             "need not be a basis over the integers"
         )
+    chords = sum(sym[0] == "C" for sym in box.symbols)
+    beads = len(box.symbols) - chords
 
     def normal_words(chord_weight: int) -> int:
         # normal words of weight 2L + 1: with chords of weight L + 1 these
         # are one chord and L other letters, or 2L + 1 letters and no chord
-        weights = [1] * len(beads) + [chord_weight] * len(chords) + [1]
-        return RewritingSystem(weights, system.rules).normal_word_counts(2 * L + 1)[-1]
+        weights = [chord_weight] * chords + [1] * (beads + 1)
+        return RewritingSystem(weights, box.system.rules).normal_word_counts(2 * L + 1)[-1]
 
-    columns = _count_degree_one_monomials(s, L)
+    columns = chords * sum((k + 1) * beads ** k for k in range(L + 1))
     return TorsionReport(
         surface=s,
         trunc=trunc,
         columns=columns,
-        rows=len(instances),
+        rows=sum(rid is not None for rid in box.rids),
         rank=columns - (normal_words(L + 1) - normal_words(2 * L + 2)),
         divisors_gt_one=(),
         torsion_free=True,
     )
-
-
-def _count_degree_one_monomials(s: SurfaceParams, max_beads: int) -> int:
-    b = len(_bead_symbols(s))
-    z = len(_chord_symbols(s))
-    return sum((b ** k) * (k + 1) * z for k in range(max_beads + 1))
 
 
 def relation_classes_killed(s: SurfaceParams, trunc: Truncation) -> bool:

@@ -37,16 +37,17 @@ too weak to transport conjugated chords from one strand to the other.
 ``ideal_member`` answers membership at a bead window.  It first rewrites
 the query to its bead normal form, and on the closed torus on to the
 exponent form ``a1^m b1^k`` per strand, with ``rewriting.RewritingSystem``
-over one table of rules per surface; each rule carries its proof as
-relation rows, so the rewriting steps frame into a certificate, and the
-same table is what the confluence tests check.  Except on closed surfaces
-of genus >= 2 that normal form decides chord degree <= 1: its rules are a
-complete rewriting system there, so a non-zero normal form is a proven
-NotMember, and a vanishing one a Member.  Everything else is decided by
-one completion truncated to the window: NotMemberAtWindow is proven at
-that window, not against the whole ideal.  Member answers return a
-certificate that is re-expanded and compared with the input before being
-returned.
+over one table of rules per surface; each rule carries its proof as a
+derivation from relation rows, so the rewriting steps expand into a
+certificate, and the same table is what the confluence tests check.
+Except on closed surfaces of genus >= 2 that normal form decides chord
+degree <= 1: its rules are a complete rewriting system there, so a
+non-zero normal form is a proven NotMember, and a vanishing one a Member.
+Everything else is decided by one completion truncated to a box of the
+window (``_box``), the same box the torsion report of ``abelianization``
+counts normal words in: NotMemberAtWindow is proven at that window, not
+against the whole ideal.  Member answers return a certificate that is
+re-expanded and compared with the input before being returned.
 """
 
 from __future__ import annotations
@@ -342,7 +343,8 @@ def _letter_name(let) -> str:
 
 def relation_instances(s: SurfaceParams, trunc: Truncation) -> list[RelationInstance]:
     """Every relation instance with single-letter beads that fits the
-    truncation (longer bead words reduce to these inside the span search)."""
+    truncation.  A relation with a longer bead word, such as ``a1 b1``
+    sliding across a chord, is a sum of these framed by monomials."""
     n = s.strands
     letters = s.pi1_letters()
     ident = identity_perm(n)
@@ -502,34 +504,40 @@ class Membership:
 
 
 @dataclass(frozen=True)
-class _RuleTable:
-    """The normal-form rules of one surface over int-coded symbols, each
-    with its proof: ``proofs[lead]`` lists ``(coef, left, relation id,
-    right)`` rows whose framed relations sum to ``lead - tail``."""
+class _CodedSystem:
+    """Rewriting rules over int-coded chord and bead symbols: the rule table
+    of a surface, or a box, whose words are padded with a letter ``t`` (code
+    ``len(symbols)``) that commutes with every other.  Each rule's proof is
+    its derivation in ``system.derivations``, whose input relation ``index``
+    is instance ``rids[index]``, or a commutator ``x t - t x`` when that is
+    None."""
 
-    symbols: tuple  # code -> bead or chord symbol
-    code: dict  # bead or chord symbol -> code
-    rules: RewritingSystem  # the bead rules, and the swaps on the closed torus
-    proofs: dict
+    symbols: tuple  # code -> chord or bead symbol
+    code: dict  # chord or bead symbol -> code
+    system: RewritingSystem | None = None
+    rids: tuple = ()
 
-    def word(self, mono: Monomial) -> tuple:
-        return tuple(self.code[sym] for sym in mono)
+    def word(self, mono: Monomial, length: int = 0) -> tuple:
+        """``mono`` padded with ``t`` up to ``length`` beads."""
+        pad = (len(self.symbols),) * (length - bead_length(mono))
+        return tuple(self.code[sym] for sym in mono) + pad
 
     def mono(self, word: tuple) -> Monomial:
-        return tuple(self.symbols[x] for x in word)
+        return tuple(self.symbols[x] for x in word if x < len(self.symbols))
 
-    def rows(self, steps):
-        """The relation rows of rewriting steps ``(coef, left, lead, right)``,
-        as ``(coef, left, relation id, right)``: they sum to what the steps
-        took away."""
-        for coef, left, lead, right in steps:
-            left, right = self.mono(left), self.mono(right)
-            for c, inner_left, rid, inner_right in self.proofs[lead]:
-                yield coef * c, left + inner_left, rid, inner_right + right
+    def rows(self, steps, perm) -> list[CertificateTerm]:
+        """The relation rows of rewriting steps ``(coef, left, lead, right)``
+        with ``t`` erased, which erases the commutators: they sum to what
+        the steps took away."""
+        acc: dict = {}
+        for (left, index, right), c in self.system.proof(steps).items():
+            if self.rids[index] is not None:
+                _add(acc, (self.mono(left), self.rids[index], self.mono(right)), c)
+        return [CertificateTerm(Fraction(c), *key, perm) for key, c in acc.items()]
 
 
 @functools.lru_cache(maxsize=None)
-def _rule_table(s: SurfaceParams) -> _RuleTable:
+def _rule_table(s: SurfaceParams) -> _CodedSystem:
     """The rules of the bead normal form: an inverse bead pair on one strand
     cancels (BeadGroup), a bead slides right across a chord, onto the
     chord's other strand when it sits on the chord (BeadPush, BeadFar), and
@@ -541,34 +549,39 @@ def _rule_table(s: SurfaceParams) -> _RuleTable:
         b^e a^d - a^d b^e = -e d . L ClosedSum[i] R + BeadGroup rows,
 
     with ``L`` the inverse letters among ``a^d, b^e`` in that order and ``R``
-    its reverse; the bead rules' trace finds the BeadGroup rows."""
+    its reverse; its derivation keeps the bead rules' steps that find the
+    BeadGroup rows, naming their leading words."""
     n = s.strands
     beads = [bead(i, let) for i in range(1, n + 1) for let in s.pi1_letters()]
     chords = [chord(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     symbols = tuple(beads + chords)
-    weights = [1] * len(symbols)
-    table = _RuleTable(symbols, {sym: x for x, sym in enumerate(symbols)},
-                       RewritingSystem(weights), {})
+    table = _CodedSystem(symbols, {sym: x for x, sym in enumerate(symbols)},
+                         RewritingSystem([1] * len(symbols)))
+    rids: list = []
 
-    def add(lead, tail, proof):
-        table.rules.add_rule(table.word(lead), {table.word(tail): 1})
-        table.proofs[table.word(lead)] = tuple(proof)
+    def add(lead, tail, rid, coef=1, frame=(), steps=()):
+        # derivation: ``coef . frame rid reversed(frame)``, then the steps
+        # by earlier rules
+        word = table.word(lead)
+        table.system.add_rule(word, {table.word(tail): 1})
+        table.system.derivations[word] = (
+            (coef, table.word(frame), len(rids), table.word(frame[::-1])), *steps)
+        rids.append(rid)
 
     for b in beads:
         _, i, let = b
         name = _letter_name(let)
-        add((b, bead(i, (let[0], let[1], -let[2]))), (), [(1, (), f"BeadGroup[{name}@{i}]", ())])
+        add((b, bead(i, (let[0], let[1], -let[2]))), (), f"BeadGroup[{name}@{i}]")
         for c in chords:
             _, lo, hi = c
             if i in (lo, hi):
                 other = lo + hi - i
-                add((b, c), (c, bead(other, let)), [(1, (), f"BeadPush[{name};{i}>{other}]", ())])
+                add((b, c), (c, bead(other, let)), f"BeadPush[{name};{i}>{other}]")
             else:
-                add((b, c), (c, b), [(1, (), f"BeadFar[{name}@{i};{lo},{hi}]", ())])
+                add((b, c), (c, b), f"BeadFar[{name}@{i};{lo},{hi}]")
         for a in beads:
             if a[1] < i:
-                rid = f"BeadBead[{_letter_name(a[2])}@{a[1]},{name}@{i}]"
-                add((b, a), (a, b), [(-1, (), rid, ())])
+                add((b, a), (a, b), f"BeadBead[{_letter_name(a[2])}@{a[1]},{name}@{i}]", -1)
     swaps = []
     if s.closed and s.genus == 1:
         for i in range(1, n + 1):
@@ -583,12 +596,11 @@ def _rule_table(s: SurfaceParams) -> _RuleTable:
                                     (lf + bare + lf[::-1], -k), (lf + bare[::-1] + lf[::-1], k)):
                         _add(rest, table.word(mono), c)
                     steps: list = []
-                    table.rules.reduce(rest, steps)  # to zero, checked by the tests
-                    swaps.append(((b, a), (a, b), [(k, lf, f"ClosedSum[{i}]", lf[::-1]),
-                                                   *table.rows(steps)]))
+                    table.system.reduce(rest, steps)  # to zero, checked by the tests
+                    swaps.append(((b, a), (a, b), f"ClosedSum[{i}]", k, lf, steps))
     for swap in swaps:  # after the bead rules alone have traced every proof
         add(*swap)
-    return table
+    return replace(table, rids=tuple(rids))
 
 
 def _support_letters(x: WreathDiagram) -> set:
@@ -614,47 +626,21 @@ def expand_certificate(
     return total
 
 
-@dataclass(frozen=True)
-class _Box:
-    """A completion over chords, then beads, then a letter ``t`` (code
-    ``len(symbols)``) that commutes with every other; input relation
-    ``index`` is instance ``rids[index]``, or a commutator ``x t - t x`` when
-    that is None."""
-
-    symbols: tuple  # code -> chord or bead symbol
-    code: dict  # chord or bead symbol -> code
-    system: RewritingSystem | None = None
-    rids: tuple = ()
-
-    def word(self, mono: Monomial, length: int) -> tuple:
-        """``mono`` padded with ``t`` to ``length`` beads."""
-        pad = (len(self.symbols),) * (length - bead_length(mono))
-        return tuple(self.code[sym] for sym in mono) + pad
-
-    def mono(self, word: tuple) -> Monomial:
-        return tuple(self.symbols[x] for x in word if x < len(self.symbols))
-
-    def rows(self, steps, perm) -> list[CertificateTerm]:
-        """The relation rows of rewriting steps with ``t`` erased, which
-        erases the commutators."""
-        acc: dict = {}
-        for (left, index, right), c in self.system.proof(steps).items():
-            if self.rids[index] is not None:
-                _add(acc, (self.mono(left), self.rids[index], self.mono(right)), c)
-        return [CertificateTerm(Fraction(c), *key, perm) for key, c in acc.items()]
-
-
 @functools.lru_cache(maxsize=None)
-def _box(s: SurfaceParams, letters: tuple, trunc: Truncation, window: int, degree: int) -> _Box:
+def _box(s: SurfaceParams, letters: tuple, trunc: Truncation, window: int,
+         degree: int) -> _CodedSystem:
     """The instances of ``relation_instances(s, trunc)`` on the base
-    ``letters``, padded with ``t`` to their longest term, completed over the
-    words of at most ``degree`` chords and ``window`` beads and ``t``."""
+    ``letters`` with at most ``degree`` chords, padded with ``t`` to their
+    longest term, completed over the words of at most ``degree`` chords and
+    ``window`` beads and ``t``.  Ideal membership and the torsion report
+    (``abelianization.degree_one_torsion``) both read it."""
     n = s.strands
     chords = [chord(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     symbols = tuple(chords + [bead(i, let) for i in range(1, n + 1)
                               for let in s.pi1_letters() if let[:2] in letters])
-    box = _Box(symbols, {sym: x for x, sym in enumerate(symbols)})
-    insts = [inst for inst in relation_instances(s, trunc) if _instance_applicable(inst, letters)]
+    box = _CodedSystem(symbols, {sym: x for x, sym in enumerate(symbols)})
+    insts = [inst for inst in relation_instances(s, trunc)
+             if inst.element.max_chord_degree() <= degree and _instance_applicable(inst, letters)]
     t = len(symbols)
     relations = [{box.word(mono, max(bead_length(m) for m, _ in inst.mono_terms())): int(c)
                   for mono, c in inst.mono_terms()} for inst in insts]
@@ -681,10 +667,10 @@ def ideal_member(
 
     The surface's rule table (``_rule_table``) rewrites the query to its
     bead normal form, on the closed torus on to the exponent form ``a1^m
-    b1^k`` per strand, every step framing its rule's proof into relation
-    rows kept for the certificate.  The ideal is graded by permutation and
-    chord degree, so x is a member exactly when every (permutation, chord
-    degree) component of the normal form is; a vanishing one is.  Except on
+    b1^k`` per strand, keeping its rewriting steps.  The ideal is graded by
+    permutation and chord degree, so x is a member exactly when every
+    (permutation, chord degree) component of the normal form is; a
+    vanishing one is.  Except on
     closed surfaces of genus >= 2 the chord-degree <= 1 rules resolve every
     ambiguity (Bergman's diamond lemma), so a non-zero chord-degree <= 1
     normal form is NotMember at every window, with it as witness.
@@ -692,7 +678,8 @@ def ideal_member(
     Every other non-zero component, padded with a central letter ``t`` to
     ``window`` beads, is reduced by the relations padded likewise and
     completed over every ambiguity with at most its chord degree and at most
-    ``window`` beads and ``t`` (``_box``, cached).  Both counts are
+    ``window`` beads and ``t`` (``_box``, cached and shared with the torsion
+    report), keeping these steps too.  Both counts are
     homogeneous, so by the diamond lemma in each piece of that box it
     reduces to zero exactly when it is a member at ``window``.  If one does
     not, the answer is NotMemberAtWindow, proven at ``window`` only and not
@@ -702,8 +689,10 @@ def ideal_member(
     completion takes only the query's bead letters: sending the others to 1
     maps every relation into the ideal of the rest and lengthens nothing.
 
-    With ``certify=False`` the certificate is None: it is neither expanded
-    nor re-expanded against x.  Raises DimensionMismatchError when x and s
+    Only a certified Member frames the kept steps, once: each system's
+    ``RewritingSystem.proof`` expands them through its rules' derivations
+    into relation rows, the certificate, which is re-expanded against x.
+    With ``certify=False`` the certificate is None.  Raises DimensionMismatchError when x and s
     have different strand counts, TruncationOverflowError when a monomial
     of x does not fit ``trunc`` or x carries the overflow flag (it lost
     terms outside the window), and ResourceLimitError when the completion
@@ -730,16 +719,16 @@ def ideal_member(
         return Membership("member", () if certify else None)
 
     table = _rule_table(s)
-    certificate: list[CertificateTerm] = []
+    reduced: list = []  # (coded system, its rewriting steps, perm)
     components: dict = {}  # (perm, chord degree) -> normal form: rows mix neither
     for (mono, perm), c in sorted(
         x.terms.items(), key=lambda kv: (kv[0][1], mono_key(kv[0][0]))
     ):
         steps: list = []
-        for word, v in table.rules.reduce({table.word(mono): c}, steps).items():
+        for word, v in table.system.reduce({table.word(mono): c}, steps).items():
             form = table.mono(word)
             _add(components.setdefault((perm, chord_degree(form)), {}), form, v)
-        certificate.extend(CertificateTerm(*row, perm) for row in table.rows(steps))
+        reduced.append((table, steps, perm))
 
     if not (s.closed and s.genus >= 2):
         decided = {(mono, perm): c for (perm, degree), form in components.items()
@@ -750,7 +739,6 @@ def ideal_member(
     letters = {let[:2] for let in s.pi1_letters()} if s.closed and s.genus >= 2 \
         else _support_letters(x)
     witness: dict = {}
-    reduced: list = []
     for (perm, degree), form in components.items():
         if form:
             box = _box(s, tuple(sorted(letters)), trunc, window, degree)
@@ -764,8 +752,7 @@ def ideal_member(
                           witness=WreathDiagram(x.strands, x.trunc, witness))
     if not certify:
         return Membership("member", None)
-    for box, steps, perm in reduced:
-        certificate.extend(box.rows(steps, perm))
+    certificate = [term for coded, steps, perm in reduced for term in coded.rows(steps, perm)]
     result = Membership("member", tuple(certificate))
     by_id = {inst.rid: inst for inst in relation_instances(s, trunc)}
     check = expand_certificate(result.certificate, by_id, x.strands, trunc)

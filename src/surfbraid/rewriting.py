@@ -86,7 +86,8 @@ class RewritingSystem:
         # set by ``complete``: the first leading coefficient other than +-1
         # that it divided by, or None when every one was a unit
         self.non_unit_lead = None
-        # set by ``complete``: leading word -> derivation, see there
+        # leading word -> derivation, as ``complete`` records it (see there);
+        # whoever adds rules by hand may record theirs the same way
         self.derivations: dict[tuple, tuple] = {}
         self._lengths: dict[int, int] = {}  # lead length -> number of rules
         for lead, tail in (rules or {}).items():
@@ -198,7 +199,7 @@ class RewritingSystem:
 
     def proof(self, steps) -> dict:
         """The input relations behind rewriting steps ``(coef, left, lead,
-        right)`` by rules of ``complete``: ``(left, index, right) -> coef``,
+        right)`` by rules with derivations: ``(left, index, right) -> coef``,
         the framed input relations summing to what the steps took away.  A
         derivation names only earlier leading words, so one sweep from the
         newest expands each framed rule once, after everything using it."""

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from surfbraid import abelianization
+from surfbraid import diagrams
 from surfbraid.abelianization import (
     degree_one_torsion,
     format_h1,
@@ -33,7 +33,7 @@ from surfbraid.diagrams import (
     degree_one_symbol,
     relation_instances,
 )
-from surfbraid.errors import HypothesisError, UnsupportedDegreeError
+from surfbraid.errors import HypothesisError, ParameterError, UnsupportedDegreeError
 from surfbraid.group_algebra import JSummand
 from surfbraid.linalg import elementary_divisors, span_rank
 from surfbraid.surface import SurfaceParams, letter
@@ -328,12 +328,23 @@ class TestTorsion:
         assert rep.torsion_free
 
     def test_refuses_on_a_non_unit_leading_coefficient(self, monkeypatch):
-        real = abelianization.relation_instances
+        # the box is cached: clear it so that the doubled relations are
+        # completed here, and so that no later test reads their box
+        real = diagrams.relation_instances
 
         def doubled(s, trunc):
             return [RelationInstance(i.family, i.rid, i.element.scale(2))
                     for i in real(s, trunc)]
 
-        monkeypatch.setattr(abelianization, "relation_instances", doubled)
-        with pytest.raises(HypothesisError, match=r"leading coefficient -?2\b"):
-            degree_one_torsion(S112, Truncation(max_beads=2))
+        diagrams._box.cache_clear()
+        monkeypatch.setattr(diagrams, "relation_instances", doubled)
+        try:
+            with pytest.raises(HypothesisError, match=r"leading coefficient -?2\b"):
+                degree_one_torsion(S112, Truncation(max_beads=2))
+        finally:
+            diagrams._box.cache_clear()
+
+    def test_refuses_a_truncation_without_chords(self):
+        # no chord-degree-1 monomial fits Truncation(0, 2)
+        with pytest.raises(ParameterError):
+            degree_one_torsion(S112, Truncation(0, 2))

@@ -319,16 +319,21 @@ class TestIdealMember:
 
     def test_windowed_negative_on_closed_genus_two(self, monkeypatch):
         # the normal form stops at the bead rules on closed genus >= 2: the
-        # window-6 box of chord degree 1 decides the query, and a negative
-        # expands no derivation
+        # window-6 box of chord degree 1 decides the query.  Rewriting steps
+        # are framed only for a certified Member: this negative, and on
+        # (1,1,2) an uncertified Member and a NotMember, expand no derivation
         def refuse(self, steps):
-            raise AssertionError("proof expanded for a non-member")
+            raise AssertionError("proof expanded without a certificate to return")
 
         s = SurfaceParams(2, 0, 2)
         x = parse_diagram("1 * Z(1,2) a1@1 + -1 * Z(1,2) b1@1", s, TR)
+        member = parse_diagram("1 * Z(1,2) a1@1 a1^-1@1 + -1 * Z(1,2)", S112, TR)
+        not_member = parse_diagram("1 * Z(1,2) a1@1 + -1 * Z(1,2) b1@1", S112, TR)
         with monkeypatch.context() as patch:
             patch.setattr(rewriting.RewritingSystem, "proof", refuse)
             m = ideal_member(x, s, TR, window=6)
+            assert ideal_member(member, S112, TR, certify=False).is_member
+            assert ideal_member(not_member, S112, TR).status == "not_member"
         assert m.status == "not_member_at_window" and not m.is_member
         assert not m.witness.is_zero
         rest = ideal_member(x - m.witness, s, TR, window=6)
@@ -336,14 +341,16 @@ class TestIdealMember:
         verify_certificate(x - m.witness, rest, s, TR)
 
     def test_completion_past_the_rule_limit_is_refused(self, monkeypatch):
-        # a window no other test uses, so that the box is completed here;
-        # a refusal is not cached
+        # the box is cached: clear it so that it is completed here, whatever
+        # ran before; a refusal is not cached
+        diagrams._box.cache_clear()
         monkeypatch.setattr(rewriting, "MAX_RULES", 10)
         x = parse_diagram("1 * Z(1,2) Z(1,2) a1@1", S112, TR)
         with pytest.raises(ResourceLimitError):
             ideal_member(x, S112, TR, window=8)
         monkeypatch.undo()
         assert ideal_member(x, S112, TR, window=8).status == "not_member_at_window"
+        diagrams._box.cache_clear()
 
     def test_window_must_cover_truncation(self):
         x = WreathDiagram.zero(2, TR)
@@ -457,7 +464,7 @@ class TestNormalFormDecides:
         table = _rule_table(s)
         for (mono, _), c in m.witness.terms.items():
             word = table.word(mono)
-            assert table.rules.reduce({word: c}) == {word: c}, format_monomial(mono)
+            assert table.system.reduce({word: c}) == {word: c}, format_monomial(mono)
         rest = ideal_member(x - m.witness, s, TR)
         assert rest.is_member
         verify_certificate(x - m.witness, rest, s, TR)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from surfbraid.braid import identity_perm
 from surfbraid.diagrams import (
-    CertificateTerm,
     Truncation,
     WreathDiagram,
     _rule_table,
@@ -274,7 +273,7 @@ class TestBeadRules:
         a1, b1, a2, b2, holds a copy of every ambiguity of every surface with
         boundary, resolved in the same way."""
         for s in self.SURFACES + [SurfaceParams(2, 1, 4)]:
-            assert _rule_table(s).rules.unresolved() == [], s
+            assert _rule_table(s).system.unresolved() == [], s
 
     def test_torus_rules_resolve_every_ambiguity(self):
         """The torus rules are confluent on every closed torus, so with the
@@ -287,7 +286,7 @@ class TestBeadRules:
         and a reduction brings in no strand the word lacks.  So (1,0,4)
         holds a copy of every ambiguity of every closed torus."""
         for s in TORI:
-            assert _rule_table(s).rules.unresolved() == [], s
+            assert _rule_table(s).system.unresolved() == [], s
 
     def test_torus_rules_reduce_every_relation(self):
         # the chord-degree <= 1 instances, ClosedSum and BeadRelator among
@@ -299,7 +298,7 @@ class TestBeadRules:
             for inst in relation_instances(s, Truncation(1, 4)):
                 families.add(inst.family)
                 word = {table.word(mono): c for mono, c in inst.mono_terms()}
-                assert table.rules.reduce(word) == {}, inst.rid
+                assert table.system.reduce(word) == {}, inst.rid
             assert {"ClosedSum", "BeadRelator", "BeadPush"} <= families
 
     @pytest.mark.parametrize("s", [SurfaceParams(2, 1, 4), SurfaceParams(1, 0, 4)])
@@ -314,8 +313,8 @@ class TestBeadRules:
         table = _rule_table(s)
         by_id = {inst.rid: inst for inst in relation_instances(s, trunc)}
         ident = identity_perm(s.strands)
-        for lead, tail in table.rules.rules.items():
-            proof = [CertificateTerm(*row, ident) for row in table.proofs[lead]]
+        for lead, tail in table.system.rules.items():
+            proof = table.rows([(1, (), lead, ())], ident)
             difference = WreathDiagram(s.strands, trunc, {(table.mono(lead), ident): 1}) - \
                 WreathDiagram(s.strands, trunc,
                               {(table.mono(w), ident): c for w, c in tail.items()})
