@@ -615,15 +615,20 @@ def _instance_applicable(inst: RelationInstance, base_letters) -> bool:
 def expand_certificate(
     certificate, instances_by_id: dict, strands: int, trunc: Truncation
 ) -> WreathDiagram:
-    total = WreathDiagram.zero(strands, trunc)
+    """The sum of ``coef * left * relation * right`` in the coset ``perm``
+    over the certificate's terms, each relation read from
+    ``instances_by_id`` by its id.  Every product is added into one dict, so
+    the cost is linear in the number of terms times the terms of their
+    instances.  Raises ParameterError naming a relation id that is not in
+    ``instances_by_id``."""
+    acc: dict = {}
     for term in certificate:
-        inst = instances_by_id[term.relation_id]
-        acc: dict = {}
+        inst = instances_by_id.get(term.relation_id)
+        if inst is None:
+            raise ParameterError(f"the certificate names an unknown relation {term.relation_id!r}")
         for mono, c in inst.mono_terms():
-            key = (term.left + mono + term.right, term.perm)
-            acc[key] = acc.get(key, 0) + c * term.coef
-        total = total + WreathDiagram(strands, trunc, acc)
-    return total
+            _add(acc, (term.left + mono + term.right, term.perm), c * term.coef)
+    return WreathDiagram(strands, trunc, acc)
 
 
 @functools.lru_cache(maxsize=None)
@@ -772,7 +777,8 @@ def degree_one_symbol(summands, s: SurfaceParams, trunc: Truncation) -> WreathDi
     of u and v."""
     from .braid import wreath_image
 
-    total = WreathDiagram.zero(s.strands, trunc)
+    acc: dict = {}
+    overflow = False
     for t in summands:
         left = embed_wreath(wreath_image(t.left, s), trunc)
         mid = WreathDiagram(
@@ -781,10 +787,13 @@ def degree_one_symbol(summands, s: SurfaceParams, trunc: Truncation) -> WreathDi
               transposition_perm(s.strands, t.crossing)): 1},
         )
         right = embed_wreath(wreath_image(t.right, s), trunc)
-        total = total + (left * mid * right).scale(t.coef)
-    if total.overflow:
+        product = left * mid * right
+        overflow = overflow or product.overflow
+        for key, c in product.terms.items():
+            _add(acc, key, t.coef * c)
+    if overflow:
         raise TruncationOverflowError("symbol exceeded the truncation window")
-    return total
+    return WreathDiagram(s.strands, trunc, acc)
 
 
 def disk_augmentation(x: WreathDiagram) -> WreathDiagram:

@@ -2,6 +2,7 @@
 
 import functools
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -626,6 +627,68 @@ class TestWindowedMembershipOracle:
         else:
             assert m.status == "not_member_at_window"
             assert _in_window_span(x - m.witness, s)
+
+
+def _fold_expansion(certificate, instances_by_id, strands, trunc):
+    """The term-by-term ``WreathDiagram.__add__`` fold that
+    ``expand_certificate`` replaced, kept as its oracle."""
+    total = WreathDiagram.zero(strands, trunc)
+    for term in certificate:
+        inst = instances_by_id[term.relation_id]
+        acc: dict = {}
+        for mono, c in inst.mono_terms():
+            key = (term.left + mono + term.right, term.perm)
+            acc[key] = acc.get(key, 0) + c * term.coef
+        total = total + WreathDiagram(strands, trunc, acc)
+    return total
+
+
+class TestExpandCertificate:
+    @pytest.mark.parametrize("s", [S112, S102], ids=_surface_id)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_agrees_with_the_fold(self, s, data):
+        # relation ids and frames come from small drawn pools so that both
+        # repeat, and some terms are repeated negated so that they cancel
+        insts = relation_instances(s, TR)
+        by_id = {inst.rid: inst for inst in insts}
+        symbols = _rule_table(s).symbols
+        index = st.integers(0, len(insts) - 1)
+        rids = [insts[data.draw(index)].rid for _ in range(data.draw(st.integers(1, 3)))]
+        frame = st.lists(st.sampled_from(symbols), max_size=2).map(tuple)
+        frames = data.draw(st.lists(frame, min_size=1, max_size=3))
+        terms = []
+        for _ in range(data.draw(st.integers(0, 8))):
+            coef = Fraction(data.draw(st.integers(-4, 4).filter(bool)), data.draw(st.integers(1, 3)))
+            terms.append(CertificateTerm(
+                coef, data.draw(st.sampled_from(frames)), data.draw(st.sampled_from(rids)),
+                data.draw(st.sampled_from(frames)), tuple(data.draw(st.permutations(range(s.strands))))))
+        cancelled = data.draw(st.lists(st.sampled_from(terms), max_size=3)) if terms else []
+        for term in cancelled:
+            terms.insert(data.draw(st.integers(0, len(terms))), replace(term, coef=-term.coef))
+        got = expand_certificate(terms, by_id, s.strands, TR)
+        assert got == _fold_expansion(terms, by_id, s.strands, TR)
+        assert not got.overflow
+
+    def test_member_reexpands_without_the_fold(self, monkeypatch):
+        insts = {inst.rid: inst.element for inst in relation_instances(S112, TR)}
+        push, swap = insts["BeadPush[a1;1>2]"], insts["BeadBead[a1@1,b1@2]"]
+        z = chord_generator(2, 1, 2, TR)
+        x = push * swap * z + swap * z * push
+
+        def fold(self, other):
+            raise AssertionError("a certificate was summed term by term")
+
+        monkeypatch.setattr(WreathDiagram, "__add__", fold)
+        m = ideal_member(x, S112, TR)
+        assert m.is_member and len(m.certificate) >= 50
+        verify_certificate(x, m, S112, TR)
+
+    def test_unknown_relation_is_named(self):
+        by_id = {inst.rid: inst for inst in relation_instances(S112, TR)}
+        term = CertificateTerm(Fraction(1), (), "ClosedSum[1]", (), ID2)
+        with pytest.raises(ParameterError, match=r"ClosedSum\[1\]"):
+            expand_certificate([term], by_id, 2, TR)
 
 
 class TestDegreeOneSymbol:
