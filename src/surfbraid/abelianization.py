@@ -200,7 +200,7 @@ def degree_one_torsion(s: SurfaceParams, trunc: Truncation = Truncation()) -> To
         surface=s,
         trunc=trunc,
         columns=columns,
-        rows=sum(rid is not None for rid in box.rids),
+        rows=sum(inst is not None for inst in box.instances),
         rank=columns - (normal_words(L + 1) - normal_words(2 * L + 2)),
         divisors_gt_one=(),
         torsion_free=True,

@@ -482,7 +482,7 @@ def bounded_equal(
     moves.  Equal answers are replayed move by move before being returned;
     Unknown (the depth ran out) is inconclusive.  Raises
     ``ResourceLimitError`` once ``node_budget`` new words were generated
-    without reaching v.
+    without reaching v, and ``ParameterError`` for a negative depth.
 
     The moves come from the surface's move table, built on first use and
     kept while the ``SurfaceParams`` object lives.  Words are strings with
@@ -496,6 +496,8 @@ def bounded_equal(
     moves at one position by (removed length, removed, inserted) in the
     fixed letter order, so the moves returned and the word count at which
     the budget stops are fixed by the inputs."""
+    if depth < 0:
+        raise ParameterError(f"the depth must be non-negative, not {depth}")
     check_braid_word(u, s)
     check_braid_word(v, s)
     start, target = free_reduce(u), free_reduce(v)

@@ -509,13 +509,13 @@ class _CodedSystem:
     of a surface, or a box, whose words are padded with a letter ``t`` (code
     ``len(symbols)``) that commutes with every other.  Each rule's proof is
     its derivation in ``system.derivations``, whose input relation ``index``
-    is instance ``rids[index]``, or a commutator ``x t - t x`` when that is
+    is ``instances[index]``, or a commutator ``x t - t x`` when that is
     None."""
 
     symbols: tuple  # code -> chord or bead symbol
     code: dict  # chord or bead symbol -> code
     system: RewritingSystem | None = None
-    rids: tuple = ()
+    instances: tuple = ()  # RelationInstance or None, by input relation index
 
     def word(self, mono: Monomial, length: int = 0) -> tuple:
         """``mono`` padded with ``t`` up to ``length`` beads."""
@@ -531,8 +531,9 @@ class _CodedSystem:
         the steps took away."""
         acc: dict = {}
         for (left, index, right), c in self.system.proof(steps).items():
-            if self.rids[index] is not None:
-                _add(acc, (self.mono(left), self.rids[index], self.mono(right)), c)
+            inst = self.instances[index]
+            if inst is not None:
+                _add(acc, (self.mono(left), inst.rid, self.mono(right)), c)
         return [CertificateTerm(Fraction(c), *key, perm) for key, c in acc.items()]
 
 
@@ -557,7 +558,9 @@ def _rule_table(s: SurfaceParams) -> _CodedSystem:
     symbols = tuple(beads + chords)
     table = _CodedSystem(symbols, {sym: x for x, sym in enumerate(symbols)},
                          RewritingSystem([1] * len(symbols)))
-    rids: list = []
+    # every rule's relation has at most one chord and two beads
+    by_rid = {inst.rid: inst for inst in relation_instances(s, Truncation(1, 2))}
+    instances: list = []
 
     def add(lead, tail, rid, coef=1, frame=(), steps=()):
         # derivation: ``coef . frame rid reversed(frame)``, then the steps
@@ -565,8 +568,8 @@ def _rule_table(s: SurfaceParams) -> _CodedSystem:
         word = table.word(lead)
         table.system.add_rule(word, {table.word(tail): 1})
         table.system.derivations[word] = (
-            (coef, table.word(frame), len(rids), table.word(frame[::-1])), *steps)
-        rids.append(rid)
+            (coef, table.word(frame), len(instances), table.word(frame[::-1])), *steps)
+        instances.append(by_rid[rid])
 
     for b in beads:
         _, i, let = b
@@ -600,7 +603,7 @@ def _rule_table(s: SurfaceParams) -> _CodedSystem:
                     swaps.append(((b, a), (a, b), f"ClosedSum[{i}]", k, lf, steps))
     for swap in swaps:  # after the bead rules alone have traced every proof
         add(*swap)
-    return replace(table, rids=tuple(rids))
+    return replace(table, instances=tuple(instances))
 
 
 def _support_letters(x: WreathDiagram) -> set:
@@ -656,7 +659,7 @@ def _box(s: SurfaceParams, letters: tuple, trunc: Truncation, window: int,
         return k <= degree and len(word) - k <= window
 
     return replace(box, system=complete([1] * (t + 1), relations, inside),
-                   rids=tuple(inst.rid for inst in insts) + (None,) * t)
+                   instances=tuple(insts) + (None,) * t)
 
 
 def ideal_member(
@@ -759,7 +762,8 @@ def ideal_member(
         return Membership("member", None)
     certificate = [term for coded, steps, perm in reduced for term in coded.rows(steps, perm)]
     result = Membership("member", tuple(certificate))
-    by_id = {inst.rid: inst for inst in relation_instances(s, trunc)}
+    systems = {id(coded): coded for coded, _, _ in reduced}.values()
+    by_id = {inst.rid: inst for coded in systems for inst in coded.instances if inst}
     check = expand_certificate(result.certificate, by_id, x.strands, trunc)
     if check.terms != x.terms:
         raise SurfbraidError("internal error: certificate re-expansion mismatch")

@@ -2,22 +2,19 @@
 
 Two tools live here:
 
-* ``ExactReducer`` — an incremental fraction-free row echelon form with
-  optional provenance: every stored row remembers how it arose from the
-  originally inserted rows, so a successful reduction of a query vector
-  yields an explicit rational certificate.  Stored rows carry integer
-  entries (denominators cleared, content gcd stripped) and elimination is
-  division-free, keeping the hot path in pure integer arithmetic; the
-  rational bookkeeping is left to one reverse sweep per reduction, which
-  expands the elimination chain over the original rows.  Column keys
-  may be arbitrary hashable objects; each is interned once to an integer
-  id, rows are stored over those ids, and remainders are mapped back to
-  the caller's keys.  Ids go to keys in first-seen order, and that order
-  is the pivot order, so a caller whose columns have a natural order gets
-  less fill-in by presenting them in it first.  Every stored row's pivot
-  is its least column id, so elimination always moves to strictly larger
-  ids and terminates without back-substitution; the next pivot comes off
-  a heap of the work row's pivot columns, never from a rescan of the row.
+* ``ExactReducer`` — an incremental fraction-free row echelon form that
+  answers rank, membership and the exact remainder of a query modulo the
+  span.  Stored rows carry integer entries (denominators cleared, content
+  gcd stripped) and elimination is division-free, keeping the hot path in
+  pure integer arithmetic.  Column keys may be arbitrary hashable objects;
+  each is interned once to an integer id, rows are stored over those ids,
+  and remainders are mapped back to the caller's keys.  Ids go to keys in
+  first-seen order, and that order is the pivot order, so a caller whose
+  columns have a natural order gets less fill-in by presenting them in it
+  first.  Every stored row's pivot is its least column id, so elimination
+  always moves to strictly larger ids and terminates without
+  back-substitution; the next pivot comes off a heap of the work row's
+  pivot columns, never from a rescan of the row.
 
 * ``elementary_divisors`` — integer Smith normal form over columns
   interned the same way.  Unit two-term rows ``{c1: u, c2: -u}`` with
@@ -40,34 +37,22 @@ import heapq
 import math
 from fractions import Fraction
 
-_ZERO = Fraction(0)
-
 
 class ExactReducer:
-    """Incremental fraction-free row echelon form with provenance tracking.
+    """Incremental fraction-free row echelon form.
 
-    insert(row, tag) adds an original row; reduce(row) returns a remainder
-    and the combination of original rows that was subtracted, so that
-    ``row = remainder + sum(combo[tag] * original[tag])``; contains(row)
-    answers membership alone.  Row values may be ints or Fractions.
-
-    Provenance is stored as integers: each stored row keeps its own tag,
-    its integer scaling and the elimination chain (multiplier, row index)
-    it went through.  A reduction expands its chain over the tags in one
-    sweep from the newest stored row it names down to row 0; a chain only
-    names older rows, so each row is visited once, after every row that
-    refers to it, at a cost of O(rank + chain steps).
+    insert(row) adds a row and says whether it enlarged the span;
+    reduce(row) returns the exact remainder of ``row`` modulo the span;
+    contains(row) answers membership.  Row values may be ints or Fractions.
 
     Column keys get ids in first-seen order.  A stored row's pivot is its
     least column id, so that order decides the pivots, and with them the
-    stored rows, chains and certificates, but never the span, the rank or
-    whether a row is a member.
+    stored rows and the remainders, but never the span, the rank or whether
+    a row is a member.
     """
 
-    def __init__(self, track_provenance: bool = True):
-        self.track = track_provenance
+    def __init__(self):
         self.rows: list[dict] = []   # column id -> int, content gcd 1, pivot > 0
-        self.links: list = []        # (tag, num, scl, ((beta, idx), ...))
         self.pivots: dict = {}       # column id -> row index
         self.col_keys: list = []     # column id -> key
         self.col_ids: dict = {}      # column key -> id, in first-seen order
@@ -95,11 +80,10 @@ class ExactReducer:
                 out[cid] = iv
         return out, den
 
-    def _eliminate(self, work: dict) -> tuple[int, list]:
+    def _eliminate(self, work: dict) -> int:
         """Division-free elimination against the stored pivot rows; mutates
-        ``work`` into the scaled remainder and returns (alpha, chain) with
-
-            alpha * input = work + sum(beta * rows[idx] for beta, idx in chain).
+        ``work`` into the scaled remainder and returns the scale ``alpha``:
+        ``alpha * input - work`` lies in the span.
 
         The next pivot is the least column of ``work`` that has a stored row,
         taken from a heap of those columns instead of a scan of the row.  A
@@ -110,7 +94,6 @@ class ExactReducer:
         sequence is therefore the one a full scan for the minimum would
         choose, and the loop terminates."""
         alpha = 1
-        chain: list[list] = []
         pivots, rows = self.pivots, self.rows
         heap = [c for c in work if c in pivots]
         heapq.heapify(heap)
@@ -119,8 +102,7 @@ class ExactReducer:
             f = work.get(col)
             if f is None:
                 continue
-            i = pivots[col]
-            row = rows[i]
+            row = rows[pivots[col]]
             p = row[col]
             g = math.gcd(f, p)
             m_work = p // g
@@ -129,8 +111,6 @@ class ExactReducer:
                 for c in work:
                     work[c] *= m_work
                 alpha *= m_work
-                for entry in chain:
-                    entry[0] *= m_work
             for c, v in row.items():
                 old = work.get(c)
                 if old is None:
@@ -143,59 +123,27 @@ class ExactReducer:
                         work[c] = nv
                     else:
                         del work[c]
-            chain.append([m_row, i])
-        return alpha, chain
-
-    def _expand(self, chain, scale: int) -> dict:
-        """Tag-level combination of ``sum(beta / scale * rows[idx])`` over a
-        chain, by one sweep over the stored rows from the newest down.
-
-        Stored row ``idx`` is ``(num * original[tag] - sum(beta' * rows[j]))
-        / scl`` over its own chain, and that chain names only older rows, so
-        once the sweep reaches ``idx`` its coefficient is final: it is added
-        to the row's tag (tags may repeat) and pushed onto its chain.  Every
-        index below the chain's largest is visited, so the cost is
-        O(rank + chain steps)."""
-        coef: dict = {}
-        for beta, idx in chain:
-            coef[idx] = Fraction(beta, scale)
-        links = self.links
-        combo: dict = {}
-        for idx in range(max(coef, default=-1), -1, -1):
-            c = coef.get(idx)
-            if not c:
-                continue
-            tag, num, scl, sub = links[idx]
-            c /= scl
-            combo[tag] = combo.get(tag, _ZERO) + c * num
-            for beta, j in sub:
-                coef[j] = coef.get(j, _ZERO) - c * beta
-        return {t: v for t, v in combo.items() if v}
+        return alpha
 
     def contains(self, row: dict) -> bool:
-        """Whether ``row`` lies in the span: ``reduce`` without expanding the
-        combination, so a query that is not a member costs one elimination."""
+        """Whether ``row`` lies in the span."""
         work, _ = self._to_int_row(row)
         self._eliminate(work)
         return not work
 
-    def reduce(self, row: dict) -> tuple[dict, dict]:
-        """Remainder of ``row`` modulo the span, plus the combination used:
-        ``row = remainder + sum(combo[tag] * original[tag])``.  The
-        combination is returned whenever provenance is tracked, whether or
-        not the remainder is zero; without tracking it is ``{}``."""
+    def reduce(self, row: dict) -> dict:
+        """Exact remainder of ``row`` modulo the span, under the caller's
+        column keys: ``row - remainder`` lies in the span."""
         work, den = self._to_int_row(row)
-        alpha, chain = self._eliminate(work)
-        scale = alpha * den
-        combo = self._expand(chain, scale) if self.track else {}
+        scale = self._eliminate(work) * den
         keys = self.col_keys
         return {keys[c]: Fraction(v, scale) if scale != 1 else v
-                for c, v in work.items()}, combo
+                for c, v in work.items()}
 
-    def insert(self, row: dict, tag=None) -> bool:
-        """Add an original row; returns True iff it enlarged the span."""
-        work, den = self._to_int_row(row)
-        alpha, chain = self._eliminate(work)
+    def insert(self, row: dict) -> bool:
+        """Add a row; returns True iff it enlarged the span."""
+        work, _ = self._to_int_row(row)
+        self._eliminate(work)
         if not work:
             return False
         pivot = min(work)
@@ -206,20 +154,14 @@ class ExactReducer:
             g = -g
         if g != 1:
             work = {c: v // g for c, v in work.items()}
-        idx = len(self.rows)
+        self.pivots[pivot] = len(self.rows)
         self.rows.append(work)
-        # stored = (alpha * den * row - sum(beta * rows)) / g
-        self.links.append(
-            (tag, alpha * den, g, tuple((b, j) for b, j in chain))
-            if self.track else None
-        )
-        self.pivots[pivot] = idx
         return True
 
 
 def span_rank(rows) -> int:
-    """Rank of a collection of sparse rows (no provenance kept)."""
-    red = ExactReducer(track_provenance=False)
+    """Rank of a collection of sparse rows."""
+    red = ExactReducer()
     for row in rows:
         red.insert(row)
     return red.rank

@@ -41,7 +41,7 @@ from __future__ import annotations
 import functools
 
 from .errors import HypothesisError, ParameterError, ResourceLimitError
-from .rewriting import complete
+from .rewriting import _add, complete
 from .surface import SurfaceParams
 
 # generator symbols: ("A", s, k), ("B", t, k), ("Zb", alpha, k), ("Z", i, j)
@@ -85,14 +85,6 @@ def format_symp_word(word: tuple) -> str:
 
 def _zc(i: int, j: int) -> tuple:
     return ("Z", min(i, j), max(i, j))
-
-
-def _add(acc: dict, word: tuple, coef: int):
-    c = acc.get(word, 0) + coef
-    if c:
-        acc[word] = c
-    else:
-        acc.pop(word, None)
 
 
 def _comm(x: tuple, y: tuple) -> dict:
@@ -275,34 +267,24 @@ def words_of_degree(s: SurfaceParams, d: int, word_cap: int = 200000) -> list[tu
 
 def _completion(s: SurfaceParams, max_degree: int, relations=None):
     """The relations (all of ``symp_relations`` by default) completed to
-    max_degree; letter ``x`` stands for ``symp_generators(s)[x]``."""
+    max_degree; letter ``x`` stands for ``symp_generators(s)[x]``.  Given
+    relations are homogeneous, of degree >= 2, over the surface's
+    generators."""
     if max_degree < 0:
         raise ParameterError("degree must be non-negative")
     gens = symp_generators(s)
     letter = {g: x for x, g in enumerate(gens)}
     if relations is None:
         relations = symp_relations(s, max_degree) if max_degree >= 2 else []
-    rows = []
-    for rel in relations:
-        degs = {word_degree(w) for w in rel if rel[w]}
-        if not degs:
-            continue
-        if min(degs) < 2:
-            raise ParameterError("relations start in degree 2")
-        if len(degs) != 1:
-            raise ParameterError("relations must be homogeneous")
-        try:
-            rows.append({tuple(letter[g] for g in w): c for w, c in rel.items()})
-        except KeyError as exc:
-            raise ParameterError(f"unknown generator {exc.args[0]!r}") from None
+    rows = [{tuple(letter[g] for g in w): c for w, c in rel.items()} for rel in relations]
     return complete([generator_degree(g) for g in gens], rows, max_degree)
 
 
-def symp_graded_dim(s: SurfaceParams, d: int, relations=None) -> int:
+def symp_graded_dim(s: SurfaceParams, d: int) -> int:
     """Dimension of the degree-d graded piece of the presented algebra: the
-    number of degree-d normal words once the relations (all of
-    ``symp_relations`` by default) are completed to degree d."""
-    return _completion(s, d, relations).normal_word_counts(d)[d]
+    number of degree-d normal words once ``symp_relations`` is completed to
+    degree d."""
+    return _completion(s, d).normal_word_counts(d)[d]
 
 
 def symp_twist_redundancy(s: SurfaceParams) -> bool:

@@ -256,6 +256,12 @@ class TestBoundedEqual:
         # the same search with room to spare runs out of depth instead
         assert bounded_equal(u, v, S112, depth=1).status == "unknown"
 
+    def test_negative_depth_is_refused(self):
+        u = parse_braid_word("s1", S112)
+        for v in (u, parse_braid_word("s1^-1", S112)):
+            with pytest.raises(ParameterError, match="depth"):
+                bounded_equal(u, v, S112, depth=-1)
+
 
 class TestRandomRewrite:
     def test_preserves_wreath_image(self):

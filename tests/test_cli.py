@@ -83,6 +83,14 @@ class TestBraidCommands:
         assert code == EXIT_NEGATIVE
         assert out == "Unknown nodes=88\n"
 
+    def test_equal_negative_depth_exits_usage(self, capsys):
+        code, out, err = run(
+            capsys, ["braid", "equal", *S112, "--depth", "-1", "s1", "s1^-1"]
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: the depth must be non-negative")
+
     def test_equal_node_budget_exits_resource(self, capsys):
         code, out, err = run(
             capsys,

@@ -584,7 +584,7 @@ def _oracle_pools(s) -> tuple:
 
 @functools.lru_cache(maxsize=None)
 def _oracle_span(s, key) -> ExactReducer:
-    reducer = ExactReducer(track_provenance=False)
+    reducer = ExactReducer()
     for row in _oracle_rows(s).get(key, ()):
         reducer.insert(row)
     return reducer
