@@ -38,7 +38,9 @@ H1Key = tuple
 
 
 def h1_class(x: WreathDiagram, s: SurfaceParams) -> dict:
-    """Class of a chord-degree <= 1 element in the commutative quotient."""
+    """Class of a chord-degree <= 1 element in the commutative quotient.
+    Raises TruncationOverflowError when x carries the overflow flag."""
+    x.check_exact()
     out: dict[H1Key, Fraction] = {}
     for (mono, perm), coef in x.terms.items():
         z = chord_degree(mono)

@@ -460,7 +460,8 @@ class _MoveTable:
         return code[::-1].translate(self.flip)
 
 
-# one table per live SurfaceParams object; it goes with the object
+# keyed by value, so equal surfaces share one table; the entry goes when the
+# object it was built for is collected, even while an equal one lives on
 _MOVE_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -482,10 +483,11 @@ def bounded_equal(
     moves.  Equal answers are replayed move by move before being returned;
     Unknown (the depth ran out) is inconclusive.  Raises
     ``ResourceLimitError`` once ``node_budget`` new words were generated
-    without reaching v, and ``ParameterError`` for a negative depth.
+    without reaching v, and ``ParameterError`` for a negative depth or a
+    budget below 1.
 
     The moves come from the surface's move table, built on first use and
-    kept while the ``SurfaceParams`` object lives.  Words are strings with
+    shared by equal surfaces (see ``_MOVE_TABLES``).  Words are strings with
     one character per letter, so each is hashed once.  At each position of
     a word the search probes the table once per removed length; an
     inserted word is concatenated in where neither seam cancels and
@@ -498,6 +500,8 @@ def bounded_equal(
     the budget stops are fixed by the inputs."""
     if depth < 0:
         raise ParameterError(f"the depth must be non-negative, not {depth}")
+    if node_budget < 1:
+        raise ParameterError(f"the node budget must be at least 1, not {node_budget}")
     check_braid_word(u, s)
     check_braid_word(v, s)
     start, target = free_reduce(u), free_reduce(v)

@@ -59,33 +59,39 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+# every command reads --config and the surface; these read more settings
+_TRUNCATION = ("max_chords", "max_beads")
+_READS = {
+    "braid equal": ("node_budget",),
+    "gr symbol": _TRUNCATION,
+    "diagram member": (*_TRUNCATION, "window"),
+    "diagram equal": (*_TRUNCATION, "window"),
+    "h1 class": _TRUNCATION,
+    "verify-theorem": (*_TRUNCATION, "window", "node_budget"),
+}
+_FLAGS = {
+    "genus": ("--genus", "-g"),
+    "boundary": ("--boundary", "-p"),
+    "strands": ("--strands", "-n"),
+    "max_chords": ("--max-chords",),
+    "max_beads": ("--max-beads",),
+    "window": ("--window", "-w"),
+    "node_budget": ("--node-budget",),
+}
+
+
+def _command(sub, command: str, **kwargs) -> argparse.ArgumentParser:
+    """A leaf parser with options for the settings ``command`` reads."""
+    parser = sub.add_parser(command.split()[-1], **kwargs)
     parser.add_argument("--config", help="flat key = value configuration file")
-    parser.add_argument("--genus", "-g", type=int, default=None)
-    parser.add_argument("--boundary", "-p", type=int, default=None)
-    parser.add_argument("--strands", "-n", type=int, default=None)
-    parser.add_argument("--max-chords", type=int, default=None)
-    parser.add_argument("--max-beads", type=int, default=None)
-    parser.add_argument("--window", "-w", type=int, default=None)
-    parser.add_argument("--node-budget", type=int, default=None)
+    for key in ("genus", "boundary", "strands", *_READS.get(command, ())):
+        parser.add_argument(*_FLAGS[key], dest=key, type=int, default=None)
+    return parser
 
 
 def _config_from(args) -> Config:
     cfg = load_config(args.config) if args.config else Config()
-    return override(
-        cfg,
-        genus=args.genus,
-        boundary=args.boundary,
-        strands=args.strands,
-        max_chords=getattr(args, "max_chords", None),
-        max_beads=getattr(args, "max_beads", None),
-        window=args.window,
-        node_budget=getattr(args, "node_budget", None),
-    )
-
-
-def _surface(cfg: Config) -> SurfaceParams:
-    return SurfaceParams(cfg.genus, cfg.boundary, cfg.strands)
+    return override(cfg, **{k: v for k, v in vars(args).items() if k in _FLAGS})
 
 
 def _trunc(cfg: Config) -> Truncation:
@@ -103,61 +109,45 @@ def build_parser() -> argparse.ArgumentParser:
     braid = sub.add_parser("braid", help="braid words and relators")
     bsub = braid.add_subparsers(dest="subcommand", required=True)
     for name in ("parse", "inv", "perm", "theta"):
-        sp = bsub.add_parser(name)
-        _add_common(sp)
-        sp.add_argument("word")
-    sp = bsub.add_parser("mul")
-    _add_common(sp)
+        _command(bsub, f"braid {name}").add_argument("word")
+    sp = _command(bsub, "braid mul")
     sp.add_argument("word1")
     sp.add_argument("word2")
-    sp = bsub.add_parser("relators")
-    _add_common(sp)
-    sp = bsub.add_parser("equal")
-    _add_common(sp)
+    _command(bsub, "braid relators")
+    sp = _command(bsub, "braid equal")
     sp.add_argument("word1")
     sp.add_argument("word2")
     sp.add_argument("--depth", type=int, default=2)
 
     singular = sub.add_parser("singular", help="singular braid words")
     ssub = singular.add_subparsers(dest="subcommand", required=True)
-    sp = ssub.add_parser("desing")
-    _add_common(sp)
-    sp.add_argument("word")
+    _command(ssub, "singular desing").add_argument("word")
 
     gr = sub.add_parser("gr", help="the graded quotient")
     gsub = gr.add_subparsers(dest="subcommand", required=True)
-    sp = gsub.add_parser("symbol")
-    _add_common(sp)
-    sp.add_argument("--jexpr", required=True,
-                    help="';'-separated summands 'coef | u | i | v'")
+    _command(gsub, "gr symbol").add_argument(
+        "--jexpr", required=True, help="';'-separated summands 'coef | u | i | v'"
+    )
 
     diagram = sub.add_parser("diagram", help="beaded chord diagrams")
     dsub = diagram.add_subparsers(dest="subcommand", required=True)
-    sp = dsub.add_parser("member")
-    _add_common(sp)
-    sp.add_argument("element")
-    sp = dsub.add_parser("equal")
-    _add_common(sp)
+    _command(dsub, "diagram member").add_argument("element")
+    sp = _command(dsub, "diagram equal")
     sp.add_argument("element1")
     sp.add_argument("element2")
 
     h1 = sub.add_parser("h1", help="abelianization")
     hsub = h1.add_subparsers(dest="subcommand", required=True)
-    sp = hsub.add_parser("class")
-    _add_common(sp)
-    sp.add_argument("element")
+    _command(hsub, "h1 class").add_argument("element")
 
-    sp = sub.add_parser("verify-theorem", help="run the obstruction pipeline")
-    _add_common(sp)
-    sp.add_argument("--report", help="also write the report to this file")
+    _command(sub, "verify-theorem", help="run the obstruction pipeline").add_argument(
+        "--report", help="also write the report to this file"
+    )
 
     symp = sub.add_parser("symplectic", help="the symplectic diagram algebra")
     ysub = symp.add_subparsers(dest="subcommand", required=True)
-    sp = ysub.add_parser("dims")
-    _add_common(sp)
-    sp.add_argument("--max-degree", type=int, required=True)
-    sp = ysub.add_parser("twist-check")
-    _add_common(sp)
+    _command(ysub, "symplectic dims").add_argument("--max-degree", type=int, required=True)
+    _command(ysub, "symplectic twist-check")
 
     return top
 
@@ -180,8 +170,7 @@ def _format_symbol(x) -> str:
 
 def _run(args) -> int:
     cfg = _config_from(args)
-    s = _surface(cfg)
-    trunc = _trunc(cfg)
+    s = SurfaceParams(cfg.genus, cfg.boundary, cfg.strands)
 
     if args.command == "braid":
         if args.subcommand == "parse":
@@ -225,10 +214,11 @@ def _run(args) -> int:
 
     if args.command == "gr":
         expr = parse_jexpr(args.jexpr, s)
-        print(_format_symbol(degree_one_symbol(expr, s, trunc)))
+        print(_format_symbol(degree_one_symbol(expr, s, _trunc(cfg))))
         return EXIT_OK
 
     if args.command == "diagram":
+        trunc = _trunc(cfg)
         if args.subcommand == "member":
             x = parse_diagram(args.element, s, trunc)
             res = ideal_member(x, s, trunc, cfg.window)
@@ -250,12 +240,12 @@ def _run(args) -> int:
             return EXIT_NEGATIVE
 
     if args.command == "h1":
-        x = parse_diagram(args.element, s, trunc)
+        x = parse_diagram(args.element, s, _trunc(cfg))
         print(format_h1(h1_class(x, s)))
         return EXIT_OK
 
     if args.command == "verify-theorem":
-        rep = verify_nonexistence(s, trunc, cfg.window, cfg.node_budget)
+        rep = verify_nonexistence(s, _trunc(cfg), cfg.window, cfg.node_budget)
         text = format_report(rep)
         print(text)
         if args.report:

@@ -23,14 +23,6 @@ class Config:
     window: int = 6
     node_budget: int = 10**6
 
-    def __post_init__(self):
-        if self.window < self.max_chords:
-            raise ParameterError("window must be at least the chord truncation")
-        if self.window < self.max_beads:
-            raise ParameterError("window must be at least the bead truncation")
-        if self.node_budget < 1:
-            raise ParameterError("node budget must be positive")
-
 
 def load_config(path) -> Config:
     """Read a flat ``key = value`` file; '#' starts a comment."""

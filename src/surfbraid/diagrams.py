@@ -203,6 +203,14 @@ class WreathDiagram:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def check_exact(self) -> None:
+        """Raise TruncationOverflowError if the element lost terms outside
+        its truncation, which makes its zero coefficients unknown."""
+        if self.overflow:
+            raise TruncationOverflowError(
+                f"the element left the truncation {self.trunc}: the terms it lost are unknown"
+            )
+
     def _check_compatible(self, other: "WreathDiagram"):
         if self.strands != other.strands or self.trunc != other.trunc:
             raise DimensionMismatchError("diagrams have different strand counts or truncations")
@@ -710,10 +718,7 @@ def ideal_member(
         raise DimensionMismatchError(
             f"a {x.strands}-strand diagram queried on {s.strands} strands"
         )
-    if x.overflow:
-        raise TruncationOverflowError(
-            f"the query left the truncation {trunc}: the terms it lost are unknown"
-        )
+    x.check_exact()
     for mono, _ in x.terms:
         if not trunc.fits(mono):
             raise TruncationOverflowError(
@@ -811,7 +816,9 @@ def disk_augmentation(x: WreathDiagram) -> WreathDiagram:
 
 def disk_nonzero(x: WreathDiagram) -> bool:
     """Nonvanishing in the beadless algebra, valid in chord degree <= 1 where
-    the (monomial, permutation) pairs are an explicit basis."""
+    the (monomial, permutation) pairs are an explicit basis.  Raises
+    TruncationOverflowError when x carries the overflow flag."""
+    x.check_exact()
     y = disk_augmentation(x)
     if y.max_chord_degree() > 1:
         raise UnsupportedDegreeError(

@@ -33,7 +33,12 @@ from surfbraid.diagrams import (
     degree_one_symbol,
     relation_instances,
 )
-from surfbraid.errors import HypothesisError, ParameterError, UnsupportedDegreeError
+from surfbraid.errors import (
+    HypothesisError,
+    ParameterError,
+    TruncationOverflowError,
+    UnsupportedDegreeError,
+)
 from surfbraid.group_algebra import JSummand
 from surfbraid.linalg import elementary_divisors, span_rank
 from surfbraid.surface import SurfaceParams, letter
@@ -90,6 +95,14 @@ class TestH1Class:
         x = one_term(2, (chord(1, 2), chord(1, 2)))
         with pytest.raises(UnsupportedDegreeError):
             h1_class(x, S112)
+
+    def test_overflow_is_refused(self):
+        # the square leaves chord degree 1: its terms are lost, not zero
+        x = conjugated_chord(S112, 1, 2, (A1,), Truncation(1, 2))
+        square = x * x
+        assert square.overflow and square.is_zero
+        with pytest.raises(TruncationOverflowError):
+            h1_class(square, S112)
 
     def test_formatting(self):
         x = one_term(2, (bead(2, A1I), chord(1, 2)), transposition_perm(2, 1))

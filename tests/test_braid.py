@@ -262,6 +262,13 @@ class TestBoundedEqual:
             with pytest.raises(ParameterError, match="depth"):
                 bounded_equal(u, v, S112, depth=-1)
 
+    def test_node_budget_below_one_is_refused(self):
+        u = parse_braid_word("s1", S112)
+        for v in (u, parse_braid_word("s1^-1", S112)):
+            for budget in (0, -1):
+                with pytest.raises(ParameterError, match="node budget"):
+                    bounded_equal(u, v, S112, depth=1, node_budget=budget)
+
 
 class TestRandomRewrite:
     def test_preserves_wreath_image(self):

@@ -12,6 +12,7 @@ from surfbraid.cli import (
 )
 
 S112 = ["-g", "1", "-p", "1", "-n", "2"]
+MEMBER_QUERY = "1 * a1@1 a1^-1@1 ; perm=(1)(2) + -1 * 1 ; perm=(1)(2)"
 
 
 def run(capsys, argv):
@@ -100,6 +101,14 @@ class TestBraidCommands:
         assert out == ""
         assert err.startswith("resource error: node budget")
 
+    def test_equal_zero_node_budget_exits_usage(self, capsys):
+        code, out, err = run(
+            capsys, ["braid", "equal", *S112, "--node-budget", "0", "s1", "s1"]
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: the node budget must be at least 1")
+
 
 class TestAlgebraCommands:
     def test_singular_desing(self, capsys):
@@ -115,12 +124,32 @@ class TestAlgebraCommands:
         assert out == "(Z(1,2); id)\n"
 
     def test_diagram_member(self, capsys):
-        element = "1 * a1@1 a1^-1@1 ; perm=(1)(2) + -1 * 1 ; perm=(1)(2)"
-        code, out, _ = run(capsys, ["diagram", "member", *S112, element])
+        code, out, _ = run(capsys, ["diagram", "member", *S112, MEMBER_QUERY])
         assert code == EXIT_OK
         lines = out.splitlines()
         assert lines[0] == "Member"
         assert "BeadGroup[a1@1]" in out
+
+    def test_window_bounds_beads_only(self, capsys):
+        # a window below the chord truncation is no reason to refuse
+        code, out, _ = run(
+            capsys,
+            ["diagram", "member", *S112, "--max-chords", "7", "--window", "6", MEMBER_QUERY],
+        )
+        assert code == EXIT_OK
+        assert out.splitlines()[0] == "Member"
+        code, _, err = run(
+            capsys,
+            ["diagram", "member", *S112, "--max-beads", "7", "--window", "6", MEMBER_QUERY],
+        )
+        assert code == EXIT_USAGE
+        assert err.startswith("error: window 6 is smaller than the bead truncation 7")
+
+    def test_truncation_without_a_window(self, capsys):
+        for argv in (["gr", "symbol", "--jexpr", "1 | | 1 | s1"],
+                     ["h1", "class", "1 * Z(1,2) ; perm=(1)(2)"]):
+            code, _, err = run(capsys, [*argv, *S112, "--max-beads", "7"])
+            assert code == EXIT_OK, err
 
     def test_diagram_member_by_relator_insertion(self, capsys):
         # a search closes it only in the pass that lets relation rows grow a
@@ -285,3 +314,56 @@ class TestConfigAndErrors:
     def test_help_exits_clean(self, capsys):
         assert main(["--help"]) == EXIT_OK
         capsys.readouterr()
+
+    def test_config_keys_a_command_does_not_read_are_ignored(self, capsys, tmp_path):
+        cfg = tmp_path / "surf.cfg"
+        cfg.write_text("window = 1\n")
+        code, out, _ = run(capsys, ["braid", "parse", "--config", str(cfg), "a1"])
+        assert (code, out) == (EXIT_OK, "a1\n")
+        code, out, _ = run(
+            capsys, ["gr", "symbol", "--config", str(cfg), "--jexpr", "1 | | 1 | s1"]
+        )
+        assert (code, out) == (EXIT_OK, "(Z(1,2); id)\n")
+        code, _, err = run(capsys, ["diagram", "member", "--config", str(cfg), MEMBER_QUERY])
+        assert code == EXIT_USAGE
+        assert err.startswith("error: window 1 is smaller than the bead truncation 4")
+
+
+# every leaf command on a surface where it succeeds or answers, its exit code,
+# and the settings it reads besides --config and the surface
+TRUNCATION = ("--max-chords", "--max-beads")
+LEAVES = [
+    (["braid", "parse", *S112, "a1"], EXIT_OK, ()),
+    (["braid", "inv", *S112, "a1"], EXIT_OK, ()),
+    (["braid", "perm", *S112, "s1"], EXIT_OK, ()),
+    (["braid", "theta", *S112, "a1"], EXIT_OK, ()),
+    (["braid", "mul", *S112, "a1", "b1"], EXIT_OK, ()),
+    (["braid", "relators", *S112], EXIT_OK, ()),
+    (["braid", "equal", *S112, "s1 s1^-1", "1"], EXIT_OK, ("--node-budget",)),
+    (["singular", "desing", *S112, "x1"], EXIT_OK, ()),
+    (["gr", "symbol", *S112, "--jexpr", "1 | | 1 | s1"], EXIT_OK, TRUNCATION),
+    (["diagram", "member", *S112, "1 * Z(1,2) ; perm=(1)(2)"], EXIT_NEGATIVE,
+     (*TRUNCATION, "--window")),
+    (["diagram", "equal", *S112, "1 * a1@1 a1^-1@1 ; perm=(1)(2)", "1 * 1 ; perm=(1)(2)"],
+     EXIT_OK, (*TRUNCATION, "--window")),
+    (["h1", "class", *S112, "1 * Z(1,2) ; perm=(1)(2)"], EXIT_OK, TRUNCATION),
+    (["verify-theorem", *S112], EXIT_OK, (*TRUNCATION, "--window", "--node-budget")),
+    (["symplectic", "dims", *S112, "--max-degree", "1"], EXIT_OK, ()),
+    (["symplectic", "twist-check", "-g", "1", "-p", "0", "-n", "2"], EXIT_OK, ()),
+]
+DEFAULTS = {"--max-chords": "2", "--max-beads": "4", "--window": "6",
+            "--node-budget": "1000000"}
+
+
+@pytest.mark.parametrize(
+    "argv, code, reads", LEAVES,
+    ids=[" ".join(argv[:argv.index("-g")]) for argv, _, _ in LEAVES],
+)
+def test_command_takes_only_the_settings_it_reads(capsys, tmp_path, argv, code, reads):
+    cfg = tmp_path / "surf.cfg"
+    cfg.write_text("genus = 1\n")
+    settings = [arg for flag in reads for arg in (flag, DEFAULTS[flag])]
+    assert run(capsys, [*argv, "--config", str(cfg), *settings])[0] == code
+    for flag in DEFAULTS.keys() - set(reads):
+        got, _, err = run(capsys, [*argv, flag, DEFAULTS[flag]])
+        assert got == EXIT_USAGE and "unrecognized arguments" in err, flag

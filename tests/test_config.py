@@ -1,4 +1,4 @@
-"""Configuration defaults, validation, and file parsing."""
+"""Configuration defaults and file parsing."""
 
 import pytest
 
@@ -12,18 +12,6 @@ class TestConfig:
         assert (cfg.genus, cfg.boundary, cfg.strands) == (1, 1, 2)
         assert (cfg.max_chords, cfg.max_beads, cfg.window) == (2, 4, 6)
         assert cfg.node_budget == 10**6
-
-    def test_window_must_cover_chords(self):
-        with pytest.raises(ParameterError):
-            Config(max_chords=7, window=6)
-
-    def test_window_must_cover_beads(self):
-        with pytest.raises(ParameterError):
-            Config(max_beads=7, window=6)
-
-    def test_node_budget_positive(self):
-        with pytest.raises(ParameterError):
-            Config(node_budget=0)
 
     def test_frozen(self):
         with pytest.raises(Exception):
@@ -76,12 +64,6 @@ class TestLoadConfig:
         with pytest.raises(ParameterError, match="expected 'key = value'"):
             load_config(path)
 
-    def test_validation_applies_to_files(self, tmp_path):
-        path = tmp_path / "bad.cfg"
-        path.write_text("window = 1\n")
-        with pytest.raises(ParameterError):
-            load_config(path)
-
 
 class TestOverride:
     def test_none_values_ignored(self):
@@ -94,7 +76,3 @@ class TestOverride:
         assert cfg.genus == 2
         assert cfg.strands == 3
         assert cfg.boundary == 1
-
-    def test_override_revalidates(self):
-        with pytest.raises(ParameterError):
-            override(Config(), window=1)

@@ -752,6 +752,11 @@ class TestDiskAugmentation:
         with pytest.raises(UnsupportedDegreeError):
             disk_nonzero(x)
 
+    def test_overflow_is_refused(self):
+        x = conjugated_chord(S112, 1, 2, (A1,), Truncation(1, 2))
+        with pytest.raises(TruncationOverflowError):
+            disk_nonzero(x * x)
+
 
 class TestSerialization:
     def test_monomial_round_trip(self):
