@@ -20,6 +20,7 @@ from .braid import (
     bounded_equal,
     check_braid_word,
     format_perm_cycles,
+    is_relator_move,
     parse_braid_word,
     random_relator_rewrite,
     relators,

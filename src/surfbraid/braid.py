@@ -19,6 +19,8 @@ relator, which is checked exhaustively in the tests.  ``bounded_equal`` is
 a bounded breadth-first search over relator moves: sound when it answers
 Equal (the move sequence is replayed and verified), inconclusive when the
 depth runs out, and a ``ResourceLimitError`` when the node budget does.
+``is_relator_move`` checks one given move against the relator catalogue,
+without a search or a move table.
 """
 
 from __future__ import annotations
@@ -368,6 +370,30 @@ def apply_move(word: BraidWord, move: Move) -> BraidWord:
     if not (0 <= move.pos <= len(word)) or word[move.pos:end] != move.removed:
         raise SurfbraidError("move does not apply at this position")
     return free_reduce(word[:move.pos] + move.inserted + word[end:])
+
+
+def _cyclic_reduce(word: BraidWord) -> BraidWord:
+    word = free_reduce(word)
+    while len(word) > 1 and word[:1] == inverse_word(word[-1:]):
+        word = word[1:-1]
+    return word
+
+
+def is_relator_move(move: Move, s: SurfaceParams) -> bool:
+    """Whether ``move`` rewrites by one relator of the catalogue: true when
+    ``removed . inserted^-1``, freely and cyclically reduced, is a cyclic
+    rotation of a relator or of its inverse, also cyclically reduced.  Such
+    a move turns a word into one equal to it in the braid group; the check
+    reads the catalogue only and builds no move table."""
+    word = _cyclic_reduce(move.removed + inverse_word(move.inserted))
+    for rel in relators(s):
+        base = _cyclic_reduce(rel.word)
+        if len(base) != len(word):
+            continue
+        for base in (base, inverse_word(base)):
+            if any(base[r:] + base[:r] == word for r in range(len(base))):
+                return True
+    return False
 
 
 def _splice(head: str, inserted: str, tail: str) -> str:

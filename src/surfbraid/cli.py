@@ -67,7 +67,7 @@ _READS = {
     "diagram member": (*_TRUNCATION, "window"),
     "diagram equal": (*_TRUNCATION, "window"),
     "h1 class": _TRUNCATION,
-    "verify-theorem": (*_TRUNCATION, "window", "node_budget"),
+    "verify-theorem": (*_TRUNCATION, "window"),
 }
 _FLAGS = {
     "genus": ("--genus", "-g"),
@@ -80,15 +80,6 @@ _FLAGS = {
 }
 
 
-def _command(sub, command: str, **kwargs) -> argparse.ArgumentParser:
-    """A leaf parser with options for the settings ``command`` reads."""
-    parser = sub.add_parser(command.split()[-1], **kwargs)
-    parser.add_argument("--config", help="flat key = value configuration file")
-    for key in ("genus", "boundary", "strands", *_READS.get(command, ())):
-        parser.add_argument(*_FLAGS[key], dest=key, type=int, default=None)
-    return parser
-
-
 def _config_from(args) -> Config:
     cfg = load_config(args.config) if args.config else Config()
     return override(cfg, **{k: v for k, v in vars(args).items() if k in _FLAGS})
@@ -98,57 +89,61 @@ def _trunc(cfg: Config) -> Truncation:
     return Truncation(cfg.max_chords, cfg.max_beads)
 
 
-def build_parser() -> argparse.ArgumentParser:
+# group -> (help, leaves); a leaf maps to its arguments as (name, keyword
+# arguments), and verify-theorem is a leaf of its own, with no group
+_WORD = (("word", {}),)
+_GROUPS = {
+    "braid": ("braid words and relators", {
+        "parse": _WORD, "inv": _WORD, "perm": _WORD, "theta": _WORD,
+        "mul": (("word1", {}), ("word2", {})),
+        "relators": (),
+        "equal": (("word1", {}), ("word2", {}), ("--depth", {"type": int, "default": 2})),
+    }),
+    "singular": ("singular braid words", {"desing": _WORD}),
+    "gr": ("the graded quotient", {"symbol": (("--jexpr", {
+        "required": True, "help": "';'-separated summands 'coef | u | i | v'"}),)}),
+    "diagram": ("beaded chord diagrams", {
+        "member": (("element", {}),),
+        "equal": (("element1", {}), ("element2", {})),
+    }),
+    "h1": ("abelianization", {"class": (("element", {}),)}),
+    "verify-theorem": ("run the obstruction pipeline", (
+        ("--report", {"help": "also write the report to this file"}),)),
+    "symplectic": ("the symplectic diagram algebra", {
+        "dims": (("--max-degree", {"type": int, "required": True}),),
+        "twist-check": (),
+    }),
+}
+
+
+def _leaf(parser: argparse.ArgumentParser, command: str, arguments) -> None:
+    """Options for the settings ``command`` reads, then its own arguments."""
+    parser.add_argument("--config", help="flat key = value configuration file")
+    for key in ("genus", "boundary", "strands", *_READS.get(command, ())):
+        parser.add_argument(*_FLAGS[key], dest=key, type=int, default=None)
+    for name, kwargs in arguments:
+        parser.add_argument(name, **kwargs)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The top parser and every group, with leaf parsers for ``command``
+    alone when it names a group, and for every group otherwise."""
     top = argparse.ArgumentParser(
         prog="surfbraid",
         description="surface braid groups, their graded diagram algebras, "
         "and the degree-one obstruction, in exact arithmetic",
     )
     sub = top.add_subparsers(dest="command", required=True)
-
-    braid = sub.add_parser("braid", help="braid words and relators")
-    bsub = braid.add_subparsers(dest="subcommand", required=True)
-    for name in ("parse", "inv", "perm", "theta"):
-        _command(bsub, f"braid {name}").add_argument("word")
-    sp = _command(bsub, "braid mul")
-    sp.add_argument("word1")
-    sp.add_argument("word2")
-    _command(bsub, "braid relators")
-    sp = _command(bsub, "braid equal")
-    sp.add_argument("word1")
-    sp.add_argument("word2")
-    sp.add_argument("--depth", type=int, default=2)
-
-    singular = sub.add_parser("singular", help="singular braid words")
-    ssub = singular.add_subparsers(dest="subcommand", required=True)
-    _command(ssub, "singular desing").add_argument("word")
-
-    gr = sub.add_parser("gr", help="the graded quotient")
-    gsub = gr.add_subparsers(dest="subcommand", required=True)
-    _command(gsub, "gr symbol").add_argument(
-        "--jexpr", required=True, help="';'-separated summands 'coef | u | i | v'"
-    )
-
-    diagram = sub.add_parser("diagram", help="beaded chord diagrams")
-    dsub = diagram.add_subparsers(dest="subcommand", required=True)
-    _command(dsub, "diagram member").add_argument("element")
-    sp = _command(dsub, "diagram equal")
-    sp.add_argument("element1")
-    sp.add_argument("element2")
-
-    h1 = sub.add_parser("h1", help="abelianization")
-    hsub = h1.add_subparsers(dest="subcommand", required=True)
-    _command(hsub, "h1 class").add_argument("element")
-
-    _command(sub, "verify-theorem", help="run the obstruction pipeline").add_argument(
-        "--report", help="also write the report to this file"
-    )
-
-    symp = sub.add_parser("symplectic", help="the symplectic diagram algebra")
-    ysub = symp.add_subparsers(dest="subcommand", required=True)
-    _command(ysub, "symplectic dims").add_argument("--max-degree", type=int, required=True)
-    _command(ysub, "symplectic twist-check")
-
+    for group, (help_text, leaves) in _GROUPS.items():
+        parser = sub.add_parser(group, help=help_text)
+        if command in _GROUPS and command != group:
+            continue
+        if not isinstance(leaves, dict):
+            _leaf(parser, group, leaves)
+            continue
+        gsub = parser.add_subparsers(dest="subcommand", required=True)
+        for name, arguments in leaves.items():
+            _leaf(gsub.add_parser(name), f"{group} {name}", arguments)
     return top
 
 
@@ -245,7 +240,7 @@ def _run(args) -> int:
         return EXIT_OK
 
     if args.command == "verify-theorem":
-        rep = verify_nonexistence(s, _trunc(cfg), cfg.window, cfg.node_budget)
+        rep = verify_nonexistence(s, _trunc(cfg), cfg.window)
         text = format_report(rep)
         print(text)
         if args.report:
@@ -268,7 +263,8 @@ def _run(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -1,15 +1,18 @@
 """Machine-checked assembly of the degree-one obstruction.
 
 For a surface of genus >= 1 the handle relation expresses the squared
-half-twist ``s1^2`` as a commutator of braid generators.  The degree-one
-symbol of ``s1^2 - 1`` is the single chord ``(Z(1,2); id)``, whose class in
-the abelianized degree-one piece is nonzero (witnessed both by the explicit
-commutative model and by erasing beads onto the disk algebra, where degree
-<= 1 has an explicit basis).  A multiplicative universal invariant that
-embedded the graded quotient would have to send this commutator class to a
-nonzero abelianized value — but commutators die in any commutative target.
-The two purely logical inferences in that chain cannot be computed and are
-reported as cited steps; everything else is computed and certified.
+half-twist ``s1^2`` as a commutator of braid generators.  That step is one
+move, the commutator rewritten to ``s1^2``, checked against the relator
+catalogue (``is_relator_move``) and replayed by free reduction; it runs no
+search.  The degree-one symbol of ``s1^2 - 1`` is the single chord
+``(Z(1,2); id)``, whose class in the abelianized degree-one piece is
+nonzero (witnessed both by the explicit commutative model and by erasing
+beads onto the disk algebra, where degree <= 1 has an explicit basis).  A
+multiplicative universal invariant that embedded the graded quotient would
+have to send this commutator class to a nonzero abelianized value — but
+commutators die in any commutative target.  The two purely logical
+inferences in that chain cannot be computed and are reported as cited
+steps; everything else is computed and certified.
 
 For genus 0 the handle relation does not exist and the obstruction does not
 arise; the verifier reports the hypothesis as not met.
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .abelianization import format_h1, h1_class, h1_nonzero
-from .braid import bounded_equal, relators
+from .braid import Move, apply_move, is_relator_move, relators
 from .diagrams import (
     Truncation,
     chord_generator,
@@ -77,7 +80,6 @@ def verify_nonexistence(
     s: SurfaceParams,
     trunc: Truncation = Truncation(),
     window: int = 6,
-    node_budget: int = 10**6,
 ) -> VerificationReport:
     """Run the computable steps of the obstruction at the given parameters."""
     if s.strands < 2:
@@ -94,22 +96,22 @@ def verify_nonexistence(
         return VerificationReport(s, tuple(steps), HYPOTHESIS_NOT_MET)
 
     # (a) the handle relation is present and rewrites the commutator to s1^2
+    # in one move, which the relator catalogue checks
     commutator = _handle_commutator_word()
+    square = (("s", 1, 1), ("s", 1, 1))
     expected_relator = free_reduce((("s", 1, -1), ("s", 1, -1)) + commutator)
     present = any(
         rel.family == "2.iii" and rel.word == expected_relator
         for rel in relators(s)
     )
-    eq = bounded_equal(
-        commutator, (("s", 1, 1), ("s", 1, 1)), s, depth=1, node_budget=node_budget
-    )
-    ok_a = present and eq.is_equal
+    move = Move(0, commutator, square, "2.iii")
+    moved = is_relator_move(move, s) and apply_move(commutator, move) == square
+    ok_a = present and moved
     steps.append(Step(
         "handle_relation", "COMPUTED", ok_a,
-        f"relator 2.iii instance {'found' if present else 'MISSING'}: "
-        f"{format_word(expected_relator)}; rewrite to s1^2 in "
-        f"{len(eq.moves)} move(s)" if ok_a else
-        f"relator present={present}, bounded_equal={eq.status}",
+        f"relator 2.iii instance found: {format_word(expected_relator)}; "
+        f"rewrite to s1^2 in 1 move(s)" if ok_a else
+        f"relator present={present}, relator move={moved}",
     ))
 
     # (b) degree-one symbol of s1^2 - 1 equals the bare chord

@@ -5,7 +5,7 @@ import random
 import weakref
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from surfbraid import braid
@@ -20,6 +20,7 @@ from surfbraid.braid import (
     format_perm_cycles,
     identity_perm,
     invert_perm,
+    is_relator_move,
     parse_braid_word,
     parse_perm_cycles,
     perm_sign,
@@ -208,6 +209,11 @@ class TestWreathImage:
                 assert wreath_image(rel.word, s).is_identity, rel.rid if hasattr(rel, "rid") else rel.family
 
 
+def assert_relator_moves(eq, s):
+    """Every move an Equal answer returns passes the catalogue check."""
+    assert all(is_relator_move(mv, s) for mv in eq.moves), eq.moves
+
+
 class TestBoundedEqual:
     def test_reflexive(self):
         u = parse_braid_word("s1 a1", S112)
@@ -220,12 +226,14 @@ class TestBoundedEqual:
         v = parse_braid_word("s1 s1", S112)
         eq = bounded_equal(u, v, S112, depth=1)
         assert eq.is_equal
+        assert_relator_moves(eq, S112)
 
     def test_braid_relation(self):
         u = parse_braid_word("s1 s2 s1", S013)
         v = parse_braid_word("s2 s1 s2", S013)
         eq = bounded_equal(u, v, S013, depth=2)
         assert eq.is_equal
+        assert_relator_moves(eq, S013)
 
     def test_moves_replay(self):
         u = parse_braid_word("s1 s2 s1", S013)
@@ -415,8 +423,10 @@ class TestMoveTableAgainstReference:
            st.integers(0, 2**32 - 1))
     def test_same_answers_as_the_piece_scan(self, inputs, depth, budget, seed):
         s, u, v = inputs
-        assert outcome(bounded_equal, u, v, s, depth, budget) == \
-            outcome(ref_bounded_equal, u, v, s, depth, budget)
+        got = outcome(bounded_equal, u, v, s, depth, budget)
+        assert got == outcome(ref_bounded_equal, u, v, s, depth, budget)
+        if isinstance(got, Equality):
+            assert_relator_moves(got, s)
         assert outcome(random_relator_rewrite, u, s, random.Random(seed)) == \
             outcome(ref_random_relator_rewrite, u, s, random.Random(seed))
 
@@ -487,6 +497,7 @@ class TestMoveTableAgainstReference:
         eq = bounded_equal(u, v, S112, depth=2)
         assert eq == ref_bounded_equal(u, v, S112, 2)
         assert eq.is_equal and len(eq.moves) == 2 and eq.nodes == 4302
+        assert_relator_moves(eq, S112)
         # the budget is checked after the target, as in the reference
         assert bounded_equal(u, v, S112, depth=2, node_budget=eq.nodes) == eq
         assert outcome(bounded_equal, u, v, S112, 2, eq.nodes - 1) == \
@@ -524,3 +535,54 @@ class TestWreathImageIsAHomomorphism:
         words = st.lists(st.sampled_from(alphabet(s)), max_size=8).map(tuple)
         u, v = data.draw(words), data.draw(words)
         assert wreath_image(u + v, s) == wreath_image(u, s) * wreath_image(v, s)
+
+
+@st.composite
+def shadow_changing_moves(draw):
+    """A move whose two sides have different wreath images: random words, or
+    a relator split into removed . inserted^-1 with one letter changed."""
+    s = draw(st.sampled_from(SURFACES))
+    letters = st.sampled_from(alphabet(s))
+    rels = relators(s)
+    if rels and draw(st.booleans()):
+        word = draw(st.sampled_from(rels)).word
+        cut = draw(st.integers(0, len(word)))
+        removed, inserted = word[:cut], inverse_word(word[cut:])
+        i = draw(st.integers(0, len(inserted)))
+        inserted = free_reduce(inserted[:i] + (draw(letters),) + inserted[i + 1:])
+    else:
+        words = st.lists(letters, max_size=8).map(lambda w: free_reduce(tuple(w)))
+        removed, inserted = draw(words), draw(words)
+    assume(wreath_image(removed, s) != wreath_image(inserted, s))
+    return s, Move(0, removed, inserted, "")
+
+
+class TestIsRelatorMove:
+    @pytest.mark.parametrize("g,p,n", [(1, 1, 2), (1, 0, 3), (2, 0, 2), (2, 1, 3), (0, 2, 3)])
+    def test_accepts_every_move_of_the_table(self, g, p, n):
+        s = SurfaceParams(g, p, n)
+        table = braid._MoveTable(s)
+        moves = [Move(0, table.decode(removed), table.decode(inserted), family)
+                 for removed, group in table.subs.items()
+                 for inserted, family, _, _ in group]
+        assert moves and all(is_relator_move(mv, s) for mv in moves)
+
+    def test_accepts_a_relator_conjugate_and_the_handle_move(self):
+        x = parse_braid_word("b1 s1", S112)
+        for rel in relators(S112):
+            conjugate = free_reduce(x + rel.word + inverse_word(x))
+            assert is_relator_move(Move(0, (), conjugate, rel.family), S112)
+        # [a1, s1^-1 b1 s1^-1] = s1^2: the 2.iii relator is not cyclically reduced
+        commutator = parse_braid_word("a1 s1^-1 b1 s1^-1 a1^-1 s1 b1^-1 s1", S112)
+        square = parse_braid_word("s1 s1", S112)
+        assert is_relator_move(Move(0, commutator, square, "2.iii"), S112)
+        assert not is_relator_move(Move(0, commutator, inverse_word(square), "2.iii"), S112)
+        # the shadow cannot tell s1^2 from 1, the catalogue can
+        assert wreath_image(square, S112).is_identity
+        assert not is_relator_move(Move(0, square, (), ""), S112)
+
+    @settings(max_examples=200, deadline=None)
+    @given(shadow_changing_moves())
+    def test_rejects_moves_that_change_the_shadow(self, case):
+        s, move = case
+        assert not is_relator_move(move, s)

@@ -1,5 +1,11 @@
 """End-to-end command-line behaviour, driven through main(argv)."""
 
+import argparse
+import re
+import shlex
+import sys
+from pathlib import Path
+
 import pytest
 
 from surfbraid import rewriting
@@ -8,8 +14,11 @@ from surfbraid.cli import (
     EXIT_OK,
     EXIT_RESOURCE,
     EXIT_USAGE,
+    build_parser,
     main,
 )
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 S112 = ["-g", "1", "-p", "1", "-n", "2"]
 MEMBER_QUERY = "1 * a1@1 a1^-1@1 ; perm=(1)(2) + -1 * 1 ; perm=(1)(2)"
@@ -304,8 +313,14 @@ class TestConfigAndErrors:
         capsys.readouterr()
 
     def test_unknown_command(self, capsys):
-        assert main(["frobnicate"]) == EXIT_USAGE
-        capsys.readouterr()
+        code, _, err = run(capsys, ["frobnicate"])
+        assert code == EXIT_USAGE
+        assert "invalid choice: 'frobnicate'" in err
+        assert all(f"'{group}'" in err for group in GROUPS), err
+
+    def test_main_without_argv_reads_sys_argv(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["surfbraid", "braid", "inv", *S112, "a1 s1"])
+        assert run(capsys, None)[:2] == (EXIT_OK, "s1^-1 a1^-1\n")
 
     def test_missing_required_option(self, capsys):
         assert main(["gr", "symbol", *S112]) == EXIT_USAGE
@@ -347,7 +362,7 @@ LEAVES = [
     (["diagram", "equal", *S112, "1 * a1@1 a1^-1@1 ; perm=(1)(2)", "1 * 1 ; perm=(1)(2)"],
      EXIT_OK, (*TRUNCATION, "--window")),
     (["h1", "class", *S112, "1 * Z(1,2) ; perm=(1)(2)"], EXIT_OK, TRUNCATION),
-    (["verify-theorem", *S112], EXIT_OK, (*TRUNCATION, "--window", "--node-budget")),
+    (["verify-theorem", *S112], EXIT_OK, (*TRUNCATION, "--window")),
     (["symplectic", "dims", *S112, "--max-degree", "1"], EXIT_OK, ()),
     (["symplectic", "twist-check", "-g", "1", "-p", "0", "-n", "2"], EXIT_OK, ()),
 ]
@@ -367,3 +382,62 @@ def test_command_takes_only_the_settings_it_reads(capsys, tmp_path, argv, code, 
     for flag in DEFAULTS.keys() - set(reads):
         got, _, err = run(capsys, [*argv, flag, DEFAULTS[flag]])
         assert got == EXIT_USAGE and "unrecognized arguments" in err, flag
+
+
+# group -> its leaf commands, in the order the parser lists them;
+# verify-theorem is a leaf with no group
+GROUPS: dict = {}
+for argv, _, _ in LEAVES:
+    GROUPS.setdefault(argv[0], [])
+    if not argv[1].startswith("-"):
+        GROUPS[argv[0]].append(argv[1])
+
+
+def test_help_lists_every_group_and_leaf(capsys):
+    code, out, _ = run(capsys, ["--help"])
+    assert code == EXIT_OK
+    assert "{" + ",".join(GROUPS) + "}" in out
+    for group, leaves in GROUPS.items():
+        code, out, _ = run(capsys, [group, "--help"])
+        assert code == EXIT_OK
+        assert ("{" + ",".join(leaves) + "}" in out) if leaves else "--report" in out
+
+
+def _choices(parser: argparse.ArgumentParser) -> dict:
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return action.choices
+    return {}
+
+
+def test_parser_builds_only_the_branch_argv_names():
+    def leaves(top):
+        return {(group, name) for group, parser in _choices(top).items()
+                for name in _choices(parser)}
+
+    every = leaves(build_parser())
+    assert every == {(group, name) for group, names in GROUPS.items() for name in names}
+    for command in (None, "--help", "frobnicate"):
+        assert leaves(build_parser(command)) == every
+    # the top parser offers every group, so errors and help list them all
+    top = build_parser("verify-theorem")
+    assert list(_choices(top)) == list(GROUPS)
+    assert leaves(top) == set()
+    assert "--report" in _choices(top)["verify-theorem"]._option_string_actions
+    assert leaves(build_parser("braid")) == {leaf for leaf in every if leaf[0] == "braid"}
+
+
+def test_readme_examples_run(capsys, tmp_path, monkeypatch):
+    # each example exits 0 or 1; what follows "→" in its comment is its output
+    monkeypatch.chdir(tmp_path)
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    examples = [line for block in blocks for line in block.splitlines()
+                if line.startswith("surfbraid ")]
+    assert len(examples) >= 13
+    for line in examples:
+        command, _, comment = line.partition("#")
+        code, out, err = run(capsys, shlex.split(command)[1:])
+        assert code in (EXIT_OK, EXIT_NEGATIVE), (line, err)
+        _, arrow, expected = comment.partition("→")
+        if arrow:
+            assert out == expected.strip() + "\n", line

@@ -1,7 +1,10 @@
 """The assembled degree-one obstruction pipeline."""
 
+import weakref
+
 import pytest
 
+from surfbraid import braid
 from surfbraid.errors import ParameterError
 from surfbraid.surface import SurfaceParams
 from surfbraid.verifier import (
@@ -70,3 +73,44 @@ class TestSteps:
         a = format_report(verify_nonexistence(SurfaceParams(2, 1, 3)))
         b = format_report(verify_nonexistence(SurfaceParams(2, 1, 3)))
         assert a == b
+
+
+def _report(g, p, n):
+    perm = "".join(f"({i})" for i in range(1, n + 1))
+    return "\n".join([
+        f"surface genus={g} boundary={p} strands={n}",
+        "STEP handle_relation COMPUTED PASS relator 2.iii instance found: "
+        "s1^-1 s1^-1 a1 s1^-1 b1 s1^-1 a1^-1 s1 b1^-1 s1; rewrite to s1^2 in 1 move(s)",
+        f"STEP squared_crossing_symbol COMPUTED PASS symbol = 1 * Z(1,2) ; perm={perm}; "
+        "difference from (Z(1,2); id) is in the relation ideal (0 certificate term(s), "
+        "re-expansion verified)",
+        "STEP degree_one_class COMPUTED PASS h1 class = 1 * Z12; witness monomial Z12 "
+        f"(coefficient 1); disk augmentation 1 * Z(1,2) ; perm={perm} nonzero in the "
+        "explicit degree-1 basis",
+        "STEP graded_embedding CITED PASS a functorial universal degree-one invariant "
+        "would induce an injective map of graded quotients, sending the class of "
+        "s1^2 - 1 to the nonzero chord class computed above",
+        "STEP commutator_vanishing CITED PASS a multiplicative invariant with "
+        "commutative degree-one target kills every commutator class; s1^2 - 1 is a "
+        "commutator combination by the handle relation, so its image would have to "
+        "vanish — contradiction",
+        "VERDICT ObstructionEstablished",
+    ])
+
+
+class TestHandleStep:
+    @pytest.mark.parametrize("g,p,n", [(1, 1, 2), (3, 0, 3)])
+    def test_full_report_text(self, g, p, n):
+        assert format_report(verify_nonexistence(SurfaceParams(g, p, n))) == _report(g, p, n)
+
+    def test_builds_no_move_table(self, monkeypatch):
+        def refuse(self, s):
+            raise AssertionError("verify_nonexistence built a relator move table")
+
+        monkeypatch.setattr(braid._MoveTable, "__init__", refuse)
+        # no table shared with an equal surface built elsewhere
+        monkeypatch.setattr(braid, "_MOVE_TABLES", weakref.WeakKeyDictionary())
+        for g, p, n in POSITIVE:
+            assert verify_nonexistence(SurfaceParams(g, p, n)).verdict == OBSTRUCTION_ESTABLISHED
+        for g, p, n in NEGATIVE:
+            assert verify_nonexistence(SurfaceParams(g, p, n)).verdict == HYPOTHESIS_NOT_MET
