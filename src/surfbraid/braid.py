@@ -19,6 +19,8 @@ relator, which is checked exhaustively in the tests.  ``bounded_equal`` is
 a bounded breadth-first search over relator moves: sound when it answers
 Equal (the move sequence is replayed and verified), inconclusive when the
 depth runs out, and a ``ResourceLimitError`` when the node budget does.
+It inserts relator conjugates only, since every other move repeats a word
+that an insertion has already given (the two lemmas of ``_MoveTable``).
 ``is_relator_move`` checks one given move against the relator catalogue,
 without a search or a move table.
 """
@@ -379,12 +381,12 @@ def _cyclic_reduce(word: BraidWord) -> BraidWord:
     return word
 
 
-def is_relator_move(move: Move, s: SurfaceParams) -> bool:
-    """Whether ``move`` rewrites by one relator of the catalogue: true when
-    ``removed . inserted^-1``, freely and cyclically reduced, is a cyclic
-    rotation of a relator or of its inverse, also cyclically reduced.  Such
-    a move turns a word into one equal to it in the braid group; the check
-    reads the catalogue only and builds no move table."""
+def is_relator_move(move: Move, s: SurfaceParams) -> Relator | None:
+    """The relator of the catalogue that ``move`` rewrites by, or None: the
+    first relator such that ``removed . inserted^-1``, freely and cyclically
+    reduced, is a cyclic rotation of it or of its inverse, also cyclically
+    reduced.  Such a move turns a word into one equal to it in the braid
+    group; the check reads the catalogue once and builds no move table."""
     word = _cyclic_reduce(move.removed + inverse_word(move.inserted))
     for rel in relators(s):
         base = _cyclic_reduce(rel.word)
@@ -392,8 +394,8 @@ def is_relator_move(move: Move, s: SurfaceParams) -> bool:
             continue
         for base in (base, inverse_word(base)):
             if any(base[r:] + base[:r] == word for r in range(len(base))):
-                return True
-    return False
+                return rel
+    return None
 
 
 def _splice(head: str, inserted: str, tail: str) -> str:
@@ -423,16 +425,29 @@ class _MoveTable:
 
     For each rotation r of a relator or its inverse and each split r = P.S,
     the move rewrites P into S^-1 (P empty inserts a relator conjugate).
-    ``subs`` maps each removed word P to its moves ``(inserted, family,
-    first, last)``, ordered by ``word_sort_key`` of the inserted word, first
-    family kept; ``first`` and ``last`` are the inverses of the inserted
-    word's first and last letters (both empty for the empty word), so a
-    caller sees that no seam cancels without calling ``_splice``.  ``lengths`` holds the
-    removed lengths, ascending.  Scanning the lengths in order and each
-    group in order visits the moves that apply at one position in the order
-    of one list sorted by (removed, inserted).  ``bases`` are the relators
-    and their inverses, as letter words, that ``random_relator_rewrite``
-    inserts."""
+    ``subs`` maps each removed word P to its moves ``(inserted, family)``,
+    ordered by ``word_sort_key`` of the inserted word, first family kept.
+    ``lengths`` holds the removed lengths, ascending.  Scanning the lengths
+    in order and each group in order visits the moves that apply at one
+    position in the order of one list sorted by (removed, inserted).
+    ``subs`` and ``lengths`` serve ``random_relator_rewrite``, as do
+    ``bases``, the relators and their inverses as letter words.
+
+    ``inserts`` serves ``bounded_equal``: the moves of ``subs[""]``, in their
+    order, each as ``(inserted, family, first, last, after)``.  ``first``
+    and ``last`` are the inverses of the inserted word's first and last
+    letters, so the search sees that no seam cancels without calling
+    ``_splice``.  Two lemmas make the insertions the only moves the search
+    needs, writing inv(x) for the inverse of a word x:
+
+    1. A move P -> I with P = rot[:k], k >= 1, gives at any position the
+       word that inserting I.inv(P) = inv(rot) there gives, and inv(rot)
+       is itself an insertion.
+    2. Inserting R after a letter h gives the word that inserting
+       free_reduce(h R h^-1) gives one position earlier.  ``after`` holds
+       the letters h, among R's last letter and the inverse of its first,
+       for which that word is an insertion too; each is confirmed by one
+       membership test."""
 
     def __init__(self, s: SurfaceParams):
         rels = relators(s)
@@ -466,10 +481,24 @@ class _MoveTable:
                 pieces.items(), key=lambda t: (
                     len(t[0][0]), t[0][0].translate(rank),
                     len(t[0][1]), t[0][1].translate(rank))):
-            subs.setdefault(removed, []).append((
-                inserted, family,
-                inserted[:1].translate(self.flip), inserted[-1:].translate(self.flip)))
+            subs.setdefault(removed, []).append((inserted, family))
         self.subs = {removed: tuple(group) for removed, group in subs.items()}
+        group = self.subs.get("", ())
+        inserted_words = {inserted for inserted, _ in group}
+        inserts = []
+        for inserted, family in group:
+            first = inserted[0].translate(self.flip)
+            last = inserted[-1].translate(self.flip)
+            # h R h^-1 for h the last letter of R or the inverse of its first:
+            # a rotation of R, or R without both ends where these letters agree
+            if first == inserted[-1]:
+                turns = ((first, inserted[1:-1]),)
+            else:
+                turns = ((inserted[-1], inserted[-1] + inserted[:-1]),
+                         (first, inserted[1:] + inserted[0]))
+            after = tuple(h for h, word in turns if word in inserted_words)
+            inserts.append((inserted, family, first, last, after))
+        self.inserts = tuple(inserts)
         self.lengths = tuple(sorted({len(removed) for removed in subs}))
         self.bases = tuple(
             (base, rel.family)
@@ -514,16 +543,21 @@ def bounded_equal(
 
     The moves come from the surface's move table, built on first use and
     shared by equal surfaces (see ``_MOVE_TABLES``).  Words are strings with
-    one character per letter, so each is hashed once.  At each position of
-    a word the search probes the table once per removed length; an
-    inserted word is concatenated in where neither seam cancels and
-    spliced by ``_splice`` otherwise.  Words of the last level are only
-    recorded as seen: they keep no parent record and form no frontier,
-    and the move that reaches v there is handed to the path directly.
-    Words are expanded in frontier order, positions left to right, and the
-    moves at one position by (removed length, removed, inserted) in the
-    fixed letter order, so the moves returned and the word count at which
-    the budget stops are fixed by the inputs."""
+    one character per letter, so each is hashed once.  The search tries,
+    at each position of a word, the insertions of relator conjugates
+    (``_MoveTable.inserts``), concatenated in where neither seam cancels
+    and spliced by ``_splice`` otherwise.  It tries no substitution
+    P -> S^-1: by lemma 1 of ``_MoveTable`` each gives the word of an
+    insertion at the same position, and every such word is already seen.
+    By lemma 2 it skips an insertion whose word an insertion one position
+    earlier has already given.  Both lemmas only drop repeats, so the
+    words are generated in the order of a search over every relator move
+    by (position, removed length, removed, inserted) in the fixed letter
+    order: the moves returned, the word count and the point where the
+    budget stops are the same, and fixed by the inputs.  Words of the last
+    level are only recorded as seen: they keep no parent record and form
+    no frontier, and the move that reaches v there is handed to the path
+    directly."""
     if depth < 0:
         raise ParameterError(f"the depth must be non-negative, not {depth}")
     if node_budget < 1:
@@ -534,10 +568,10 @@ def bounded_equal(
     if start == target:
         return Equality("equal")
     table = _move_table(s)
-    subs, lengths = table.subs, table.lengths
+    inserts = table.inserts
     start_code, target_code = table.encode(start), table.encode(target)
-    # word -> the step that first reached it: (previous word, position,
-    # removed length, inserted, family)
+    # word -> the insertion that first reached it: (previous word, position,
+    # inserted, family)
     parents: dict[str, tuple] = {}
     frontier = [start_code]
     seen = {start_code}
@@ -545,9 +579,8 @@ def bounded_equal(
     def path_to(step: tuple) -> Equality:
         moves: list[Move] = []
         while True:
-            w, pos, k, inserted, family = step
-            moves.append(Move(pos, table.decode(w[pos:pos + k]),
-                              table.decode(inserted), family))
+            w, pos, inserted, family = step
+            moves.append(Move(pos, (), table.decode(inserted), family))
             if w == start_code:
                 break
             step = parents[w]
@@ -563,35 +596,29 @@ def bounded_equal(
         last_level = level == depth
         next_frontier: list[str] = []
         for w in frontier:
-            n = len(w)
-            for pos in range(n + 1):
+            for pos in range(len(w) + 1):
                 head, h = w[:pos], w[pos - 1:pos]
-                for k in lengths:
-                    if pos + k > n:
-                        break
-                    group = subs.get(w[pos:pos + k])
-                    if group is None:
+                tail, t = w[pos:], w[pos:pos + 1]
+                for inserted, family, first, last, after in inserts:
+                    if h in after:
                         continue
-                    tail, t = w[pos + k:], w[pos + k:pos + k + 1]
-                    for inserted, family, first, last in group:
-                        # an empty inserted word has no seam letters: splice it
-                        if inserted and h != first and t != last:
-                            nxt = head + inserted + tail
-                        else:
-                            nxt = _splice(head, inserted, tail)
-                        if nxt in seen:
-                            continue
-                        seen.add(nxt)
-                        if nxt == target_code:
-                            return path_to((w, pos, k, inserted, family))
-                        if not last_level:
-                            parents[nxt] = (w, pos, k, inserted, family)
-                            next_frontier.append(nxt)
-                        if len(seen) - 1 >= node_budget:
-                            raise ResourceLimitError(
-                                f"node budget of {node_budget} words exhausted "
-                                f"within depth {depth}"
-                            )
+                    if h != first and t != last:
+                        nxt = head + inserted + tail
+                    else:
+                        nxt = _splice(head, inserted, tail)
+                    if nxt in seen:
+                        continue
+                    seen.add(nxt)
+                    if nxt == target_code:
+                        return path_to((w, pos, inserted, family))
+                    if not last_level:
+                        parents[nxt] = (w, pos, inserted, family)
+                        next_frontier.append(nxt)
+                    if len(seen) - 1 >= node_budget:
+                        raise ResourceLimitError(
+                            f"node budget of {node_budget} words exhausted "
+                            f"within depth {depth}"
+                        )
         frontier = next_frontier
         if not frontier:
             break
@@ -618,7 +645,7 @@ def random_relator_rewrite(word: BraidWord, s: SurfaceParams, rng) -> tuple[Brai
             if pos + k > len(code):
                 break
             if k:
-                for inserted, family, _, _ in table.subs.get(code[pos:pos + k], ()):
+                for inserted, family in table.subs.get(code[pos:pos + k], ()):
                     subs.append((pos, k, inserted, family))
     total = len(subs) + len(table.bases) * (len(word) + 1)
     if not total:

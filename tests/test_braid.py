@@ -392,6 +392,11 @@ def outcome(search, *args):
 
 SURFACES = [SurfaceParams(*t) for t in
             [(1, 1, 2), (1, 0, 2), (2, 1, 3), (0, 2, 3), (1, 2, 2), (0, 1, 2)]]
+# two closed surfaces: (2,0,2) has two 2.iii relators, which are not cyclically
+# reduced, so some rotations of its insertions are shorter, and the sphere
+# (0,0,3) has only the braid relation and its 2.iv relator
+SEARCH_SURFACES = SURFACES + [SurfaceParams(2, 0, 2), SurfaceParams(0, 0, 3)]
+LEMMA_SURFACES = SEARCH_SURFACES + [SurfaceParams(3, 0, 2)]
 
 
 def alphabet(s):
@@ -400,7 +405,7 @@ def alphabet(s):
 
 @st.composite
 def search_inputs(draw):
-    s = draw(st.sampled_from(SURFACES))
+    s = draw(st.sampled_from(SEARCH_SURFACES))
     words = st.lists(st.sampled_from(alphabet(s)), max_size=5).map(
         lambda w: free_reduce(tuple(w)))
     u = draw(words)
@@ -470,10 +475,13 @@ class TestMoveTableAgainstReference:
                 for removed, group in table.subs.items():
                     if len(removed) != k:
                         continue
-                    for inserted, family, first, last in group:
+                    for inserted, family in group:
                         flat.append((table.decode(removed), table.decode(inserted), family))
-                        assert table.decode(first) == inverse_word(table.decode(inserted[:1]))
-                        assert table.decode(last) == inverse_word(table.decode(inserted[-1:]))
+            # the search's insertions are the moves removing nothing, in order
+            assert [move[:2] for move in table.inserts] == list(table.subs.get("", ()))
+            for inserted, _, first, last, _ in table.inserts:
+                assert table.decode(first) == inverse_word(table.decode(inserted[:1]))
+                assert table.decode(last) == inverse_word(table.decode(inserted[-1:]))
             # the reference interleaves tied removed words (s1 and z1) in one
             # flat list; the table groups each removed word, keeping its order
             ref: dict = {}
@@ -526,6 +534,106 @@ class TestMoveTableAgainstReference:
         assert len(braid._MOVE_TABLES) == before
 
 
+def table_substitutions(table):
+    """The table's moves P -> I with P non-empty, as letter words."""
+    return [(table.decode(removed), table.decode(inserted))
+            for removed, group in table.subs.items() if removed
+            for inserted, _ in group]
+
+
+def table_insertions(table):
+    return {table.decode(move[0]) for move in table.inserts}
+
+
+def skipped_insertions(table):
+    """(R, h, R') for every insertion R and letter h of its ``after``, with
+    R' = h R h^-1 freely reduced, the insertion one position earlier."""
+    return [(table.decode(inserted), table.decode(h),
+             table.decode(braid._splice(h, inserted, table.inverse(h))))
+            for inserted, _, _, _, after in table.inserts for h in after]
+
+
+@st.composite
+def lemma_cases(draw):
+    """A reduced word w with a position where a substitution applies, or
+    after a letter h where an insertion is skipped, and the two moves that
+    the lemma says give the same word there."""
+    s = draw(st.sampled_from([s for s in LEMMA_SURFACES if relators(s)]))
+    table = braid._move_table(s)
+    words = st.lists(st.sampled_from(alphabet(s)), max_size=4).map(tuple)
+    left, right = draw(words), draw(words)
+    if draw(st.booleans()):
+        # lemma 1: P -> I at pos, against inserting I inv(P) at pos
+        removed, inserted = draw(st.sampled_from(table_substitutions(table)))
+        w, pos = left + removed + right, len(left)
+        moves = (Move(pos, removed, inserted, ""),
+                 Move(pos, (), inserted + inverse_word(removed), ""))
+    else:
+        # lemma 2: R after the letter h, against h R h^-1 one position earlier
+        inserted, h, earlier = draw(st.sampled_from(skipped_insertions(table)))
+        w, pos = left + h + right, len(left) + 1
+        moves = (Move(pos, (), inserted, ""), Move(pos - 1, (), earlier, ""))
+    assume(free_reduce(w) == w)
+    return w, moves
+
+
+class TestSearchLemmas:
+    """The two lemmas that let ``bounded_equal`` scan insertions only and skip
+    conjugate repeats (see ``_MoveTable``)."""
+
+    @pytest.mark.parametrize("s", LEMMA_SURFACES, ids=str)
+    def test_each_substitution_is_an_insertion_at_its_position(self, s):
+        table = braid._move_table(s)
+        inserts = table_insertions(table)
+        for removed, inserted in table_substitutions(table):
+            assert inserted + inverse_word(removed) in inserts, (removed, inserted)
+
+    @pytest.mark.parametrize("s", LEMMA_SURFACES, ids=str)
+    def test_each_skip_has_an_insertion_one_position_earlier(self, s):
+        table = braid._move_table(s)
+        inserts = table_insertions(table)
+        for inserted, h, earlier in skipped_insertions(table):
+            assert h in (inserted[-1:], inverse_word(inserted[:1]))
+            assert earlier in inserts, (inserted, h)
+        # the skips are not vacuous where relators exist
+        assert bool(skipped_insertions(table)) == bool(relators(s))
+
+    @settings(max_examples=300, deadline=None)
+    @given(lemma_cases())
+    def test_both_rewrites_give_the_same_word(self, case):
+        w, (move, repeat) = case
+        assert apply_move(w, move) == apply_move(w, repeat)
+
+    def test_search_reads_neither_substitutions_nor_lengths(self, monkeypatch):
+        s = SurfaceParams(1, 0, 2)
+        table = braid._move_table(s)
+        u = parse_braid_word("b1 s1^-1", s)
+        v = parse_braid_word("b1 s1^-1 a1 s1^-1 a1 s1 a1^-1 s1 a1^-1 s1^-1", s)
+        expected = bounded_equal(u, v, s, depth=1)
+        monkeypatch.delattr(table, "subs")
+        monkeypatch.delattr(table, "lengths")
+        assert braid._move_table(s) is table
+        assert bounded_equal(u, v, s, depth=1) == expected
+        assert expected.is_equal
+        w = u + (("s", 1, 1),)
+        assert bounded_equal(u, w, s, depth=1).status == "unknown"
+
+    def test_depth_two_nodes_and_moves_are_pinned(self):
+        # taken from the search over every relator move, substitutions included
+        s = SurfaceParams(1, 0, 2)
+        u = parse_braid_word("a1 s1 b1", s)
+        eq = bounded_equal(u, parse_braid_word("a1 s1 b1 s1", s), s, depth=2)
+        assert eq == Equality("unknown", nodes=66704)
+        u = parse_braid_word("b1 s1^-1", s)
+        v = parse_braid_word(
+            "b1 s1^-1 a1 s1^-1 a1 a1 b1^-1 a1^-1 b1 s1^-1 a1^-1 s1 a1^-1 s1^-1", s)
+        eq = bounded_equal(u, v, s, depth=2)
+        assert eq == Equality("equal", (
+            Move(1, (), parse_braid_word("s1^-1 a1 s1^-1 a1 s1 a1^-1 s1 a1^-1", s), "2.ii"),
+            Move(5, (), parse_braid_word("a1 b1^-1 a1^-1 b1 s1^-1 s1^-1", s), "2.iv"),
+        ), 35622)
+
+
 class TestWreathImageIsAHomomorphism:
     @settings(max_examples=100, deadline=None)
     @given(st.data())
@@ -564,7 +672,7 @@ class TestIsRelatorMove:
         table = braid._MoveTable(s)
         moves = [Move(0, table.decode(removed), table.decode(inserted), family)
                  for removed, group in table.subs.items()
-                 for inserted, family, _, _ in group]
+                 for inserted, family in group]
         assert moves and all(is_relator_move(mv, s) for mv in moves)
 
     def test_accepts_a_relator_conjugate_and_the_handle_move(self):
@@ -575,11 +683,13 @@ class TestIsRelatorMove:
         # [a1, s1^-1 b1 s1^-1] = s1^2: the 2.iii relator is not cyclically reduced
         commutator = parse_braid_word("a1 s1^-1 b1 s1^-1 a1^-1 s1 b1^-1 s1", S112)
         square = parse_braid_word("s1 s1", S112)
-        assert is_relator_move(Move(0, commutator, square, "2.iii"), S112)
-        assert not is_relator_move(Move(0, commutator, inverse_word(square), "2.iii"), S112)
+        handle = [rel for rel in relators(S112) if rel.family == "2.iii"]
+        # the move names the relator it matched, and None when none matches
+        assert [is_relator_move(Move(0, commutator, square, "2.iii"), S112)] == handle
+        assert is_relator_move(Move(0, commutator, inverse_word(square), "2.iii"), S112) is None
         # the shadow cannot tell s1^2 from 1, the catalogue can
         assert wreath_image(square, S112).is_identity
-        assert not is_relator_move(Move(0, square, (), ""), S112)
+        assert is_relator_move(Move(0, square, (), ""), S112) is None
 
     @settings(max_examples=200, deadline=None)
     @given(shadow_changing_moves())

@@ -4,7 +4,7 @@ import weakref
 
 import pytest
 
-from surfbraid import braid
+from surfbraid import braid, verifier
 from surfbraid.errors import ParameterError
 from surfbraid.surface import SurfaceParams
 from surfbraid.verifier import (
@@ -114,3 +114,19 @@ class TestHandleStep:
             assert verify_nonexistence(SurfaceParams(g, p, n)).verdict == OBSTRUCTION_ESTABLISHED
         for g, p, n in NEGATIVE:
             assert verify_nonexistence(SurfaceParams(g, p, n)).verdict == HYPOTHESIS_NOT_MET
+
+    def test_reads_the_catalogue_once(self, monkeypatch):
+        calls = []
+        catalogue = braid.relators
+
+        def counting(s):
+            calls.append(s)
+            return catalogue(s)
+
+        monkeypatch.setattr(braid, "relators", counting)
+        monkeypatch.setattr(verifier, "relators", counting)
+        for g, p, n in POSITIVE:
+            s = SurfaceParams(g, p, n)
+            calls.clear()
+            assert verify_nonexistence(s).verdict == OBSTRUCTION_ESTABLISHED
+            assert calls == [s]
