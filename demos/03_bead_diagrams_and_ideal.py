@@ -73,8 +73,9 @@ print("\nbare chord membership on a surface with boundary:", res.status)
 print("witness:", format_diagram(res.witness))
 
 # on the closed torus the normal form goes one step further, to the
-# exponent form a1^m b1^k of each strand's beads (a swap b1 a1 -> a1 b1 is
-# a ClosedSum row), and it decides chord degree <= 1 there too
+# exponent form a1^m b1^k of each strand's beads (completing the ClosedSum
+# row gives the swaps b1^e a1^d -> a1^d b1^e), and it decides chord
+# degree <= 1 there too
 bare = parse_diagram("1 * Z(1,2) ; perm=(1)(2)(3)", s, trunc)
 res = ideal_member(bare, s, trunc)
 print("bare chord membership on the closed torus:", res.status)

@@ -37,7 +37,6 @@ from .diagrams import (
     chord_generator,
     conjugated_chord,
     degree_one_symbol,
-    diag_mul,
     disk_augmentation,
     disk_nonzero,
     embed_wreath,

@@ -2,15 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .errors import ParameterError
-
-_INT_KEYS = {
-    "genus", "boundary", "strands", "max_chords", "max_beads",
-    "window", "node_budget",
-}
 
 
 @dataclass(frozen=True)
@@ -22,6 +17,9 @@ class Config:
     max_beads: int = 4
     window: int = 6
     node_budget: int = 10**6
+
+
+_INT_KEYS = {f.name for f in fields(Config)}
 
 
 def load_config(path) -> Config:

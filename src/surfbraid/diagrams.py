@@ -36,9 +36,10 @@ too weak to transport conjugated chords from one strand to the other.
 
 ``ideal_member`` answers membership at a bead window.  It first rewrites
 the query to its bead normal form, and on the closed torus on to the
-exponent form ``a1^m b1^k`` per strand, with ``rewriting.RewritingSystem``
-over one table of rules per surface; each rule carries its proof as a
-derivation from relation rows, so the rewriting steps expand into a
+exponent form ``a1^m b1^k`` per strand, with one table of rules per
+surface (``_rule_table``): the completion (``rewriting.complete``) of the
+relations with one chord and two beads, so each rule carries its proof as
+the derivation the completion records, the rewriting steps expand into a
 certificate, and the same table is what the confluence tests check.
 Except on closed surfaces of genus >= 2 that normal form decides chord
 degree <= 1: its rules are a complete rewriting system there, so a
@@ -270,10 +271,6 @@ class WreathDiagram:
 
     def max_chord_degree(self) -> int:
         return max((chord_degree(m) for (m, _) in self.terms), default=0)
-
-
-def diag_mul(x: WreathDiagram, y: WreathDiagram) -> WreathDiagram:
-    return x * y
 
 
 # ---------------------------------------------------------------------------
@@ -547,71 +544,30 @@ class _CodedSystem:
 
 @functools.lru_cache(maxsize=None)
 def _rule_table(s: SurfaceParams) -> _CodedSystem:
-    """The rules of the bead normal form: an inverse bead pair on one strand
-    cancels (BeadGroup), a bead slides right across a chord, onto the
-    chord's other strand when it sits on the chord (BeadPush, BeadFar), and
-    beads on different strands sort by strand (BeadBead).  On the closed
-    torus the swaps ``b1^e a1^d -> a1^d b1^e`` on each strand carry a strand
-    on to its exponent form ``a1^m b1^k``, what ``pi1_normalize`` returns.  A
-    swap is one ClosedSum row and the BeadGroup rows that cancel its frames:
-
-        b^e a^d - a^d b^e = -e d . L ClosedSum[i] R + BeadGroup rows,
-
-    with ``L`` the inverse letters among ``a^d, b^e`` in that order and ``R``
-    its reverse; its derivation keeps the bead rules' steps that find the
-    BeadGroup rows, naming their leading words."""
+    """The rules of the bead normal form, completed (``rewriting.complete``)
+    from the relation instances with at most one chord and two beads, and
+    ClosedSum among them only on the closed torus: on closed genus >= 2 it
+    does not close.  Beads are coded from the last strand down, each
+    strand's letters in reverse, and chords last, so the completion orients
+    the rules thus: an inverse bead pair on one strand cancels (BeadGroup),
+    a bead slides right across a chord, onto the chord's other strand when
+    it sits on the chord (BeadPush, BeadFar), beads on different strands
+    sort by strand (BeadBead), and on the closed torus the swaps ``b1^e
+    a1^d -> a1^d b1^e`` carry a strand on to its exponent form ``a1^m
+    b1^k``, what ``pi1_normalize`` returns.  Every rule has a leading word
+    of two symbols; the completion finds the torus swaps with an inverse
+    letter through rules of degree 3 (``b1^-1 a1 b1 -> a1``), whose
+    ambiguities need degree 4.  Raises ResourceLimitError past
+    ``rewriting.MAX_RULES`` rules."""
     n = s.strands
-    beads = [bead(i, let) for i in range(1, n + 1) for let in s.pi1_letters()]
+    beads = [bead(i, let) for i in range(n, 0, -1) for let in reversed(s.pi1_letters())]
     chords = [chord(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     symbols = tuple(beads + chords)
-    table = _CodedSystem(symbols, {sym: x for x, sym in enumerate(symbols)},
-                         RewritingSystem([1] * len(symbols)))
-    # every rule's relation has at most one chord and two beads
-    by_rid = {inst.rid: inst for inst in relation_instances(s, Truncation(1, 2))}
-    instances: list = []
-
-    def add(lead, tail, rid, coef=1, frame=(), steps=()):
-        # derivation: ``coef . frame rid reversed(frame)``, then the steps
-        # by earlier rules
-        word = table.word(lead)
-        table.system.add_rule(word, {table.word(tail): 1})
-        table.system.derivations[word] = (
-            (coef, table.word(frame), len(instances), table.word(frame[::-1])), *steps)
-        instances.append(by_rid[rid])
-
-    for b in beads:
-        _, i, let = b
-        name = _letter_name(let)
-        add((b, bead(i, (let[0], let[1], -let[2]))), (), f"BeadGroup[{name}@{i}]")
-        for c in chords:
-            _, lo, hi = c
-            if i in (lo, hi):
-                other = lo + hi - i
-                add((b, c), (c, bead(other, let)), f"BeadPush[{name};{i}>{other}]")
-            else:
-                add((b, c), (c, b), f"BeadFar[{name}@{i};{lo},{hi}]")
-        for a in beads:
-            if a[1] < i:
-                add((b, a), (a, b), f"BeadBead[{_letter_name(a[2])}@{a[1]},{name}@{i}]", -1)
-    swaps = []
-    if s.closed and s.genus == 1:
-        for i in range(1, n + 1):
-            bare = (bead(i, ("a", 1, 1)), bead(i, ("b", 1, 1)))
-            for e in (1, -1):
-                for d in (1, -1):
-                    b, a = bead(i, ("b", 1, e)), bead(i, ("a", 1, d))
-                    lf = tuple(sym for sym in (a, b) if sym[2][2] < 0)
-                    k = -e * d
-                    rest: dict = {}
-                    for mono, c in (((b, a), 1), ((a, b), -1),
-                                    (lf + bare + lf[::-1], -k), (lf + bare[::-1] + lf[::-1], k)):
-                        _add(rest, table.word(mono), c)
-                    steps: list = []
-                    table.system.reduce(rest, steps)  # to zero, checked by the tests
-                    swaps.append(((b, a), (a, b), f"ClosedSum[{i}]", k, lf, steps))
-    for swap in swaps:  # after the bead rules alone have traced every proof
-        add(*swap)
-    return replace(table, instances=tuple(instances))
+    table = _CodedSystem(symbols, {sym: x for x, sym in enumerate(symbols)})
+    insts = tuple(inst for inst in relation_instances(s, Truncation(1, 2))
+                  if inst.family != "ClosedSum" or s.genus == 1)
+    relations = [{table.word(mono): int(c) for mono, c in inst.mono_terms()} for inst in insts]
+    return replace(table, system=complete([1] * len(symbols), relations, 4), instances=insts)
 
 
 def _support_letters(x: WreathDiagram) -> set:
@@ -711,8 +667,8 @@ def ideal_member(
     With ``certify=False`` the certificate is None.  Raises DimensionMismatchError when x and s
     have different strand counts, TruncationOverflowError when a monomial
     of x does not fit ``trunc`` or x carries the overflow flag (it lost
-    terms outside the window), and ResourceLimitError when the completion
-    passes ``rewriting.MAX_RULES`` rules.
+    terms outside the window), and ResourceLimitError when the rule table
+    or a box passes ``rewriting.MAX_RULES`` rules.
     """
     if x.strands != s.strands:
         raise DimensionMismatchError(

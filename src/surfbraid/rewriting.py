@@ -86,8 +86,7 @@ class RewritingSystem:
         # set by ``complete``: the first leading coefficient other than +-1
         # that it divided by, or None when every one was a unit
         self.non_unit_lead = None
-        # leading word -> derivation, as ``complete`` records it (see there);
-        # whoever adds rules by hand may record theirs the same way
+        # leading word -> derivation, as ``complete`` records it (see there)
         self.derivations: dict[tuple, tuple] = {}
         self._lengths: dict[int, int] = {}  # lead length -> number of rules
         for lead, tail in (rules or {}).items():

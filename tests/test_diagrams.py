@@ -23,7 +23,6 @@ from surfbraid.diagrams import (
     chord_generator,
     conjugated_chord,
     degree_one_symbol,
-    diag_mul,
     disk_augmentation,
     disk_nonzero,
     embed_wreath,
@@ -89,12 +88,12 @@ class TestDiagramAlgebra:
     def test_product_right_of_permutation(self):
         x = one_term(2, (chord(1, 2),))
         y = one_term(2, (), transposition_perm(2, 1))
-        assert diag_mul(x, y) == one_term(2, (chord(1, 2),), transposition_perm(2, 1))
+        assert x * y == one_term(2, (chord(1, 2),), transposition_perm(2, 1))
 
     def test_product_left_of_permutation(self):
         x = one_term(2, (), transposition_perm(2, 1))
         y = one_term(2, (chord(1, 2),), transposition_perm(2, 1))
-        assert diag_mul(x, y) == one_term(2, (chord(1, 2),), ID2)
+        assert x * y == one_term(2, (chord(1, 2),), ID2)
 
     def test_beads_do_not_cancel_in_the_free_model(self):
         x = one_term(2, (bead(1, A1),))

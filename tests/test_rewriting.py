@@ -1,18 +1,23 @@
 """Rewriting systems: normal forms, the overlap check, degree-bounded
 completion and counts of normal words, against brute-force oracles."""
 
+import ast
 import itertools
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import surfbraid
 from surfbraid.braid import identity_perm
 from surfbraid.diagrams import (
     Truncation,
     WreathDiagram,
     _rule_table,
+    bead,
+    chord,
     expand_certificate,
     relation_instances,
 )
@@ -256,10 +261,51 @@ class TestBoxAndDerivations:
 TORI = [SurfaceParams(1, 0, 2), SurfaceParams(1, 0, 3), SurfaceParams(1, 0, 4)]
 
 
+def written_rules(s):
+    """The rules of the bead normal form written out family by family, as
+    chord and bead symbols: an inverse bead pair on one strand cancels, a
+    bead slides right across a chord (onto the chord's other strand when it
+    sits on the chord), beads on different strands sort by strand, and on
+    the closed torus ``b1^e a1^d`` swaps to ``a1^d b1^e``."""
+    n = s.strands
+    beads = [bead(i, let) for i in range(1, n + 1) for let in s.pi1_letters()]
+    chords = [chord(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    rules = {}
+    for b in beads:
+        _, i, (kind, idx, sign) = b
+        rules[(b, bead(i, (kind, idx, -sign)))] = {(): 1}
+        for c in chords:
+            _, lo, hi = c
+            rules[(b, c)] = {(c, bead(lo + hi - i, b[2]) if i in (lo, hi) else b): 1}
+        for a in beads:
+            if a[1] < i:
+                rules[(b, a)] = {(a, b): 1}
+    if s.closed and s.genus == 1:
+        for i in range(1, n + 1):
+            for e in (1, -1):
+                for d in (1, -1):
+                    b, a = bead(i, ("b", 1, e)), bead(i, ("a", 1, d))
+                    rules[(b, a)] = {(a, b): 1}
+    return rules
+
+
 class TestBeadRules:
     """The rule table that ``ideal_member`` normalizes with."""
 
     SURFACES = [SurfaceParams(1, 1, 2), SurfaceParams(0, 2, 3), SurfaceParams(2, 1, 3)]
+
+    @pytest.mark.parametrize("s", [
+        SurfaceParams(1, 1, 2), SurfaceParams(0, 2, 3), SurfaceParams(2, 1, 3),
+        SurfaceParams(2, 1, 4), SurfaceParams(1, 0, 2), SurfaceParams(1, 0, 3),
+        SurfaceParams(1, 0, 4), SurfaceParams(2, 0, 2), SurfaceParams(3, 0, 3),
+        SurfaceParams(0, 0, 3)], ids=lambda s: f"g{s.genus}p{s.boundary}n{s.strands}")
+    def test_completion_gives_the_written_rules(self, s):
+        # the leading words and tails fix every normal form, so every
+        # NotMember witness
+        table = _rule_table(s)
+        rules = {table.mono(lead): {table.mono(w): c for w, c in tail.items()}
+                 for lead, tail in table.system.rules.items()}
+        assert rules == written_rules(s)
 
     def test_every_ambiguity_resolves(self):
         """The bead rules are confluent on every surface with boundary, so a
@@ -320,3 +366,25 @@ class TestBeadRules:
                               {(table.mono(w), ident): c for w, c in tail.items()})
             assert expand_certificate(proof, by_id, s.strands, trunc) == difference, \
                 table.mono(lead)
+
+
+def test_every_rule_of_the_package_comes_from_complete():
+    # a rule or a derivation written in by hand would reduce with a proof
+    # that no completion checked
+    offenders = []
+    for path in sorted(Path(surfbraid.__file__).parent.glob("*.py")):
+        if path.name == "rewriting.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            else:
+                targets = []
+            adds = isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add_rule"
+            writes = any(isinstance(sub, ast.Attribute) and sub.attr == "derivations"
+                         for target in targets for sub in ast.walk(target))
+            if adds or writes:
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
