@@ -20,7 +20,9 @@ a bounded breadth-first search over relator moves: sound when it answers
 Equal (the move sequence is replayed and verified), inconclusive when the
 depth runs out, and a ``ResourceLimitError`` when the node budget does.
 It inserts relator conjugates only, since every other move repeats a word
-that an insertion has already given (the two lemmas of ``_MoveTable``).
+that an insertion has already given (the two lemmas of ``_MoveTable``),
+and it stores the levels below the last only: the last is decided by one
+lookup per position of each word before it.
 ``is_relator_move`` checks one given move against the relator catalogue,
 without a search or a move table.
 """
@@ -355,8 +357,9 @@ class Move:
 @dataclass(frozen=True)
 class Equality:
     """Outcome of bounded_equal: Equal carries a verified move sequence.
-    ``nodes`` counts the distinct words the search generated (0 when the
-    reduced words already agree)."""
+    ``nodes`` counts the distinct words the search stored, those of the
+    levels below the last, which the node budget caps (0 when the reduced
+    words already agree or the depth is at most 1)."""
 
     status: str  # "equal" | "unknown"
     moves: tuple[Move, ...] = ()
@@ -433,12 +436,15 @@ class _MoveTable:
     ``subs`` and ``lengths`` serve ``random_relator_rewrite``, as do
     ``bases``, the relators and their inverses as letter words.
 
-    ``inserts`` serves ``bounded_equal``: the moves of ``subs[""]``, in their
-    order, each as ``(inserted, family, first, last, after)``.  ``first``
-    and ``last`` are the inverses of the inserted word's first and last
-    letters, so the search sees that no seam cancels without calling
-    ``_splice``.  Two lemmas make the insertions the only moves the search
-    needs, writing inv(x) for the inverse of a word x:
+    ``inserts`` serves the levels ``bounded_equal`` stores: the moves of
+    ``subs[""]``, in their order, each as ``(inserted, family, first, last,
+    after)``.  ``first`` and ``last`` are the inverses of the inserted
+    word's first and last letters, so the search sees that no seam cancels
+    without calling ``_splice``.  ``families`` maps each of these inserted
+    words to its family and serves the last level, which
+    ``insertion_to`` decides by one lookup per position.  Two lemmas make
+    the insertions the only moves the search needs, writing inv(x) for the
+    inverse of a word x:
 
     1. A move P -> I with P = rot[:k], k >= 1, gives at any position the
        word that inserting I.inv(P) = inv(rot) there gives, and inv(rot)
@@ -499,6 +505,7 @@ class _MoveTable:
             after = tuple(h for h, word in turns if word in inserted_words)
             inserts.append((inserted, family, first, last, after))
         self.inserts = tuple(inserts)
+        self.families = dict(group)
         self.lengths = tuple(sorted({len(removed) for removed in subs}))
         self.bases = tuple(
             (base, rel.family)
@@ -513,6 +520,21 @@ class _MoveTable:
 
     def inverse(self, code: str) -> str:
         return code[::-1].translate(self.flip)
+
+    def insertion_to(self, word: str, target: str) -> tuple | None:
+        """The first ``(position, inserted, family)``, by position, at which
+        inserting a word of ``families`` into ``word`` gives ``target``, or
+        None.  An insertion I is freely reduced, so
+        free_reduce(word[:p] I word[p:]) == target exactly when
+        I == free_reduce(inv(word[:p]) target inv(word[p:])): one splice and
+        one lookup per position, and at most one I per position."""
+        wi, n = self.inverse(word), len(word)
+        for pos in range(n + 1):
+            inserted = _splice(wi[n - pos:], target, wi[:n - pos])
+            family = self.families.get(inserted)
+            if family is not None:
+                return pos, inserted, family
+        return None
 
 
 # keyed by value, so equal surfaces share one table; the entry goes when the
@@ -537,9 +559,9 @@ def bounded_equal(
     """Breadth-first search rewriting u towards v by at most ``depth`` relator
     moves.  Equal answers are replayed move by move before being returned;
     Unknown (the depth ran out) is inconclusive.  Raises
-    ``ResourceLimitError`` once ``node_budget`` new words were generated
-    without reaching v, and ``ParameterError`` for a negative depth or a
-    budget below 1.
+    ``ResourceLimitError`` once ``node_budget`` words were stored without
+    reaching v, and ``ParameterError`` for a negative depth or a budget
+    below 1.
 
     The moves come from the surface's move table, built on first use and
     shared by equal surfaces (see ``_MOVE_TABLES``).  Words are strings with
@@ -548,16 +570,24 @@ def bounded_equal(
     (``_MoveTable.inserts``), concatenated in where neither seam cancels
     and spliced by ``_splice`` otherwise.  It tries no substitution
     P -> S^-1: by lemma 1 of ``_MoveTable`` each gives the word of an
-    insertion at the same position, and every such word is already seen.
+    insertion at the same position, and every such word is already reached.
     By lemma 2 it skips an insertion whose word an insertion one position
     earlier has already given.  Both lemmas only drop repeats, so the
     words are generated in the order of a search over every relator move
     by (position, removed length, removed, inserted) in the fixed letter
-    order: the moves returned, the word count and the point where the
-    budget stops are the same, and fixed by the inputs.  Words of the last
-    level are only recorded as seen: they keep no parent record and form
-    no frontier, and the move that reaches v there is handed to the path
-    directly."""
+    order, and the moves returned are that search's, fixed by the inputs.
+
+    Only the levels below the last are generated and stored, each word with
+    its parent record.  The last level is decided without a word of it:
+    an insertion I is freely reduced, so free_reduce(w[:p] I w[p:]) == v
+    exactly when I == free_reduce(inv(w[:p]) v inv(w[p:])), and
+    ``_MoveTable.insertion_to`` splices that word once per position p of
+    each frontier word w and looks it up.  At most one insertion reaches v
+    at a position, and one that lemma 2 skips reaches it one position
+    earlier too, so the first hit is the move the generating scan would
+    return first.  ``nodes`` and ``node_budget`` count the stored words,
+    those of the levels below the last (the target among them, where one
+    reaches it): depth 1 stores none, whatever it answers."""
     if depth < 0:
         raise ParameterError(f"the depth must be non-negative, not {depth}")
     if node_budget < 1:
@@ -567,14 +597,15 @@ def bounded_equal(
     start, target = free_reduce(u), free_reduce(v)
     if start == target:
         return Equality("equal")
+    if not depth:
+        return Equality("unknown")
     table = _move_table(s)
     inserts = table.inserts
     start_code, target_code = table.encode(start), table.encode(target)
-    # word -> the insertion that first reached it: (previous word, position,
-    # inserted, family)
-    parents: dict[str, tuple] = {}
+    # each stored word -> the insertion that first reached it: (previous
+    # word, position, inserted, family); the start word has none
+    parents: dict[str, tuple | None] = {start_code: None}
     frontier = [start_code]
-    seen = {start_code}
 
     def path_to(step: tuple) -> Equality:
         moves: list[Move] = []
@@ -590,10 +621,9 @@ def bounded_equal(
             check = apply_move(check, mv)
         if check != target:
             raise SurfbraidError("internal error: move replay failed")
-        return Equality("equal", tuple(moves), len(seen) - 1)
+        return Equality("equal", tuple(moves), len(parents) - 1)
 
-    for level in range(1, depth + 1):
-        last_level = level == depth
+    for _ in range(depth - 1):
         next_frontier: list[str] = []
         for w in frontier:
             for pos in range(len(w) + 1):
@@ -606,15 +636,13 @@ def bounded_equal(
                         nxt = head + inserted + tail
                     else:
                         nxt = _splice(head, inserted, tail)
-                    if nxt in seen:
+                    if nxt in parents:
                         continue
-                    seen.add(nxt)
+                    parents[nxt] = step = (w, pos, inserted, family)
                     if nxt == target_code:
-                        return path_to((w, pos, inserted, family))
-                    if not last_level:
-                        parents[nxt] = (w, pos, inserted, family)
-                        next_frontier.append(nxt)
-                    if len(seen) - 1 >= node_budget:
+                        return path_to(step)
+                    next_frontier.append(nxt)
+                    if len(parents) - 1 >= node_budget:
                         raise ResourceLimitError(
                             f"node budget of {node_budget} words exhausted "
                             f"within depth {depth}"
@@ -622,7 +650,11 @@ def bounded_equal(
         frontier = next_frontier
         if not frontier:
             break
-    return Equality("unknown", nodes=len(seen) - 1)
+    for w in frontier:
+        move = table.insertion_to(w, target_code)
+        if move is not None:
+            return path_to((w, *move))
+    return Equality("unknown", nodes=len(parents) - 1)
 
 
 def random_relator_rewrite(word: BraidWord, s: SurfaceParams, rng) -> tuple[BraidWord, Move]:

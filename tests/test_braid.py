@@ -257,12 +257,29 @@ class TestBoundedEqual:
         assert eq.is_equal
 
     def test_node_budget_exhausted_raises(self):
+        # the budget caps the stored words, those of the levels below the last
         u = parse_braid_word("a1", S112)
         v = parse_braid_word("b1", S112)
         with pytest.raises(ResourceLimitError, match="node budget of 1 "):
-            bounded_equal(u, v, S112, depth=1, node_budget=1)
+            bounded_equal(u, v, S112, depth=2, node_budget=1)
         # the same search with room to spare runs out of depth instead
-        assert bounded_equal(u, v, S112, depth=1).status == "unknown"
+        assert bounded_equal(u, v, S112, depth=2).status == "unknown"
+        # depth 1 stores no word, so no budget can stop it
+        assert bounded_equal(u, v, S112, depth=1, node_budget=1) == Equality("unknown")
+
+    def test_one_move_is_not_undone_by_one_move(self):
+        # free reduction cascades past the inserted relator: x is one move
+        # from w, but w is not within two moves of x
+        s = SurfaceParams(0, 2, 3)
+        w = parse_braid_word("s1^-1 z1^-1 s2^-1 s1 z1 s1^-1 z1 s1^-1 z1^-1 s1 "
+                             "z1^-1 s2 z1 s2^-1 z1^-1 s1", s)
+        r = parse_braid_word("z1 s1^-1 z1 s1 z1^-1 s1 z1^-1 s1^-1", s)
+        x = parse_braid_word("s1^-1 s2^-1 z1^-1 s1", s)
+        move = Move(3, (), r, "")
+        assert apply_move(w, move) == x
+        assert is_relator_move(move, s)
+        assert bounded_equal(w, x, s, 1).is_equal
+        assert bounded_equal(x, w, s, 2).status == "unknown"
 
     def test_negative_depth_is_refused(self):
         u = parse_braid_word("s1", S112)
@@ -319,7 +336,16 @@ def ref_move_pieces(s):
     return out
 
 
-def ref_bounded_equal(u, v, s, depth, node_budget=10**6):
+class RefGaveUp(Exception):
+    """The reference generated more words than its caller allowed."""
+
+
+def ref_bounded_equal(u, v, s, depth, node_budget=10**6, max_words=None):
+    """Every word of every level generated, the last level too.  The nodes,
+    and the words the budget caps, are those of the levels below the last
+    (and the target, where one of them reaches it), which are the words the
+    search stores.  ``max_words`` caps the reference's own work: past that
+    many words of any level it raises ``RefGaveUp``."""
     start, target = free_reduce(u), free_reduce(v)
     if start == target:
         return Equality("equal")
@@ -327,7 +353,8 @@ def ref_bounded_equal(u, v, s, depth, node_budget=10**6):
     parents = {}
     frontier = [start]
     seen = {start}
-    for _ in range(depth):
+    stored = 0
+    for level in range(1, depth + 1):
         next_frontier = []
         for w in frontier:
             for pos in range(len(w) + 1):
@@ -338,23 +365,26 @@ def ref_bounded_equal(u, v, s, depth, node_budget=10**6):
                     if nxt in seen:
                         continue
                     seen.add(nxt)
+                    stored += level < depth
                     parents[nxt] = (w, Move(pos, removed, inserted, family))
                     if nxt == target:
                         moves = []
                         while nxt != start:
                             nxt, mv = parents[nxt]
                             moves.append(mv)
-                        return Equality("equal", tuple(reversed(moves)), len(seen) - 1)
+                        return Equality("equal", tuple(reversed(moves)), stored)
                     next_frontier.append(nxt)
-                    if len(seen) - 1 >= node_budget:
+                    if level < depth and stored >= node_budget:
                         raise ResourceLimitError(
                             f"node budget of {node_budget} words exhausted "
                             f"within depth {depth}"
                         )
+                    if max_words is not None and len(seen) - 1 >= max_words:
+                        raise RefGaveUp
         frontier = next_frontier
         if not frontier:
             break
-    return Equality("unknown", nodes=len(seen) - 1)
+    return Equality("unknown", nodes=stored)
 
 
 def ref_random_relator_rewrite(word, s, rng):
@@ -429,7 +459,12 @@ class TestMoveTableAgainstReference:
     def test_same_answers_as_the_piece_scan(self, inputs, depth, budget, seed):
         s, u, v = inputs
         got = outcome(bounded_equal, u, v, s, depth, budget)
-        assert got == outcome(ref_bounded_equal, u, v, s, depth, budget)
+        try:
+            # a last level of thousands of words is too slow to generate
+            # here; test_lookup_finds_the_first_generated_move covers it
+            assert got == outcome(ref_bounded_equal, u, v, s, depth, budget, 2000)
+        except RefGaveUp:
+            pass
         if isinstance(got, Equality):
             assert_relator_moves(got, s)
         assert outcome(random_relator_rewrite, u, s, random.Random(seed)) == \
@@ -456,13 +491,15 @@ class TestMoveTableAgainstReference:
                 for rem, ins, _ in ref_move_pieces(s)
                 if u[pos:pos + len(rem)] == rem
             } - {u}
-            eq = bounded_equal(u, v, s, depth=1)
+            # the first level is stored, the second only looked up
+            eq = bounded_equal(u, v, s, depth=2)
             assert eq.status == "unknown"
             assert eq.nodes == len(neighbours) > 0
-            # the budget stops the search at its last word, not after it
+            # the budget stops the search at its last stored word, not after it
             with pytest.raises(ResourceLimitError):
-                bounded_equal(u, v, s, depth=1, node_budget=eq.nodes)
-            assert bounded_equal(u, v, s, depth=1, node_budget=eq.nodes + 1) == eq
+                bounded_equal(u, v, s, depth=2, node_budget=eq.nodes)
+            assert bounded_equal(u, v, s, depth=2, node_budget=eq.nodes + 1) == eq
+            assert bounded_equal(u, v, s, depth=1) == Equality("unknown")
             assert bounded_equal(u, u, s, depth=1).nodes == 0
 
     def test_groups_hold_the_reference_order(self):
@@ -479,6 +516,8 @@ class TestMoveTableAgainstReference:
                         flat.append((table.decode(removed), table.decode(inserted), family))
             # the search's insertions are the moves removing nothing, in order
             assert [move[:2] for move in table.inserts] == list(table.subs.get("", ()))
+            # and the last level looks up the same insertions
+            assert list(table.families.items()) == list(table.subs.get("", ()))
             for inserted, _, first, last, _ in table.inserts:
                 assert table.decode(first) == inverse_word(table.decode(inserted[:1]))
                 assert table.decode(last) == inverse_word(table.decode(inserted[-1:]))
@@ -490,11 +529,12 @@ class TestMoveTableAgainstReference:
             assert flat == [piece for group in ref.values() for piece in group]
 
     def test_depth_two_runs_its_last_level_to_the_end(self):
-        # Unknown: every word of the second level is generated
+        # Unknown: every word of the second level is looked up; the nodes are
+        # the 50 stored words of the first level, of the reference's 12,596
         u, v = (), parse_braid_word("s1", S112)
         eq = bounded_equal(u, v, S112, depth=2)
         assert eq == ref_bounded_equal(u, v, S112, 2)
-        assert eq.status == "unknown" and eq.nodes == 12596
+        assert eq.status == "unknown" and eq.nodes == 50
         with pytest.raises(ResourceLimitError):
             bounded_equal(u, v, S112, depth=2, node_budget=eq.nodes)
         assert bounded_equal(u, v, S112, depth=2, node_budget=eq.nodes + 1) == eq
@@ -504,12 +544,15 @@ class TestMoveTableAgainstReference:
             "s1 a1 s1^-1 a1 s1^-1 a1^-1 s1 a1^-1 b1 s1^-1 b1 s1 b1^-1 s1 b1^-1", S112)
         eq = bounded_equal(u, v, S112, depth=2)
         assert eq == ref_bounded_equal(u, v, S112, 2)
-        assert eq.is_equal and len(eq.moves) == 2 and eq.nodes == 4302
+        assert eq.is_equal and len(eq.moves) == 2 and eq.nodes == 74
         assert_relator_moves(eq, S112)
-        # the budget is checked after the target, as in the reference
-        assert bounded_equal(u, v, S112, depth=2, node_budget=eq.nodes) == eq
-        assert outcome(bounded_equal, u, v, S112, 2, eq.nodes - 1) == \
-            outcome(ref_bounded_equal, u, v, S112, 2, eq.nodes - 1)
+        # the target is on the unstored level: the budget must hold all of
+        # the first level, as in the reference
+        with pytest.raises(ResourceLimitError):
+            bounded_equal(u, v, S112, depth=2, node_budget=eq.nodes)
+        for budget in (eq.nodes - 1, eq.nodes, eq.nodes + 1):
+            assert outcome(bounded_equal, u, v, S112, 2, budget) == \
+                outcome(ref_bounded_equal, u, v, S112, 2, budget)
 
     def test_table_lives_with_its_surface(self, monkeypatch):
         built = []
@@ -577,6 +620,49 @@ def lemma_cases(draw):
     return w, moves
 
 
+def scanned_insertion_to(table, w, target):
+    """The first (position, inserted, family) by which one level of the
+    generating search reaches ``target`` from ``w``: each position, then the
+    table's insertions in order, skipping those of ``after``."""
+    for pos in range(len(w) + 1):
+        h = table.encode(w[pos - 1:pos])
+        for inserted, family, _, _, after in table.inserts:
+            if h in after:
+                continue
+            if free_reduce(w[:pos] + table.decode(inserted) + w[pos:]) == target:
+                return pos, inserted, family
+    return None
+
+
+@st.composite
+def lookup_inputs(draw):
+    """A reduced word w and a target: a word of ``search_inputs`` (another
+    word, or w with a relator inserted), or w with one of the table's
+    insertions at some position; the flag says the target is one move away."""
+    s, w, target = draw(search_inputs())
+    table = braid._move_table(s)
+    if table.inserts and draw(st.booleans()):
+        inserted = table.decode(draw(st.sampled_from(table.inserts))[0])
+        pos = draw(st.integers(0, len(w)))
+        return s, w, free_reduce(w[:pos] + inserted + w[pos:]), True
+    return s, w, target, False
+
+
+class TestLastLevelLookup:
+    """The search's last level looks each word's one-move neighbour up
+    (``_MoveTable.insertion_to``) instead of generating the level."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(lookup_inputs())
+    def test_lookup_finds_the_first_generated_move(self, case):
+        s, w, target, one_move = case
+        table = braid._move_table(s)
+        found = table.insertion_to(table.encode(w), table.encode(target))
+        assert found == scanned_insertion_to(table, w, target)
+        if one_move:
+            assert found is not None
+
+
 class TestSearchLemmas:
     """The two lemmas that let ``bounded_equal`` scan insertions only and skip
     conjugate repeats (see ``_MoveTable``)."""
@@ -619,11 +705,12 @@ class TestSearchLemmas:
         assert bounded_equal(u, w, s, depth=1).status == "unknown"
 
     def test_depth_two_nodes_and_moves_are_pinned(self):
-        # taken from the search over every relator move, substitutions included
+        # the statuses and moves of the search over every relator move,
+        # substitutions included; the nodes are the first level's words
         s = SurfaceParams(1, 0, 2)
         u = parse_braid_word("a1 s1 b1", s)
         eq = bounded_equal(u, parse_braid_word("a1 s1 b1 s1", s), s, depth=2)
-        assert eq == Equality("unknown", nodes=66704)
+        assert eq == Equality("unknown", nodes=186)
         u = parse_braid_word("b1 s1^-1", s)
         v = parse_braid_word(
             "b1 s1^-1 a1 s1^-1 a1 a1 b1^-1 a1^-1 b1 s1^-1 a1^-1 s1 a1^-1 s1^-1", s)
@@ -631,7 +718,7 @@ class TestSearchLemmas:
         assert eq == Equality("equal", (
             Move(1, (), parse_braid_word("s1^-1 a1 s1^-1 a1 s1 a1^-1 s1 a1^-1", s), "2.ii"),
             Move(5, (), parse_braid_word("a1 b1^-1 a1^-1 b1 s1^-1 s1^-1", s), "2.iv"),
-        ), 35622)
+        ), 140)
 
 
 class TestWreathImageIsAHomomorphism:

@@ -83,14 +83,16 @@ class TestBraidCommands:
         )
         assert code == EXIT_OK
         lines = out.splitlines()
-        assert lines[0] == "Equal moves=1 nodes=30"
+        # depth 1 stores no word: the one level is looked up
+        assert lines[0] == "Equal moves=1 nodes=0"
         assert all(line.startswith("  at ") for line in lines[1:])
 
     def test_equal_unknown(self, capsys):
         code, out, _ = run(
-            capsys, ["braid", "equal", *S112, "--depth", "1", "a1", "b1"]
+            capsys, ["braid", "equal", *S112, "--depth", "2", "a1", "b1"]
         )
         assert code == EXIT_NEGATIVE
+        # the 88 words of the first level, the one stored
         assert out == "Unknown nodes=88\n"
 
     def test_equal_negative_depth_exits_usage(self, capsys):
@@ -104,7 +106,7 @@ class TestBraidCommands:
     def test_equal_node_budget_exits_resource(self, capsys):
         code, out, err = run(
             capsys,
-            ["braid", "equal", *S112, "--depth", "1", "--node-budget", "1", "a1", "b1"],
+            ["braid", "equal", *S112, "--depth", "2", "--node-budget", "1", "a1", "b1"],
         )
         assert code == EXIT_RESOURCE
         assert out == ""
