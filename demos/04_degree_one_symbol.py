@@ -48,7 +48,9 @@ print("bare chord generator: ", format_diagram(chord_generator(2, 1, 2, trunc)))
 print("disk augmentation:    ", format_diagram(disk_augmentation(symbol)))
 
 # the symbol is well defined on braid classes: rewriting the framing words
-# by relator moves does not change its residue modulo the relation ideal
+# by relator moves, one layer of insertions of relator conjugates (each
+# other relator move gives the word of one of them), does not change its
+# residue modulo the relation ideal
 rng = random.Random(7)
 u, v = (("a", 1, 1), ("s", 1, 1)), (("s", 1, -1), ("b", 1, 1))
 base = degree_one_symbol([JSummand(Fraction(1), u, 1, v)], s, trunc)

@@ -19,10 +19,11 @@ relator, which is checked exhaustively in the tests.  ``bounded_equal`` is
 a bounded breadth-first search over relator moves: sound when it answers
 Equal (the move sequence is replayed and verified), inconclusive when the
 depth runs out, and a ``ResourceLimitError`` when the node budget does.
-It inserts relator conjugates only, since every other move repeats a word
-that an insertion has already given (the two lemmas of ``_MoveTable``),
-and it stores the levels below the last only: the last is decided by one
-lookup per position of each word before it.
+Both it and ``random_relator_rewrite`` read one layer of moves, the
+insertions of relator conjugates: every substitution of one part of a
+relator for the rest gives the word of an insertion (the two lemmas of
+``_MoveTable``).  The search stores the levels below the last only: the
+last is decided by one lookup per position of each word before it.
 ``is_relator_move`` checks one given move against the relator catalogue,
 without a search or a move table.
 """
@@ -422,33 +423,26 @@ def _splice(head: str, inserted: str, tail: str) -> str:
 
 
 class _MoveTable:
-    """Every relator move of one surface, on words with one character per
+    """The relator moves of one surface, on words with one character per
     letter: letter id ``k`` is ``chr(2k)`` and its inverse ``chr(2k + 1)``,
     so inverting a letter flips the low bit of its code.
 
-    For each rotation r of a relator or its inverse and each split r = P.S,
-    the move rewrites P into S^-1 (P empty inserts a relator conjugate).
-    ``subs`` maps each removed word P to its moves ``(inserted, family)``,
-    ordered by ``word_sort_key`` of the inserted word, first family kept.
-    ``lengths`` holds the removed lengths, ascending.  Scanning the lengths
-    in order and each group in order visits the moves that apply at one
-    position in the order of one list sorted by (removed, inserted).
-    ``subs`` and ``lengths`` serve ``random_relator_rewrite``, as do
-    ``bases``, the relators and their inverses as letter words.
+    The moves form one layer, the insertions of relator conjugates: each
+    rotation of a relator or of its inverse, freely reduced, is a word that
+    may be inserted at any position, first family kept.  ``inserts``
+    holds them ordered by ``word_sort_key``, each as ``(inserted, family,
+    first, last, after)``.  ``first`` and ``last`` are the inverses of the
+    inserted word's first and last letters, so the search sees that no seam
+    cancels without calling ``_splice``.  ``families`` maps each inserted
+    word to its family and serves the last level of ``bounded_equal``,
+    which ``insertion_to`` decides by one lookup per position.  Two lemmas
+    make the insertions the only moves a rewrite needs and let the search
+    skip repeats among them, writing inv(x) for the inverse of a word x:
 
-    ``inserts`` serves the levels ``bounded_equal`` stores: the moves of
-    ``subs[""]``, in their order, each as ``(inserted, family, first, last,
-    after)``.  ``first`` and ``last`` are the inverses of the inserted
-    word's first and last letters, so the search sees that no seam cancels
-    without calling ``_splice``.  ``families`` maps each of these inserted
-    words to its family and serves the last level, which
-    ``insertion_to`` decides by one lookup per position.  Two lemmas make
-    the insertions the only moves the search needs, writing inv(x) for the
-    inverse of a word x:
-
-    1. A move P -> I with P = rot[:k], k >= 1, gives at any position the
-       word that inserting I.inv(P) = inv(rot) there gives, and inv(rot)
-       is itself an insertion.
+    1. A substitution P -> I, where a rotation rot of a relator or its
+       inverse splits as rot = P.inv(I) with P = rot[:k], k >= 1, gives at
+       any position the word that inserting I.inv(P) = inv(rot) there
+       gives, and inv(rot) is itself an insertion.
     2. Inserting R after a letter h gives the word that inserting
        free_reduce(h R h^-1) gives one position earlier.  ``after`` holds
        the letters h, among R's last letter and the inverse of its first,
@@ -456,7 +450,6 @@ class _MoveTable:
        membership test."""
 
     def __init__(self, s: SurfaceParams):
-        rels = relators(s)
         self.chars: dict[tuple, str] = {}
         self.letters: dict[str, tuple] = {}
         for k, (kind, idx, _) in enumerate(
@@ -469,30 +462,18 @@ class _MoveTable:
         # so the stable sort below keeps their insertion order
         keys = sorted({letter_sort_key(l) for l in self.chars})
         rank = {ord(c): keys.index(letter_sort_key(l)) for l, c in self.chars.items()}
-        pieces: dict[tuple, str] = {}
-        for rel in rels:
+        pieces: dict[str, str] = {}
+        for rel in relators(s):
             code = self.encode(rel.word)
             for base in (code, self.inverse(code)):
                 for r in range(len(base)):
                     # relators are freely reduced: a rotation cancels at its seam
                     rot = _splice(base[r:], "", base[:r])
-                    inv, m = self.inverse(rot), len(rot)
-                    for k in range(m + 1):
-                        removed, inserted = rot[:k], inv[:m - k]
-                        if removed != inserted:
-                            pieces.setdefault((removed, inserted), rel.family)
-
-        subs: dict[str, list] = {}
-        for (removed, inserted), family in sorted(
-                pieces.items(), key=lambda t: (
-                    len(t[0][0]), t[0][0].translate(rank),
-                    len(t[0][1]), t[0][1].translate(rank))):
-            subs.setdefault(removed, []).append((inserted, family))
-        self.subs = {removed: tuple(group) for removed, group in subs.items()}
-        group = self.subs.get("", ())
-        inserted_words = {inserted for inserted, _ in group}
+                    pieces.setdefault(self.inverse(rot), rel.family)
+        self.families = dict(sorted(
+            pieces.items(), key=lambda t: (len(t[0]), t[0].translate(rank))))
         inserts = []
-        for inserted, family in group:
+        for inserted, family in self.families.items():
             first = inserted[0].translate(self.flip)
             last = inserted[-1].translate(self.flip)
             # h R h^-1 for h the last letter of R or the inverse of its first:
@@ -502,15 +483,9 @@ class _MoveTable:
             else:
                 turns = ((inserted[-1], inserted[-1] + inserted[:-1]),
                          (first, inserted[1:] + inserted[0]))
-            after = tuple(h for h, word in turns if word in inserted_words)
+            after = tuple(h for h, word in turns if word in pieces)
             inserts.append((inserted, family, first, last, after))
         self.inserts = tuple(inserts)
-        self.families = dict(group)
-        self.lengths = tuple(sorted({len(removed) for removed in subs}))
-        self.bases = tuple(
-            (base, rel.family)
-            for rel in rels for base in (rel.word, inverse_word(rel.word))
-        )
 
     def encode(self, word: BraidWord) -> str:
         return "".join([self.chars[l] for l in word])
@@ -658,47 +633,26 @@ def bounded_equal(
 
 
 def random_relator_rewrite(word: BraidWord, s: SurfaceParams, rng) -> tuple[BraidWord, Move]:
-    """Apply one random relator move (substitution where possible, otherwise
-    insertion of a full relator conjugate); returns the rewritten word.
-    Raises ``ParameterError`` on a surface whose presentation has no
-    relators, where no move exists.
+    """Insert one random relator conjugate into ``word``; returns the
+    rewritten word, freely reduced, and the move.  Raises
+    ``ParameterError`` on a surface whose presentation has no relators,
+    where no move exists.
 
-    The candidates are, in order, the substitutions found in the surface's
-    move table (positions left to right, then the table's move order) and
-    the insertions of each relator and its inverse at each position; the
-    insertions are addressed by index, not listed.  ``rng`` draws among
-    them by index, so a seeded ``rng`` picks a fixed move."""
+    The candidates are the insertions of the surface's move table
+    (``_MoveTable.inserts``), each at each position of ``word``; ``rng``
+    draws one by index, so a seeded ``rng`` picks a fixed move.  The
+    rewritten word always differs from ``free_reduce(word)``: an insertion
+    is a non-empty freely reduced word, so it is not trivial in the free
+    group."""
     check_braid_word(word, s)
     table = _move_table(s)
-    code = table.encode(word)
-    subs = []
-    for pos in range(len(code) + 1):
-        for k in table.lengths:
-            if pos + k > len(code):
-                break
-            if k:
-                for inserted, family in table.subs.get(code[pos:pos + k], ()):
-                    subs.append((pos, k, inserted, family))
-    total = len(subs) + len(table.bases) * (len(word) + 1)
+    total = len(table.inserts) * (len(word) + 1)
     if not total:
         raise ParameterError(
             f"no relator move exists: the presentation for genus {s.genus}, "
             f"boundary {s.boundary} on {s.strands} strands has no relators"
         )
-
-    def candidate(i: int) -> Move:
-        if i < len(subs):
-            pos, k, inserted, family = subs[i]
-            return Move(pos, word[pos:pos + k], table.decode(inserted), family)
-        b, pos = divmod(i - len(subs), len(word) + 1)
-        base, family = table.bases[b]
-        return Move(pos, (), base, family)
-
-    reduced = free_reduce(word)
-    for _ in range(32):
-        mv = candidate(rng.randrange(total))
-        rewritten = apply_move(word, mv)
-        if rewritten != reduced:
-            return rewritten, mv
-    mv = candidate(0)
+    b, pos = divmod(rng.randrange(total), len(word) + 1)
+    inserted, family = table.inserts[b][:2]
+    mv = Move(pos, (), table.decode(inserted), family)
     return apply_move(word, mv), mv

@@ -72,10 +72,12 @@ from .errors import (
     InvalidGeneratorError,
     ParameterError,
     ParseError,
+    ResourceLimitError,
     SurfbraidError,
     TruncationOverflowError,
     UnsupportedDegreeError,
 )
+from . import rewriting
 from .rewriting import RewritingSystem, _add, complete
 from .surface import SurfaceParams, Word, inverse_word
 
@@ -542,6 +544,18 @@ class _CodedSystem:
         return [CertificateTerm(Fraction(c), *key, perm) for key, c in acc.items()]
 
 
+def _rule_count(s: SurfaceParams) -> int:
+    """The number of rules of ``_rule_table(s)``, known from the surface
+    alone.  With L signed loop letters, n strands and C = n(n-1)/2 chords,
+    each of the nL beads has one cancelling rule and C chord slides, each
+    pair of beads on two strands one sort (L^2 C), and the closed torus
+    adds its 4n swaps."""
+    n, letters = s.strands, len(s.pi1_letters())
+    chords = n * (n - 1) // 2
+    swaps = 4 * n if s.closed and s.genus == 1 else 0
+    return n * letters * (1 + chords) + letters ** 2 * chords + swaps
+
+
 @functools.lru_cache(maxsize=None)
 def _rule_table(s: SurfaceParams) -> _CodedSystem:
     """The rules of the bead normal form, completed (``rewriting.complete``)
@@ -557,8 +571,14 @@ def _rule_table(s: SurfaceParams) -> _CodedSystem:
     b1^k``, what ``pi1_normalize`` returns.  Every rule has a leading word
     of two symbols; the completion finds the torus swaps with an inverse
     letter through rules of degree 3 (``b1^-1 a1 b1 -> a1``), whose
-    ambiguities need degree 4.  Raises ResourceLimitError past
-    ``rewriting.MAX_RULES`` rules."""
+    ambiguities need degree 4.  Raises ResourceLimitError, before any
+    completion, when the table would pass ``rewriting.MAX_RULES`` rules
+    (``_rule_count``)."""
+    size = _rule_count(s)
+    if size > rewriting.MAX_RULES:
+        raise ResourceLimitError(
+            f"the rule table needs {size} rules, past the limit of "
+            f"{rewriting.MAX_RULES} rules")
     n = s.strands
     beads = [bead(i, let) for i in range(n, 0, -1) for let in reversed(s.pi1_letters())]
     chords = [chord(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]

@@ -1,5 +1,6 @@
 """Surface braid words, relators, wreath images, and bounded equality."""
 
+import functools
 import gc
 import random
 import weakref
@@ -306,6 +307,20 @@ class TestRandomRewrite:
                 assert wreath_image(v, s) == wreath_image(u, s)
                 u = v
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_every_rewrite_is_a_relator_insertion_that_changes_the_word(self, data):
+        # any word, reduced or not: an insertion is a non-empty freely
+        # reduced word, so one draw always gives another word
+        s = data.draw(st.sampled_from([s for s in SEARCH_SURFACES if relators(s)]))
+        u = tuple(data.draw(st.lists(st.sampled_from(alphabet(s)), max_size=8)))
+        rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+        v, move = random_relator_rewrite(u, s, rng)
+        assert move.removed == ()
+        assert v != free_reduce(u)
+        assert apply_move(u, move) == v
+        assert is_relator_move(move, s)
+
     def test_no_relators_refuses(self):
         s = SurfaceParams(0, 1, 2)
         assert relators(s) == []
@@ -318,6 +333,7 @@ class TestRandomRewrite:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
 def ref_move_pieces(s):
     """All (removed, inserted, family) relator moves: for each rotation r of a
     relator or its inverse and each split r = P.S, the move rewrites P into
@@ -333,7 +349,7 @@ def ref_move_pieces(s):
                         pieces.setdefault((removed, inserted), rel.family)
     out = [(rem, ins, fam) for (rem, ins), fam in pieces.items()]
     out.sort(key=lambda t: (len(t[0]), word_sort_key(t[0]), word_sort_key(t[1])))
-    return out
+    return tuple(out)
 
 
 class RefGaveUp(Exception):
@@ -387,30 +403,32 @@ def ref_bounded_equal(u, v, s, depth, node_budget=10**6, max_words=None):
     return Equality("unknown", nodes=stored)
 
 
+def ref_insertions(s):
+    """The reference's moves that remove nothing, (inserted, family), in
+    its order."""
+    return [(inserted, family) for removed, inserted, family in ref_move_pieces(s)
+            if not removed]
+
+
+def ref_substitutions(s):
+    """The reference's moves P -> I with P non-empty, (removed, inserted,
+    family), in its order."""
+    return [piece for piece in ref_move_pieces(s) if piece[0]]
+
+
 def ref_random_relator_rewrite(word, s, rng):
-    pieces = ref_move_pieces(s)
-    subs = []
-    for pos in range(len(word) + 1):
-        for removed, inserted, family in pieces:
-            if removed and word[pos:pos + len(removed)] == removed:
-                subs.append(Move(pos, removed, inserted, family))
-    inserts = []
-    for rel in relators(s):
-        for base in (rel.word, inverse_word(rel.word)):
-            for pos in range(len(word) + 1):
-                inserts.append(Move(pos, (), base, rel.family))
-    candidates = subs + inserts
+    """One insertion of the reference's, at one position, drawn by index
+    over the list of every (insertion, position) pair."""
+    candidates = [Move(pos, (), inserted, family)
+                  for inserted, family in ref_insertions(s)
+                  for pos in range(len(word) + 1)]
     if not candidates:
         raise ParameterError(
             f"no relator move exists: the presentation for genus {s.genus}, "
             f"boundary {s.boundary} on {s.strands} strands has no relators"
         )
-    for _ in range(32):
-        mv = candidates[rng.randrange(len(candidates))]
-        rewritten = apply_move(word, mv)
-        if rewritten != free_reduce(word):
-            return rewritten, mv
-    return apply_move(word, candidates[0]), candidates[0]
+    mv = candidates[rng.randrange(len(candidates))]
+    return apply_move(word, mv), mv
 
 
 def outcome(search, *args):
@@ -507,26 +525,17 @@ class TestMoveTableAgainstReference:
         # tie order in the table's sort shows up here first
         for s in SURFACES:
             table = braid._move_table(s)
-            flat = []
-            for k in table.lengths:
-                for removed, group in table.subs.items():
-                    if len(removed) != k:
-                        continue
-                    for inserted, family in group:
-                        flat.append((table.decode(removed), table.decode(inserted), family))
-            # the search's insertions are the moves removing nothing, in order
-            assert [move[:2] for move in table.inserts] == list(table.subs.get("", ()))
+            # the table's insertions are the reference's moves removing
+            # nothing, in order
+            ref = ref_insertions(s)
+            assert [(table.decode(inserted), family)
+                    for inserted, family, *_ in table.inserts] == ref
             # and the last level looks up the same insertions
-            assert list(table.families.items()) == list(table.subs.get("", ()))
+            assert [(table.decode(inserted), family)
+                    for inserted, family in table.families.items()] == ref
             for inserted, _, first, last, _ in table.inserts:
                 assert table.decode(first) == inverse_word(table.decode(inserted[:1]))
                 assert table.decode(last) == inverse_word(table.decode(inserted[-1:]))
-            # the reference interleaves tied removed words (s1 and z1) in one
-            # flat list; the table groups each removed word, keeping its order
-            ref: dict = {}
-            for removed, inserted, family in ref_move_pieces(s):
-                ref.setdefault(removed, []).append((removed, inserted, family))
-            assert flat == [piece for group in ref.values() for piece in group]
 
     def test_depth_two_runs_its_last_level_to_the_end(self):
         # Unknown: every word of the second level is looked up; the nodes are
@@ -577,13 +586,6 @@ class TestMoveTableAgainstReference:
         assert len(braid._MOVE_TABLES) == before
 
 
-def table_substitutions(table):
-    """The table's moves P -> I with P non-empty, as letter words."""
-    return [(table.decode(removed), table.decode(inserted))
-            for removed, group in table.subs.items() if removed
-            for inserted, _ in group]
-
-
 def table_insertions(table):
     return {table.decode(move[0]) for move in table.inserts}
 
@@ -607,7 +609,7 @@ def lemma_cases(draw):
     left, right = draw(words), draw(words)
     if draw(st.booleans()):
         # lemma 1: P -> I at pos, against inserting I inv(P) at pos
-        removed, inserted = draw(st.sampled_from(table_substitutions(table)))
+        removed, inserted, _ = draw(st.sampled_from(ref_substitutions(s)))
         w, pos = left + removed + right, len(left)
         moves = (Move(pos, removed, inserted, ""),
                  Move(pos, (), inserted + inverse_word(removed), ""))
@@ -671,7 +673,8 @@ class TestSearchLemmas:
     def test_each_substitution_is_an_insertion_at_its_position(self, s):
         table = braid._move_table(s)
         inserts = table_insertions(table)
-        for removed, inserted in table_substitutions(table):
+        # the reference's substitutions: the table holds no copy of them
+        for removed, inserted, _ in ref_substitutions(s):
             assert inserted + inverse_word(removed) in inserts, (removed, inserted)
 
     @pytest.mark.parametrize("s", LEMMA_SURFACES, ids=str)
@@ -689,20 +692,6 @@ class TestSearchLemmas:
     def test_both_rewrites_give_the_same_word(self, case):
         w, (move, repeat) = case
         assert apply_move(w, move) == apply_move(w, repeat)
-
-    def test_search_reads_neither_substitutions_nor_lengths(self, monkeypatch):
-        s = SurfaceParams(1, 0, 2)
-        table = braid._move_table(s)
-        u = parse_braid_word("b1 s1^-1", s)
-        v = parse_braid_word("b1 s1^-1 a1 s1^-1 a1 s1 a1^-1 s1 a1^-1 s1^-1", s)
-        expected = bounded_equal(u, v, s, depth=1)
-        monkeypatch.delattr(table, "subs")
-        monkeypatch.delattr(table, "lengths")
-        assert braid._move_table(s) is table
-        assert bounded_equal(u, v, s, depth=1) == expected
-        assert expected.is_equal
-        w = u + (("s", 1, 1),)
-        assert bounded_equal(u, w, s, depth=1).status == "unknown"
 
     def test_depth_two_nodes_and_moves_are_pinned(self):
         # the statuses and moves of the search over every relator move,
@@ -755,11 +744,12 @@ def shadow_changing_moves(draw):
 class TestIsRelatorMove:
     @pytest.mark.parametrize("g,p,n", [(1, 1, 2), (1, 0, 3), (2, 0, 2), (2, 1, 3), (0, 2, 3)])
     def test_accepts_every_move_of_the_table(self, g, p, n):
+        # the table's insertions, and the substitutions it holds no copy of
         s = SurfaceParams(g, p, n)
         table = braid._MoveTable(s)
-        moves = [Move(0, table.decode(removed), table.decode(inserted), family)
-                 for removed, group in table.subs.items()
-                 for inserted, family in group]
+        moves = [Move(0, (), table.decode(inserted), family)
+                 for inserted, family, *_ in table.inserts]
+        moves += [Move(0, *piece) for piece in ref_substitutions(s)]
         assert moves and all(is_relator_move(mv, s) for mv in moves)
 
     def test_accepts_a_relator_conjugate_and_the_handle_move(self):

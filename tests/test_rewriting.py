@@ -15,13 +15,14 @@ from surfbraid.braid import identity_perm
 from surfbraid.diagrams import (
     Truncation,
     WreathDiagram,
+    _rule_count,
     _rule_table,
     bead,
     chord,
     expand_certificate,
     relation_instances,
 )
-from surfbraid import rewriting
+from surfbraid import diagrams, rewriting
 from surfbraid.errors import ResourceLimitError
 from surfbraid.rewriting import RewritingSystem, _add, complete
 from surfbraid.surface import SurfaceParams
@@ -306,6 +307,19 @@ class TestBeadRules:
         rules = {table.mono(lead): {table.mono(w): c for w, c in tail.items()}
                  for lead, tail in table.system.rules.items()}
         assert rules == written_rules(s)
+        # the count the table refuses by, before any completion
+        assert _rule_count(s) == len(rules)
+
+    @pytest.mark.parametrize("s", [SurfaceParams(3, 1, 5), SurfaceParams(3, 0, 5)],
+                             ids=lambda s: f"g{s.genus}p{s.boundary}n{s.strands}")
+    def test_a_table_past_the_rule_limit_is_refused_before_completion(self, s, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the completion ran")
+
+        monkeypatch.setattr(diagrams, "complete", refuse)
+        assert _rule_count(s) == 2100 > rewriting.MAX_RULES
+        with pytest.raises(ResourceLimitError, match="2100 rules"):
+            _rule_table(s)
 
     def test_every_ambiguity_resolves(self):
         """The bead rules are confluent on every surface with boundary, so a
