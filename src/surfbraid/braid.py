@@ -48,7 +48,6 @@ from .surface import (
     inverse_word,
     letter_sort_key,
     parse_word,
-    pi1_mul,
     pi1_normalize,
 )
 
@@ -274,6 +273,9 @@ def relators(s: SurfaceParams) -> list[Relator]:
 class WreathElement:
     """Element (beads; perm) of pi_1(Sigma)^n |x S_n with normalized beads.
 
+    Beads are kept in the canonical normal form of ``pi1_normalize``, so
+    ``==`` and ``hash`` are equality in the wreath product.
+
     ``beads[i]`` belongs to the strand *starting* at position ``i + 1`` and
     ``perm`` maps starting to ending positions, composing left-to-right.
     In the product the strand starting at ``i`` continues through the second
@@ -310,8 +312,7 @@ class WreathElement:
         if self.surface != other.surface:
             raise DimensionMismatchError("wreath elements live on different surfaces")
         beads = tuple(
-            pi1_mul(self.beads[i], other.beads[self.perm[i]], self.surface)
-            for i in range(self.surface.strands)
+            self.beads[i] + other.beads[self.perm[i]] for i in range(self.surface.strands)
         )
         return WreathElement(self.surface, beads, compose_perms(self.perm, other.perm))
 

@@ -8,21 +8,24 @@ written with the commutator convention ``[x, y] = x y x^-1 y^-1``::
 
     R_g = [a_1, b_1^-1] [a_2, b_2^-1] ... [a_g, b_g^-1]
 
-Words are kept in a canonical form chosen per surface family:
+Words are kept in a normal form that is canonical on every surface: two
+words give the same normal form exactly when they are the same element.
 
-* ``p >= 1``        -- free reduction (a canonical normal form),
+* ``p >= 1``        -- free reduction,
 * ``p = 0, g = 0``  -- the trivial group (no letters exist),
 * ``p = 0, g = 1``  -- exponent form ``a_1^m b_1^k`` (the relator makes
   the two letters commute),
-* ``p = 0, g >= 2`` -- greedy Dehn reduction over cyclic rotations of
-  ``R_g`` and its inverse, followed by length-preserving half-relator
-  replacements that lower the word lexicographically.
+* ``p = 0, g >= 2`` -- reduction by a complete rewriting system of the
+  group, built once per genus by ``rewriting.complete`` from the relations
+  ``x x^-1 = 1`` and ``R_g = 1``.
 
-Dehn reduction decides triviality for these one-relator small-cancellation
-groups: every freely reduced word representing the identity contains more
-than half of some cyclic rotation of the relator, so the greedy loop sends
-it to the empty word.  That triviality decision is the property the rest of
-the package relies on.
+Surface groups have finite complete rewriting systems (Le Chenadec,
+*Canonical Forms in Finitely Presented Algebras*, 1986).  With the b letters
+ordered before the a letters the completion closes on ``8g`` rules, and
+``unresolved()`` is empty, so by Bergman's diamond lemma the normal words
+are one per group element.  The normal form is shortlex-least in the
+completion's order, so it is a geodesic.  The genus-one system gives the
+exponent form above, which is computed directly.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import InvalidGeneratorError, ParameterError, ParseError
+from .rewriting import RewritingSystem, complete
 
 # A letter is (kind, index, sign) with kind in {"a", "b", "z"} and sign +-1.
 Letter = tuple[str, int, int]
@@ -170,85 +174,26 @@ def _torus_normal_form(word: Word) -> Word:
 
 
 @functools.lru_cache(maxsize=None)
-def _dehn_rotations(genus: int) -> tuple[tuple[Word, ...], dict]:
-    """All cyclic rotations of the closed-surface relator and of its inverse,
-    bucketed by first letter for fast scanning."""
-    s = SurfaceParams(genus, 0, 2)
-    base = s.surface_relator()
-    rots = []
-    for w in (base, inverse_word(base)):
-        for r in range(len(w)):
-            rots.append(w[r:] + w[:r])
-    rots = tuple(dict.fromkeys(rots))
-    by_first: dict[Letter, list[Word]] = {}
-    for rot in rots:
-        by_first.setdefault(rot[0], []).append(rot)
-    return rots, by_first
-
-
-def _match_len(word: Word, pos: int, rot: Word) -> int:
-    n = min(len(word) - pos, len(rot))
-    i = 0
-    while i < n and word[pos + i] == rot[i]:
-        i += 1
-    return i
-
-
-def _dehn_reduce(word: Word, genus: int) -> Word:
-    """Greedy Dehn reduction: repeatedly replace any subword that matches more
-    than half of a rotation of the relator by the shorter complement."""
-    _, by_first = _dehn_rotations(genus)
-    half = 2 * genus  # relator length is 4g
-    w = free_reduce(word)
-    pos = 0
-    while pos < len(w):
-        best = None  # (replacement_word, match_length)
-        for rot in by_first.get(w[pos], ()):
-            m = _match_len(w, pos, rot)
-            if m > half:
-                repl = inverse_word(rot[m:])
-                if best is None or m > best[1] or (
-                    m == best[1] and word_sort_key(repl) < word_sort_key(best[0])
-                ):
-                    best = (repl, m)
-        if best is None:
-            pos += 1
-            continue
-        repl, m = best
-        w = free_reduce(w[:pos] + repl + w[pos + m:])
-        # edits can create new matches only near the edit point
-        pos = max(0, pos - 4 * genus)
-    return w
-
-
-def _dehn_lex_minimize(word: Word, genus: int) -> Word:
-    """Half-length relator replacements that keep the length but lower the
-    word in the fixed order; gives a deterministic tie-break on Dehn-reduced
-    words (exact canonicity is not required downstream, triviality is)."""
-    rots, _ = _dehn_rotations(genus)
-    half = 2 * genus
-    w = word
-    improved = True
-    while improved:
-        improved = False
-        best = None
-        for pos in range(len(w)):
-            for rot in rots:
-                if _match_len(w, pos, rot) >= half:
-                    cand = free_reduce(w[:pos] + inverse_word(rot[half:]) + w[pos + half:])
-                    if word_sort_key(cand) < word_sort_key(w):
-                        if best is None or word_sort_key(cand) < word_sort_key(best):
-                            best = cand
-        if best is not None:
-            w = best
-            improved = True
-            if len(w) < len(word):
-                w = _dehn_reduce(w, genus)
-    return w
+def _closed_system(genus: int) -> tuple[RewritingSystem, tuple[Letter, ...], dict]:
+    """The complete rewriting system of pi_1 of the closed surface of genus
+    ``genus``, its letters and their codes.  The b letters come first, then
+    the a letters, each followed by its inverse: ``b_1, b_1^-1, ..., a_g^-1``
+    are coded ``0 .. 4g-1``.  The relations are ``x x^-1 = 1`` for every
+    signed letter and ``R_g = 1``; without a degree bound the completion
+    closes on ``8g`` rules."""
+    letters = tuple((kind, r, sign) for kind in "ba" for r in range(1, genus + 1)
+                    for sign in (1, -1))
+    code = {l: i for i, l in enumerate(letters)}
+    relations = [{(i, i ^ 1): 1, (): -1} for i in range(len(letters))]
+    relator = tuple(map(code.__getitem__, SurfaceParams(genus, 0, 2).surface_relator()))
+    relations.append({relator: 1, (): -1})
+    return complete([1] * len(letters), relations, None), letters, code
 
 
 def pi1_normalize(word: Word, s: SurfaceParams) -> Word:
-    """Canonical-per-scheme representative of a fundamental group word."""
+    """The normal form of a fundamental group word: canonical on every
+    surface, so two words give the same normal form exactly when they are
+    the same group element."""
     check_pi1_word(word, s)
     if not s.closed:
         return free_reduce(word)
@@ -256,8 +201,9 @@ def pi1_normalize(word: Word, s: SurfaceParams) -> Word:
         return ()  # no letters exist on the sphere; validation already passed
     if s.genus == 1:
         return _torus_normal_form(word)
-    w = _dehn_reduce(word, s.genus)
-    return _dehn_lex_minimize(w, s.genus)
+    system, letters, code = _closed_system(s.genus)
+    (normal,) = system.reduce({tuple(map(code.__getitem__, word)): 1})
+    return tuple(map(letters.__getitem__, normal))
 
 
 def pi1_mul(u: Word, v: Word, s: SurfaceParams) -> Word:

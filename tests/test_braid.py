@@ -714,7 +714,7 @@ class TestWreathImageIsAHomomorphism:
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_product_maps_to_product(self, data):
-        # a bounded surface (free beads) and a closed one (Dehn normal form)
+        # a bounded surface (free beads) and a closed one (rewriting normal form)
         s = data.draw(st.sampled_from([S123, SurfaceParams(2, 0, 3)]))
         words = st.lists(st.sampled_from(alphabet(s)), max_size=8).map(tuple)
         u, v = data.draw(words), data.draw(words)

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from surfbraid.errors import InvalidGeneratorError, ParameterError, ParseError
 from surfbraid.surface import (
     SurfaceParams,
+    _closed_system,
+    _torus_normal_form,
     check_pi1_word,
     format_word,
     free_reduce,
@@ -31,6 +33,31 @@ Z1 = letter("z", 1)
 def inv(let):
     kind, idx, sign = let
     return (kind, idx, -sign)
+
+
+def relator_rotations(genus):
+    r = SurfaceParams(genus, 0, 2).surface_relator()
+    return sorted({w[i:] + w[:i] for w in (r, inverse_word(r)) for i in range(len(w))})
+
+
+def dehn_reduce(word, genus):
+    """Greedy Dehn shortening, the triviality oracle: while the freely
+    reduced word has a factor of 2g + 1 letters that begins a cyclic rotation
+    of R_g or of its inverse, replace the factor by the inverse of the rest
+    of that rotation.  The relator is C'(1/6) for g >= 2, so by Greendlinger's
+    lemma a word is trivial exactly when this ends at the empty word."""
+    k = 2 * genus + 1
+    rotations = relator_rotations(genus)
+    w = free_reduce(word)
+    pos = 0
+    while pos < len(w):
+        rot = next((r for r in rotations if w[pos:pos + k] == r[:k]), None)
+        if rot is None:
+            pos += 1
+        else:
+            w = free_reduce(w[:pos] + inverse_word(rot[k:]) + w[pos + k:])
+            pos = 0
+    return w
 
 
 class TestParams:
@@ -195,6 +222,51 @@ def relator_products(draw, s):
     return word
 
 
+class TestClosedSystem:
+    @pytest.mark.parametrize("genus", range(1, 7))
+    def test_the_completion_closes_on_8g_rules(self, genus):
+        system, letters, _ = _closed_system(genus)
+        assert system.unresolved() == []
+        assert len(system.rules) == 8 * genus
+        assert max(map(len, system.rules)) <= 2 * genus
+        assert letters[:2] == (("b", 1, 1), ("b", 1, -1))
+
+    def test_the_torus_system_gives_the_exponent_form(self):
+        system, letters, code = _closed_system(1)
+        rng = random.Random(19)
+        for _ in range(300):
+            w = tuple(rng.choice(letters) for _ in range(rng.randrange(12)))
+            (normal,) = system.reduce({tuple(map(code.__getitem__, w)): 1})
+            assert tuple(map(letters.__getitem__, normal)) == _torus_normal_form(w)
+
+
+@st.composite
+def words_with_a_relator(draw):
+    """A genus, a word, a cyclic rotation of R_g^(+-1) and a position to
+    insert it at."""
+    genus = draw(st.sampled_from([2, 3]))
+    letters = SurfaceParams(genus, 0, 2).pi1_letters()
+    word = tuple(draw(st.lists(st.sampled_from(letters), max_size=16)))
+    rot = draw(st.sampled_from(relator_rotations(genus)))
+    return genus, word, rot, draw(st.integers(0, len(word)))
+
+
+class TestAgainstDehnReduction:
+    @settings(max_examples=60, deadline=None)
+    @given(words_with_a_relator())
+    def test_normal_form_against_the_oracle(self, case):
+        genus, word, rot, pos = case
+        s = SurfaceParams(genus, 0, 2)
+        with_relator = word[:pos] + rot + word[pos:]
+        assert pi1_normalize(with_relator, s) == pi1_normalize(word, s)
+        # the second word is a conjugate of the relator's inverse: trivial,
+        # but not freely
+        for w in (word, word + inverse_word(with_relator)):
+            oracle = dehn_reduce(w, genus)
+            assert pi1_is_trivial(w, s) == (oracle == ())
+            assert len(pi1_normalize(w, s)) <= len(oracle)
+
+
 class TestRelatorProducts:
     @settings(max_examples=100, deadline=None)
     @given(relator_products(SurfaceParams(1, 0, 2)))
@@ -205,3 +277,4 @@ class TestRelatorProducts:
     @given(relator_products(SurfaceParams(2, 0, 2)))
     def test_trivial_in_genus_two(self, word):
         assert pi1_normalize(word, SurfaceParams(2, 0, 2)) == ()
+        assert dehn_reduce(word, 2) == ()
