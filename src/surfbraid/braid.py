@@ -15,7 +15,10 @@ relator families follow the usual presentation of the surface braid group:
 
 The degree-zero evaluation ``wreath_image`` sends ``s_i`` to a pure strand
 transposition and each loop to a bead on strand one; it annihilates every
-relator, which is checked exhaustively in the tests.  ``bounded_equal`` is
+relator, which is checked exhaustively in the tests.  It walks the word
+once, appending loop letters to the raw bead word of the strand they land
+on, and normalizes each strand once at the end: exact because
+``pi1_normalize`` is canonical on every surface.  ``bounded_equal`` is
 a bounded breadth-first search over relator moves: sound when it answers
 Equal (the move sequence is replayed and verified), inconclusive when the
 depth runs out, and a ``ResourceLimitError`` when the node budget does.
@@ -174,12 +177,20 @@ def parse_perm_cycles(text: str, n: int) -> tuple[int, ...]:
 
 
 def strand_permutation(word: BraidWord, n: int) -> tuple[int, ...]:
-    """Underlying permutation of a braid word; loop letters fix all strands."""
-    p = identity_perm(n)
+    """Underlying permutation of a braid word; loop letters fix all strands.
+
+    ``at[j]`` is the strand at position ``j``, so ``s_i`` swaps two entries
+    and the permutation (starting to ending positions) is the inverse of
+    the final ``at``, as in ``wreath_image``."""
+    at = list(range(n))
     for kind, idx, _ in word:
         if kind == "s":
-            p = compose_perms(p, transposition_perm(n, idx))
-    return p
+            if not 1 <= idx <= n - 1:
+                raise InvalidGeneratorError(
+                    f"transposition index {idx} out of range for {n} strands"
+                )
+            at[idx - 1], at[idx] = at[idx], at[idx - 1]
+    return invert_perm(at)
 
 
 # ---------------------------------------------------------------------------
@@ -327,18 +338,25 @@ class WreathElement:
 
 def wreath_image(word: BraidWord, s: SurfaceParams) -> WreathElement:
     """The evaluation sending s_i to its transposition (trivial beads) and
-    each loop letter to a single bead on strand one."""
+    each loop letter to a single bead on strand one.
+
+    One pass: ``at[j]`` is the strand at position ``j``, ``s_i`` swaps two
+    entries, and a loop letter is appended to the raw bead word of the
+    strand at position one.  Each strand is normalized once, at the end.
+    That equals the product of the letters' images because
+    ``pi1_normalize`` is canonical: the normal form of a concatenation is
+    the normal form of the product of normal forms."""
     check_braid_word(word, s)
     n = s.strands
-    acc = WreathElement.identity(s)
-    for kind, idx, sign in word:
+    at = list(range(n))
+    beads: list[list] = [[] for _ in range(n)]
+    for letter in word:
+        kind, idx, _ = letter
         if kind == "s":
-            step = WreathElement(s, ((),) * n, transposition_perm(n, idx))
+            at[idx - 1], at[idx] = at[idx], at[idx - 1]
         else:
-            beads = (((kind, idx, sign),),) + ((),) * (n - 1)
-            step = WreathElement(s, beads, identity_perm(n))
-        acc = acc * step
-    return acc
+            beads[at[0]].append(letter)
+    return WreathElement(s, tuple(map(tuple, beads)), invert_perm(at))
 
 
 # ---------------------------------------------------------------------------

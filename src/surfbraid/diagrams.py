@@ -280,19 +280,23 @@ class WreathDiagram:
 # ---------------------------------------------------------------------------
 
 
+def _bead_monomial(w: WreathElement, trunc: Truncation) -> Monomial:
+    """The beads of a wreath-product element as one monomial, strand 1
+    first, labelled by starting strand; raises on bead-length overflow."""
+    mono = tuple(
+        bead(strand0 + 1, let) for strand0, word in enumerate(w.beads) for let in word
+    )
+    if not trunc.fits(mono):
+        raise TruncationOverflowError(
+            f"{bead_length(mono)} beads exceed the {trunc.max_beads}-bead window"
+        )
+    return mono
+
+
 def embed_wreath(w: WreathElement, trunc: Truncation) -> WreathDiagram:
     """A wreath-product element as a bead monomial (strand 1 first) with its
     permutation; raises on bead-length overflow."""
-    mono: list = []
-    for strand0, word in enumerate(w.beads):
-        for let in word:
-            mono.append(bead(strand0 + 1, let))
-    mono_t = tuple(mono)
-    if not trunc.fits(mono_t):
-        raise TruncationOverflowError(
-            f"{bead_length(mono_t)} beads exceed the {trunc.max_beads}-bead window"
-        )
-    return WreathDiagram(w.surface.strands, trunc, {(mono_t, w.perm): 1})
+    return WreathDiagram(w.surface.strands, trunc, {(_bead_monomial(w, trunc), w.perm): 1})
 
 
 def chord_generator(strands: int, i: int, j: int, trunc: Truncation) -> WreathDiagram:
@@ -759,23 +763,32 @@ def ideal_member(
 def degree_one_symbol(summands, s: SurfaceParams, trunc: Truncation) -> WreathDiagram:
     """Symbol of sum c * u (s_i - s_i^-1) v: each crossing difference
     contributes its chord (Z(i,i+1); s_i) framed by the degree-zero images
-    of u and v."""
+    of u and v.
+
+    Each summand is the one term of the product embed(u) * (Z; s_i) *
+    embed(v), written directly: u's beads, the chord relabelled by
+    u.perm^-1, v's beads relabelled by (u.perm s_i)^-1, and the permutation
+    u.perm s_i v.perm.  ``fits`` is monotone, so the whole monomial fits
+    exactly when every partial product does.  An invalid word or crossing,
+    or a framing word longer than the bead window, raises at once; a
+    summand past the truncation raises after the last summand."""
     from .braid import wreath_image
 
     acc: dict = {}
     overflow = False
     for t in summands:
-        left = embed_wreath(wreath_image(t.left, s), trunc)
-        mid = WreathDiagram(
-            s.strands, trunc,
-            {((chord(t.crossing, t.crossing + 1),),
-              transposition_perm(s.strands, t.crossing)): 1},
+        u = wreath_image(t.left, s)
+        left = _bead_monomial(u, trunc)
+        through = compose_perms(u.perm, transposition_perm(s.strands, t.crossing))
+        v = wreath_image(t.right, s)
+        right = _bead_monomial(v, trunc)
+        mono = (
+            left
+            + relabel_mono((chord(t.crossing, t.crossing + 1),), invert_perm(u.perm))
+            + relabel_mono(right, invert_perm(through))
         )
-        right = embed_wreath(wreath_image(t.right, s), trunc)
-        product = left * mid * right
-        overflow = overflow or product.overflow
-        for key, c in product.terms.items():
-            _add(acc, key, t.coef * c)
+        overflow = overflow or not trunc.fits(mono)
+        _add(acc, (mono, compose_perms(through, v.perm)), t.coef)
     if overflow:
         raise TruncationOverflowError("symbol exceeded the truncation window")
     return WreathDiagram(s.strands, trunc, acc)

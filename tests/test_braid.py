@@ -714,11 +714,73 @@ class TestWreathImageIsAHomomorphism:
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_product_maps_to_product(self, data):
-        # a bounded surface (free beads) and a closed one (rewriting normal form)
-        s = data.draw(st.sampled_from([S123, SurfaceParams(2, 0, 3)]))
+        # a bounded surface (free beads), the closed torus (exponent form) and
+        # closed genus 2 (rewriting normal form)
+        s = data.draw(st.sampled_from([S123, SurfaceParams(1, 0, 3), SurfaceParams(2, 0, 3)]))
         words = st.lists(st.sampled_from(alphabet(s)), max_size=8).map(tuple)
         u, v = data.draw(words), data.draw(words)
         assert wreath_image(u + v, s) == wreath_image(u, s) * wreath_image(v, s)
+
+
+def fold_wreath_image(word, s):
+    """The image as the product of the letters' images, one `WreathElement`
+    per letter: the definition that `wreath_image` evaluates in one pass."""
+    check_braid_word(word, s)
+    n = s.strands
+    acc = WreathElement.identity(s)
+    for kind, idx, sign in word:
+        if kind == "s":
+            step = WreathElement(s, ((),) * n, transposition_perm(n, idx))
+        else:
+            beads = (((kind, idx, sign),),) + ((),) * (n - 1)
+            step = WreathElement(s, beads, identity_perm(n))
+        acc = acc * step
+    return acc
+
+
+# an open surface, the closed torus, closed genus 2, the sphere (no loop
+# letters) and one strand (no crossings)
+ONE_PASS_SURFACES = [S123, SurfaceParams(1, 0, 3), SurfaceParams(2, 0, 2),
+                     SurfaceParams(0, 0, 3), SurfaceParams(2, 1, 1)]
+
+
+class TestOnePassWreathImage:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_equals_the_fold(self, data):
+        s = data.draw(st.sampled_from(ONE_PASS_SURFACES))
+        word = data.draw(st.lists(st.sampled_from(alphabet(s)), max_size=30).map(tuple))
+        assert wreath_image(word, s) == fold_wreath_image(word, s)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_strand_permutation_is_the_image_permutation(self, data):
+        s = data.draw(st.sampled_from(ONE_PASS_SURFACES))
+        word = data.draw(st.lists(st.sampled_from(alphabet(s)), max_size=30).map(tuple))
+        assert strand_permutation(word, s.strands) == wreath_image(word, s).perm
+
+    def test_strand_permutation_rejects_crossings_out_of_range(self):
+        for idx in (0, 3, -1):
+            with pytest.raises(InvalidGeneratorError, match="out of range"):
+                strand_permutation((("s", 1, 1), ("s", idx, 1)), 3)
+
+    def test_normalizes_each_strand_once(self, monkeypatch):
+        # a per-letter fold would normalize every strand at every letter
+        calls = []
+        original = braid.pi1_normalize
+
+        def counting(word, s):
+            calls.append(word)
+            return original(word, s)
+
+        monkeypatch.setattr(braid, "pi1_normalize", counting)
+        rng = random.Random(7)
+        for s in ONE_PASS_SURFACES:
+            for length in (0, 1, 5, 30, 120):
+                word = tuple(rng.choices(alphabet(s), k=length))
+                del calls[:]
+                wreath_image(word, s)
+                assert len(calls) == s.strands, (s, length)
 
 
 @st.composite

@@ -690,6 +690,36 @@ class TestExpandCertificate:
             expand_certificate([term], by_id, 2, TR)
 
 
+def _product_symbol(summands, s, trunc):
+    """The symbol as the diagram products embed(u) * (Z; s_i) * embed(v),
+    summed: the definition that ``degree_one_symbol`` writes directly."""
+    acc: dict = {}
+    overflow = False
+    for t in summands:
+        left = embed_wreath(wreath_image(t.left, s), trunc)
+        mid = WreathDiagram(
+            s.strands, trunc,
+            {((chord(t.crossing, t.crossing + 1),),
+              transposition_perm(s.strands, t.crossing)): 1},
+        )
+        right = embed_wreath(wreath_image(t.right, s), trunc)
+        product = left * mid * right
+        overflow = overflow or product.overflow
+        for key, c in product.terms.items():
+            rewriting._add(acc, key, t.coef * c)
+    if overflow:
+        raise TruncationOverflowError("symbol exceeded the truncation window")
+    return WreathDiagram(s.strands, trunc, acc)
+
+
+def _outcome(f, *args):
+    """The terms ``f`` returns, or the type of the error it raises."""
+    try:
+        return f(*args).terms
+    except (TruncationOverflowError, InvalidGeneratorError) as exc:
+        return type(exc)
+
+
 class TestDegreeOneSymbol:
     def test_bare_crossing(self):
         sym = degree_one_symbol([JSummand(1, (), 2, ())], S113, TR)
@@ -717,6 +747,31 @@ class TestDegreeOneSymbol:
         long_word = (A1, B1, A1, B1, A1)
         with pytest.raises(TruncationOverflowError):
             degree_one_symbol([JSummand(1, long_word, 1, ())], S112, TR)
+
+    @pytest.mark.parametrize(
+        "s", [S112, S113, S102, SurfaceParams(2, 0, 2), SurfaceParams(0, 2, 3)],
+        ids=_surface_id)
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_agrees_with_the_products(self, s, data):
+        # small truncations overflow on the chord or the beads, some
+        # summands are repeated negated so that they cancel, and a few
+        # lists carry a crossing out of range
+        letters = [("s", i, e) for i in range(1, s.strands) for e in (1, -1)]
+        words = st.lists(st.sampled_from(letters + s.pi1_letters()), max_size=4).map(tuple)
+        coefs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+        summand = st.builds(JSummand, coefs, words, st.integers(1, s.strands - 1), words)
+        summands = data.draw(st.lists(summand, max_size=4))
+        if summands:
+            summands += [replace(t, coef=-t.coef) for t in data.draw(
+                st.lists(st.sampled_from(summands), max_size=2))]
+        if data.draw(st.integers(0, 9)) == 0:
+            summands.append(data.draw(st.builds(
+                JSummand, coefs, words, st.sampled_from([0, s.strands]), words)))
+        summands = data.draw(st.permutations(summands))
+        trunc = data.draw(st.builds(Truncation, st.integers(0, 2), st.integers(0, 5)))
+        assert _outcome(degree_one_symbol, summands, s, trunc) == _outcome(
+            _product_symbol, summands, s, trunc)
 
 
 class TestDiskAugmentation:
