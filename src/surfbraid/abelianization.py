@@ -38,9 +38,7 @@ H1Key = tuple
 
 
 def h1_class(x: WreathDiagram, s: SurfaceParams) -> dict:
-    """Class of a chord-degree <= 1 element in the commutative quotient.
-    Raises TruncationOverflowError when x carries the overflow flag."""
-    x.check_exact()
+    """Class of a chord-degree <= 1 element in the commutative quotient."""
     out: dict[H1Key, Fraction] = {}
     for (mono, perm), coef in x.terms.items():
         z = chord_degree(mono)
@@ -126,6 +124,11 @@ def h1_degree_zero_report(s: SurfaceParams) -> str:
 
 @dataclass(frozen=True)
 class TorsionReport:
+    """The chord-degree-1 piece of ``degree_one_torsion``.  Only a free
+    piece is reported (otherwise it raises), so ``divisors_gt_one`` is
+    always ``()`` and ``torsion_free`` always true.  They stay because the
+    report text prints both and the benchmark's torsion oracle reads both."""
+
     surface: SurfaceParams
     trunc: Truncation
     columns: int

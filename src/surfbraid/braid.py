@@ -33,6 +33,7 @@ without a search or a move table.
 
 from __future__ import annotations
 
+import re
 import weakref
 from dataclasses import dataclass
 
@@ -153,12 +154,12 @@ def parse_perm_cycles(text: str, n: int) -> tuple[int, ...]:
     text = text.strip()
     if text in ("", "()", "id"):
         return identity_perm(n)
-    if text.count("(") != text.count(")") or not text.startswith("("):
+    if not re.fullmatch(r"(\([^()]*\))+", text):
         raise ParseError(f"bad cycle notation {text!r}")
     out = list(range(n))
     used = set()
-    for chunk in text.strip(")").split(")"):
-        chunk = chunk.lstrip("(").strip()
+    for chunk in re.findall(r"\(([^()]*)\)", text):
+        chunk = chunk.strip()
         if not chunk:
             raise ParseError(f"empty cycle in {text!r}")
         try:

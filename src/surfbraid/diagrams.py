@@ -6,8 +6,9 @@ A monomial is a free word in two kinds of symbols: ``Bead(strand, letter)``
 do not simplify — ``a1@1 a1^-1@1`` keeps both symbols; all identifications
 live in the relation ideal.  A ``WreathDiagram`` is a rational combination
 of (monomial, permutation) pairs, truncated to a maximum chord degree and
-bead length; products that leave the truncation raise a flag instead of
-being dropped silently.
+bead length.  An operation that would make a monomial past the truncation
+raises TruncationOverflowError (``Truncation.check``) where it makes it, so
+no term is ever dropped.
 
 Relation families (all with identity permutation, homogeneous in chord
 degree; ``F`` is the set of signed loop letters of the surface):
@@ -99,6 +100,15 @@ class Truncation:
     def fits(self, mono: Monomial) -> bool:
         return chord_degree(mono) <= self.max_chords and bead_length(mono) <= self.max_beads
 
+    def check(self, mono: Monomial) -> Monomial:
+        """``mono`` itself; raises TruncationOverflowError when it does not fit."""
+        if not self.fits(mono):
+            raise TruncationOverflowError(
+                f"monomial {format_monomial(mono)} with {chord_degree(mono)} chords and "
+                f"{bead_length(mono)} beads exceeds the truncation {self}"
+            )
+        return mono
+
 
 def bead(strand: int, let) -> tuple:
     return ("B", strand, tuple(let))
@@ -158,11 +168,13 @@ def relabel_mono(mono: Monomial, perm: tuple[int, ...]) -> Monomial:
 
 class WreathDiagram:
     """Rational combination of (monomial, permutation) pairs under a fixed
-    truncation, with an overflow flag for products that left the window."""
+    truncation.  The constructors and the product raise at a monomial past
+    it; ``__init__`` does not check, so a sum of framed relation rows
+    (``expand_certificate``) may hold longer frames."""
 
-    __slots__ = ("strands", "trunc", "terms", "overflow")
+    __slots__ = ("strands", "trunc", "terms")
 
-    def __init__(self, strands: int, trunc: Truncation, terms=None, overflow: bool = False):
+    def __init__(self, strands: int, trunc: Truncation, terms=None):
         self.strands = strands
         self.trunc = trunc
         clean: dict[tuple[Monomial, tuple], Fraction] = {}
@@ -177,7 +189,6 @@ class WreathDiagram:
             elif key in clean:
                 del clean[key]
         self.terms = clean
-        self.overflow = overflow
 
     # -- constructors -------------------------------------------------------
 
@@ -192,27 +203,13 @@ class WreathDiagram:
     @classmethod
     def from_term(cls, strands: int, trunc: Truncation, mono, perm=None, coef=1) -> "WreathDiagram":
         perm = identity_perm(strands) if perm is None else tuple(perm)
-        mono = tuple(mono)
-        if not trunc.fits(mono):
-            raise TruncationOverflowError(
-                f"monomial with {chord_degree(mono)} chords / {bead_length(mono)} beads "
-                f"exceeds truncation {trunc}"
-            )
-        return cls(strands, trunc, {(mono, perm): coef})
+        return cls(strands, trunc, {(trunc.check(tuple(mono)), perm): coef})
 
     # -- structure ----------------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    def check_exact(self) -> None:
-        """Raise TruncationOverflowError if the element lost terms outside
-        its truncation, which makes its zero coefficients unknown."""
-        if self.overflow:
-            raise TruncationOverflowError(
-                f"the element left the truncation {self.trunc}: the terms it lost are unknown"
-            )
 
     def _check_compatible(self, other: "WreathDiagram"):
         if self.strands != other.strands or self.trunc != other.trunc:
@@ -223,39 +220,30 @@ class WreathDiagram:
         out = dict(self.terms)
         for key, c in other.terms.items():
             out[key] = out.get(key, 0) + c
-        return WreathDiagram(self.strands, self.trunc, out, self.overflow or other.overflow)
+        return WreathDiagram(self.strands, self.trunc, out)
 
     def __sub__(self, other: "WreathDiagram") -> "WreathDiagram":
         return self + (-other)
 
     def __neg__(self) -> "WreathDiagram":
-        return WreathDiagram(
-            self.strands, self.trunc,
-            {k: -c for k, c in self.terms.items()}, self.overflow,
-        )
+        return WreathDiagram(self.strands, self.trunc, {k: -c for k, c in self.terms.items()})
 
     def scale(self, coef) -> "WreathDiagram":
         return WreathDiagram(
-            self.strands, self.trunc,
-            {k: Fraction(coef) * c for k, c in self.terms.items()}, self.overflow,
+            self.strands, self.trunc, {k: Fraction(coef) * c for k, c in self.terms.items()}
         )
 
     def __mul__(self, other: "WreathDiagram") -> "WreathDiagram":
         self._check_compatible(other)
         out: dict = {}
-        overflow = self.overflow or other.overflow
         for (m1, p1), c1 in self.terms.items():
             # strand labels are starting positions: label j of the right
             # factor continues the left strand p1^-1(j)
             back = invert_perm(p1)
             for (m2, p2), c2 in other.terms.items():
-                mono = m1 + relabel_mono(m2, back)
-                if not self.trunc.fits(mono):
-                    overflow = True
-                    continue
-                key = (mono, compose_perms(p1, p2))
+                key = (self.trunc.check(m1 + relabel_mono(m2, back)), compose_perms(p1, p2))
                 out[key] = out.get(key, 0) + c1 * c2
-        return WreathDiagram(self.strands, self.trunc, out, overflow)
+        return WreathDiagram(self.strands, self.trunc, out)
 
     def __eq__(self, other) -> bool:
         return (
@@ -283,14 +271,9 @@ class WreathDiagram:
 def _bead_monomial(w: WreathElement, trunc: Truncation) -> Monomial:
     """The beads of a wreath-product element as one monomial, strand 1
     first, labelled by starting strand; raises on bead-length overflow."""
-    mono = tuple(
+    return trunc.check(tuple(
         bead(strand0 + 1, let) for strand0, word in enumerate(w.beads) for let in word
-    )
-    if not trunc.fits(mono):
-        raise TruncationOverflowError(
-            f"{bead_length(mono)} beads exceed the {trunc.max_beads}-bead window"
-        )
-    return mono
+    ))
 
 
 def embed_wreath(w: WreathElement, trunc: Truncation) -> WreathDiagram:
@@ -301,7 +284,8 @@ def embed_wreath(w: WreathElement, trunc: Truncation) -> WreathDiagram:
 
 def chord_generator(strands: int, i: int, j: int, trunc: Truncation) -> WreathDiagram:
     _check_strand_range(strands, (i, j))
-    return WreathDiagram(strands, trunc, {((chord(i, j),), identity_perm(strands)): 1})
+    mono = trunc.check((chord(i, j),))
+    return WreathDiagram(strands, trunc, {(mono, identity_perm(strands)): 1})
 
 
 def conjugated_chord(
@@ -315,12 +299,8 @@ def conjugated_chord(
     if i == j:
         raise InvalidGeneratorError("a chord needs two distinct strands")
     check_pi1_word(gamma, s)
-    mono = tuple(bead(i, l) for l in gamma) + (chord(i, j),) \
-        + tuple(bead(i, l) for l in inverse_word(gamma))
-    if not trunc.fits(mono):
-        raise TruncationOverflowError(
-            f"conjugating bead word of length {len(gamma)} exceeds the truncation"
-        )
+    mono = trunc.check(tuple(bead(i, l) for l in gamma) + (chord(i, j),)
+                       + tuple(bead(i, l) for l in inverse_word(gamma)))
     return WreathDiagram(s.strands, trunc, {(mono, identity_perm(s.strands)): 1})
 
 
@@ -690,20 +670,15 @@ def ideal_member(
     into relation rows, the certificate, which is re-expanded against x.
     With ``certify=False`` the certificate is None.  Raises DimensionMismatchError when x and s
     have different strand counts, TruncationOverflowError when a monomial
-    of x does not fit ``trunc`` or x carries the overflow flag (it lost
-    terms outside the window), and ResourceLimitError when the rule table
+    of x does not fit ``trunc``, and ResourceLimitError when the rule table
     or a box passes ``rewriting.MAX_RULES`` rules.
     """
     if x.strands != s.strands:
         raise DimensionMismatchError(
             f"a {x.strands}-strand diagram queried on {s.strands} strands"
         )
-    x.check_exact()
     for mono, _ in x.terms:
-        if not trunc.fits(mono):
-            raise TruncationOverflowError(
-                f"monomial {format_monomial(mono)} exceeds the truncation {trunc}"
-            )
+        trunc.check(mono)
     if window < trunc.max_beads:
         raise ParameterError(
             f"window {window} is smaller than the bead truncation {trunc.max_beads}"
@@ -769,28 +744,24 @@ def degree_one_symbol(summands, s: SurfaceParams, trunc: Truncation) -> WreathDi
     embed(v), written directly: u's beads, the chord relabelled by
     u.perm^-1, v's beads relabelled by (u.perm s_i)^-1, and the permutation
     u.perm s_i v.perm.  ``fits`` is monotone, so the whole monomial fits
-    exactly when every partial product does.  An invalid word or crossing,
-    or a framing word longer than the bead window, raises at once; a
-    summand past the truncation raises after the last summand."""
+    exactly when every partial product does.  Every error, an invalid word
+    or crossing or a monomial past the truncation, raises at the first
+    summand that has it, as the products would."""
     from .braid import wreath_image
 
     acc: dict = {}
-    overflow = False
     for t in summands:
         u = wreath_image(t.left, s)
         left = _bead_monomial(u, trunc)
         through = compose_perms(u.perm, transposition_perm(s.strands, t.crossing))
         v = wreath_image(t.right, s)
         right = _bead_monomial(v, trunc)
-        mono = (
+        mono = trunc.check(
             left
             + relabel_mono((chord(t.crossing, t.crossing + 1),), invert_perm(u.perm))
             + relabel_mono(right, invert_perm(through))
         )
-        overflow = overflow or not trunc.fits(mono)
         _add(acc, (mono, compose_perms(through, v.perm)), t.coef)
-    if overflow:
-        raise TruncationOverflowError("symbol exceeded the truncation window")
     return WreathDiagram(s.strands, trunc, acc)
 
 
@@ -800,14 +771,12 @@ def disk_augmentation(x: WreathDiagram) -> WreathDiagram:
     for (mono, perm), coef in x.terms.items():
         key = (tuple(sym for sym in mono if sym[0] == "C"), perm)
         out[key] = out.get(key, 0) + coef
-    return WreathDiagram(x.strands, x.trunc, out, x.overflow)
+    return WreathDiagram(x.strands, x.trunc, out)
 
 
 def disk_nonzero(x: WreathDiagram) -> bool:
     """Nonvanishing in the beadless algebra, valid in chord degree <= 1 where
-    the (monomial, permutation) pairs are an explicit basis.  Raises
-    TruncationOverflowError when x carries the overflow flag."""
-    x.check_exact()
+    the (monomial, permutation) pairs are an explicit basis."""
     y = disk_augmentation(x)
     if y.max_chord_degree() > 1:
         raise UnsupportedDegreeError(
@@ -901,12 +870,7 @@ def parse_diagram(text: str, s: SurfaceParams, trunc: Truncation) -> WreathDiagr
                 raise ParseError(f"bad coefficient {coef_text.strip()!r}") from exc
         else:
             coef, mono_text = Fraction(1), mono_part
-        mono = parse_monomial(mono_text, s)
-        if not trunc.fits(mono):
-            raise TruncationOverflowError(
-                f"monomial {format_monomial(mono)} exceeds the truncation"
-            )
-        key = (mono, perm)
+        key = (trunc.check(parse_monomial(mono_text, s)), perm)
         terms[key] = terms.get(key, 0) + coef
     return WreathDiagram(s.strands, trunc, terms)
 

@@ -90,17 +90,18 @@ def test_obstruction_pipeline_verdicts_and_runtime():
 
 
 def test_wreath_shadow_annihilates_all_relators():
-    """On every surface with genus <= 2, boundary <= 2 and 2 <= strands <= 4
+    """On every surface with genus <= 2, boundary <= 3 and 2 <= strands <= 4
     (single-strand groups have no relators), the wreath-product evaluation
-    sends every emitted relator to the identity."""
+    sends every emitted relator to the identity.  Boundary 3 is the first
+    with two loops z1, z2, so the first with the relators [z_i, s1^-1 z_j s1]."""
     checked = 0
-    for g, p, n in itertools.product(range(3), range(3), range(2, 5)):
+    for g, p, n in itertools.product(range(3), range(4), range(2, 5)):
         s = SurfaceParams(g, p, n)
         for rel in relators(s):
             image = wreath_image(rel.word, s)
             assert image.is_identity, (g, p, n, rel.family, rel.word)
             checked += 1
-    assert checked > 200
+    assert checked > 400
 
 
 # ---------------------------------------------------------------------------

@@ -91,6 +91,12 @@ class TestPermutations:
             parse_perm_cycles("(1 5)", 3)
         with pytest.raises(ParseError):
             parse_perm_cycles("(1 1)", 3)
+        assert parse_perm_cycles("(1,2)(3)", 3) == (1, 0, 2)
+        # every cycle is one pair of parentheses around its entries
+        for text in ("(1 2", "1 2)", "()(1)", "(a b)", "((1 2))", "(1 (2))",
+                     "(1 2)(3", "(1 2) (3)", "(1 2)x"):
+            with pytest.raises(ParseError):
+                parse_perm_cycles(text, 3)
 
     def test_parse_format_round_trip(self):
         rng = random.Random(3)
@@ -149,6 +155,15 @@ class TestRelators:
         assert parse_braid_word(
             "a2 s1^-1 a1 s1 a2^-1 s1^-1 a1^-1 s1", SurfaceParams(2, 1, 2)
         ) in words
+
+    def test_boundary_loops_commute_with_crossing_conjugates(self):
+        # three boundary components give two loops z1, z2: each commutes with
+        # its own crossing conjugate, and z2 with the conjugate s1^-1 z1 s1
+        s = SurfaceParams(0, 3, 2)
+        rels = relators(s)
+        assert [r.family for r in rels] == ["2.ii"] * 3
+        assert rels[2].word == parse_braid_word("z2 s1^-1 z1 s1 z2^-1 s1^-1 z1^-1 s1", s)
+        assert all(wreath_image(r.word, s).is_identity for r in rels)
 
     def test_disk_three_strands(self):
         rels = relators(S013)
@@ -439,7 +454,8 @@ def outcome(search, *args):
 
 
 SURFACES = [SurfaceParams(*t) for t in
-            [(1, 1, 2), (1, 0, 2), (2, 1, 3), (0, 2, 3), (1, 2, 2), (0, 1, 2)]]
+            [(1, 1, 2), (1, 0, 2), (2, 1, 3), (0, 2, 3), (1, 2, 2), (0, 1, 2),
+             (0, 3, 2), (1, 3, 2)]]
 # two closed surfaces: (2,0,2) has two 2.iii relators, which are not cyclically
 # reduced, so some rotations of its insertions are shorter, and the sphere
 # (0,0,3) has only the braid relation and its 2.iv relator
@@ -804,7 +820,8 @@ def shadow_changing_moves(draw):
 
 
 class TestIsRelatorMove:
-    @pytest.mark.parametrize("g,p,n", [(1, 1, 2), (1, 0, 3), (2, 0, 2), (2, 1, 3), (0, 2, 3)])
+    @pytest.mark.parametrize("g,p,n", [(1, 1, 2), (1, 0, 3), (2, 0, 2), (2, 1, 3), (0, 2, 3),
+                                       (0, 3, 2), (1, 3, 2)])
     def test_accepts_every_move_of_the_table(self, g, p, n):
         # the table's insertions, and the substitutions it holds no copy of
         s = SurfaceParams(g, p, n)

@@ -346,6 +346,27 @@ class TestConfigAndErrors:
         assert err.startswith("error: window 1 is smaller than the bead truncation 4")
 
 
+# input from outside that each parser refuses, and the message it names
+BAD_INPUT = [
+    (["diagram", "member", *S112, "1 * 1 ; perm=(1 2"], "bad cycle notation '(1 2'"),
+    (["diagram", "member", *S112, "1 * 1 ; perm=()(1)"], "empty cycle in '()(1)'"),
+    (["diagram", "member", *S112, "1 * 1 ; perm=(a b)"], "bad cycle entry in '(a b)'"),
+    (["h1", "class", *S112, "1 * Z(1,2) ; perm=((1 2))"], "bad cycle notation '((1 2))'"),
+    (["braid", "parse", *S112, "a0"], "letter index must be >= 1 in 'a0'"),
+    (["diagram", "member", *S112, "1 * c1@1"], "bead letter in 'c1@1' does not exist"),
+    (["diagram", "member", *S112, "1 * Z(1,2) ; (1 2)"], "expected 'perm=' in"),
+    (["diagram", "equal", *S112, "x * 1", "1"], "bad coefficient 'x'"),
+    (["gr", "symbol", *S112, "--jexpr", "1 | | x | s1"], "bad crossing index 'x'"),
+]
+
+
+@pytest.mark.parametrize("argv, message", BAD_INPUT, ids=[m for _, m in BAD_INPUT])
+def test_bad_input_exits_usage(capsys, argv, message):
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("error: ") and message in err, err
+
+
 # every leaf command on a surface where it succeeds or answers, its exit code,
 # and the settings it reads besides --config and the surface
 TRUNCATION = ("--max-chords", "--max-beads")

@@ -71,6 +71,15 @@ class TestTruncation:
         assert not t.fits((chord(1, 2), chord(1, 2)))
         assert not t.fits((bead(1, A1),) * 3)
 
+    def test_check_names_the_monomial(self):
+        mono = (bead(1, A1), chord(1, 2), bead(2, A1I))
+        assert Truncation(1, 2).check(mono) is mono
+        with pytest.raises(TruncationOverflowError,
+                           match=r"a1@1 Z\(1,2\) a1\^-1@2 with 1 chords and 2 beads"):
+            Truncation(0, 2).check(mono)
+        with pytest.raises(TruncationOverflowError, match=r"1 chords and 2 beads"):
+            Truncation(1, 1).check(mono)
+
     def test_validation(self):
         with pytest.raises(ParameterError):
             Truncation(-1, 2)
@@ -123,12 +132,15 @@ class TestDiagramAlgebra:
             x, y, z = factors
             assert (x * y) * z == x * (y * z)
 
-    def test_overflow_flag_not_silent(self):
-        x = one_term(2, (chord(1, 2), chord(1, 2)))
-        assert not x.overflow
-        y = x * one_term(2, (chord(1, 2),))
-        assert y.overflow
-        assert y.is_zero  # the out-of-window term is flagged, not kept
+    def test_product_past_the_truncation_raises(self):
+        # Z * (1 + Z Z) has the term Z inside the truncation and Z Z Z past
+        # it: the product raises rather than return the part that fits
+        z = one_term(2, (chord(1, 2),))
+        y = one_term(2, ()) + one_term(2, (chord(1, 2), chord(1, 2)))
+        with pytest.raises(TruncationOverflowError, match=r"3 chords and 0 beads"):
+            z * y
+        with pytest.raises(TruncationOverflowError, match=r"3 chords and 0 beads"):
+            y * z
 
     def test_from_term_overflow(self):
         with pytest.raises(TruncationOverflowError):
@@ -158,6 +170,8 @@ class TestEmbedAndGenerators:
         assert chord_generator(2, 1, 2, TR) == one_term(2, (chord(1, 2),))
         with pytest.raises(InvalidGeneratorError):
             chord_generator(2, 1, 3, TR)
+        with pytest.raises(TruncationOverflowError, match=r"1 chords and 0 beads"):
+            chord_generator(2, 1, 2, Truncation(0, 4))
 
     def test_conjugated_chord_empty_conjugator(self):
         assert conjugated_chord(S112, 1, 2, (), TR) == chord_generator(2, 1, 2, TR)
@@ -401,12 +415,10 @@ class TestIdealMember:
         x = parse_diagram("1 * a1@1 a1^-1@1 + -1 * 1", S112, TR)
         with pytest.raises(TruncationOverflowError):
             ideal_member(x, S112, Truncation(2, 1), window=5)
-        # a product that left the window lost terms: it answers nothing
+        # a product that would leave the window raises before any query
         z = chord_generator(2, 1, 2, TR)
-        cubed = z * z * z
-        assert cubed.overflow and cubed.is_zero
         with pytest.raises(TruncationOverflowError):
-            ideal_member(cubed, S112, TR)
+            z * z * z
 
 
 BEAD_FAMILIES = ("BeadGroup", "BeadPush", "BeadFar", "BeadBead")
@@ -667,7 +679,6 @@ class TestExpandCertificate:
             terms.insert(data.draw(st.integers(0, len(terms))), replace(term, coef=-term.coef))
         got = expand_certificate(terms, by_id, s.strands, TR)
         assert got == _fold_expansion(terms, by_id, s.strands, TR)
-        assert not got.overflow
 
     def test_member_reexpands_without_the_fold(self, monkeypatch):
         insts = {inst.rid: inst.element for inst in relation_instances(S112, TR)}
@@ -694,7 +705,6 @@ def _product_symbol(summands, s, trunc):
     """The symbol as the diagram products embed(u) * (Z; s_i) * embed(v),
     summed: the definition that ``degree_one_symbol`` writes directly."""
     acc: dict = {}
-    overflow = False
     for t in summands:
         left = embed_wreath(wreath_image(t.left, s), trunc)
         mid = WreathDiagram(
@@ -703,12 +713,8 @@ def _product_symbol(summands, s, trunc):
               transposition_perm(s.strands, t.crossing)): 1},
         )
         right = embed_wreath(wreath_image(t.right, s), trunc)
-        product = left * mid * right
-        overflow = overflow or product.overflow
-        for key, c in product.terms.items():
+        for key, c in (left * mid * right).terms.items():
             rewriting._add(acc, key, t.coef * c)
-    if overflow:
-        raise TruncationOverflowError("symbol exceeded the truncation window")
     return WreathDiagram(s.strands, trunc, acc)
 
 
@@ -747,6 +753,16 @@ class TestDegreeOneSymbol:
         long_word = (A1, B1, A1, B1, A1)
         with pytest.raises(TruncationOverflowError):
             degree_one_symbol([JSummand(1, long_word, 1, ())], S112, TR)
+
+    def test_first_summand_with_an_error_decides_it(self):
+        # three beads left of the chord and two right of it pass the
+        # four-bead truncation only together
+        long = JSummand(1, (A1, B1, A1), 1, (B1, A1))
+        invalid = JSummand(1, (), 2, ())
+        with pytest.raises(TruncationOverflowError, match=r"1 chords and 5 beads"):
+            degree_one_symbol([long, invalid], S112, TR)
+        with pytest.raises(InvalidGeneratorError):
+            degree_one_symbol([invalid, long], S112, TR)
 
     @pytest.mark.parametrize(
         "s", [S112, S113, S102, SurfaceParams(2, 0, 2), SurfaceParams(0, 2, 3)],
@@ -807,6 +823,8 @@ class TestDiskAugmentation:
             disk_nonzero(x)
 
     def test_overflow_is_refused(self):
+        # the square has two chords: the product raises, so disk_nonzero
+        # never sees an element that lost terms
         x = conjugated_chord(S112, 1, 2, (A1,), Truncation(1, 2))
         with pytest.raises(TruncationOverflowError):
             disk_nonzero(x * x)
