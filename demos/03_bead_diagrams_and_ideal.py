@@ -6,9 +6,10 @@ Degree counts chords; strand segments carry beads (fundamental-group
 letters).  The algebra is free on such monomials modulo a finite catalog
 of homogeneous relations: chord symmetry and locality, the four-term
 relation, bead pushes across chord endpoints, and the group relations of
-the beads.  Membership in the relation ideal is decided by exact integer
-elimination and returns a replayable certificate; in chord degree <= 1 the
-normal form alone proves non-membership on a surface with boundary (the
+the beads.  Membership in the relation ideal is decided by rewriting: the
+bead normal form, written directly, then a completion truncated to a bead
+window; a member comes with a replayable certificate.  In chord degree <= 1
+the normal form alone proves non-membership on a surface with boundary (the
 bead normal form) and on the closed torus (the exponent form a1^m b1^k of
 each strand's beads).
 """

@@ -35,21 +35,20 @@ is likewise required: the commutator form alone never mixes the two chord
 endpoints, which an explicit character of the collapsed algebra shows is
 too weak to transport conjugated chords from one strand to the other.
 
-``ideal_member`` answers membership at a bead window.  It first rewrites
-the query to its bead normal form, and on the closed torus on to the
-exponent form ``a1^m b1^k`` per strand, with one table of rules per
-surface (``_rule_table``): the completion (``rewriting.complete``) of the
-relations with one chord and two beads, so each rule carries its proof as
-the derivation the completion records, the rewriting steps expand into a
-certificate, and the same table is what the confluence tests check.
-Except on closed surfaces of genus >= 2 that normal form decides chord
-degree <= 1: its rules are a complete rewriting system there, so a
-non-zero normal form is a proven NotMember, and a vanishing one a Member.
-Everything else is decided by one completion truncated to a box of the
-window (``_box``), the same box the torsion report of ``abelianization``
-counts normal words in: NotMemberAtWindow is proven at that window, not
-against the whole ideal.  Member answers return a certificate that is
-re-expanded and compared with the input before being returned.
+``ideal_member`` answers membership at a bead window.  It first writes
+the query in its bead normal form (``_bead_normal_form``): the chords, then
+the beads by strand with every inverse pair cancelled, on the closed torus
+in the exponent form ``a1^m b1^k`` per strand.  Every step is a framed
+relation row, so the steps give the certificate its first rows.  Except
+on closed surfaces of genus >= 2 the normal words in chord degree <= 1 are
+those of a complete rewriting system of the relations there, so that
+normal form decides chord degree <= 1: a non-zero one is a proven
+NotMember, and a vanishing one a Member.  Everything else is decided by
+one completion truncated to a box of the window (``_box``), the same box
+the torsion report of ``abelianization`` counts normal words in:
+NotMemberAtWindow is proven at that window, not against the whole ideal.
+Member answers return a certificate that is re-expanded and compared with
+the input before being returned.
 """
 
 from __future__ import annotations
@@ -73,12 +72,10 @@ from .errors import (
     InvalidGeneratorError,
     ParameterError,
     ParseError,
-    ResourceLimitError,
     SurfbraidError,
     TruncationOverflowError,
     UnsupportedDegreeError,
 )
-from . import rewriting
 from .rewriting import RewritingSystem, _add, complete
 from .surface import SurfaceParams, Word, inverse_word
 
@@ -474,12 +471,11 @@ class Membership:
 
     * ``member``: at the window; the certificate has been re-expanded and
       compared with the query (None when the caller asked not to certify).
-    * ``not_member``: proven at every window.  ``witness`` is the normal
-      form of the query's chord-degree <= 1 part, non-zero, on a surface
-      other than a closed one of genus >= 2, where the normal form's rules
-      are a complete rewriting system for the ideal: the bead normal form,
-      carried on to the exponent form ``a1^m b1^k`` per strand on the
-      closed torus.
+    * ``not_member``: proven at every window.  ``witness`` is the bead
+      normal form of the query's chord-degree <= 1 part, non-zero, on a
+      surface other than a closed one of genus >= 2, where the bead normal
+      words are those of a complete rewriting system of the ideal in chord
+      degree <= 1.
     * ``not_member_at_window``: proven at the window only, not against the
       whole ideal.  ``witness`` is the query's normal form in the truncated
       completion; the query minus it is a member at the window.
@@ -496,19 +492,18 @@ class Membership:
 
 @dataclass(frozen=True)
 class _CodedSystem:
-    """Rewriting rules over int-coded chord and bead symbols: the rule table
-    of a surface, or a box, whose words are padded with a letter ``t`` (code
-    ``len(symbols)``) that commutes with every other.  Each rule's proof is
-    its derivation in ``system.derivations``, whose input relation ``index``
-    is ``instances[index]``, or a commutator ``x t - t x`` when that is
-    None."""
+    """The rewriting rules of a box over int-coded chord and bead symbols,
+    whose words are padded with a letter ``t`` (code ``len(symbols)``) that
+    commutes with every other.  Each rule's proof is its derivation in
+    ``system.derivations``, whose input relation ``index`` is
+    ``instances[index]``, or a commutator ``x t - t x`` when that is None."""
 
     symbols: tuple  # code -> chord or bead symbol
     code: dict  # chord or bead symbol -> code
     system: RewritingSystem | None = None
     instances: tuple = ()  # RelationInstance or None, by input relation index
 
-    def word(self, mono: Monomial, length: int = 0) -> tuple:
+    def word(self, mono: Monomial, length: int) -> tuple:
         """``mono`` padded with ``t`` up to ``length`` beads."""
         pad = (len(self.symbols),) * (length - bead_length(mono))
         return tuple(self.code[sym] for sym in mono) + pad
@@ -528,50 +523,89 @@ class _CodedSystem:
         return [CertificateTerm(Fraction(c), *key, perm) for key, c in acc.items()]
 
 
-def _rule_count(s: SurfaceParams) -> int:
-    """The number of rules of ``_rule_table(s)``, known from the surface
-    alone.  With L signed loop letters, n strands and C = n(n-1)/2 chords,
-    each of the nL beads has one cancelling rule and C chord slides, each
-    pair of beads on two strands one sort (L^2 C), and the closed torus
-    adds its 4n swaps."""
-    n, letters = s.strands, len(s.pi1_letters())
-    chords = n * (n - 1) // 2
-    swaps = 4 * n if s.closed and s.genus == 1 else 0
-    return n * letters * (1 + chords) + letters ** 2 * chords + swaps
-
-
 @functools.lru_cache(maxsize=None)
-def _rule_table(s: SurfaceParams) -> _CodedSystem:
-    """The rules of the bead normal form, completed (``rewriting.complete``)
-    from the relation instances with at most one chord and two beads, and
-    ClosedSum among them only on the closed torus: on closed genus >= 2 it
-    does not close.  Beads are coded from the last strand down, each
-    strand's letters in reverse, and chords last, so the completion orients
-    the rules thus: an inverse bead pair on one strand cancels (BeadGroup),
-    a bead slides right across a chord, onto the chord's other strand when
-    it sits on the chord (BeadPush, BeadFar), beads on different strands
-    sort by strand (BeadBead), and on the closed torus the swaps ``b1^e
-    a1^d -> a1^d b1^e`` carry a strand on to its exponent form ``a1^m
-    b1^k``, what ``pi1_normalize`` returns.  Every rule has a leading word
-    of two symbols; the completion finds the torus swaps with an inverse
-    letter through rules of degree 3 (``b1^-1 a1 b1 -> a1``), whose
-    ambiguities need degree 4.  Raises ResourceLimitError, before any
-    completion, when the table would pass ``rewriting.MAX_RULES`` rules
-    (``_rule_count``)."""
-    size = _rule_count(s)
-    if size > rewriting.MAX_RULES:
-        raise ResourceLimitError(
-            f"the rule table needs {size} rules, past the limit of "
-            f"{rewriting.MAX_RULES} rules")
-    n = s.strands
-    beads = [bead(i, let) for i in range(n, 0, -1) for let in reversed(s.pi1_letters())]
-    chords = [chord(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    symbols = tuple(beads + chords)
-    table = _CodedSystem(symbols, {sym: x for x, sym in enumerate(symbols)})
-    insts = tuple(inst for inst in relation_instances(s, Truncation(1, 2))
-                  if inst.family != "ClosedSum" or s.genus == 1)
-    relations = [{table.word(mono): int(c) for mono, c in inst.mono_terms()} for inst in insts]
-    return replace(table, system=complete([1] * len(symbols), relations, 4), instances=insts)
+def _catalogue(s: SurfaceParams) -> dict:
+    """The relation instances with at most one chord and two beads, by id:
+    every row of ``_bead_normal_form`` names one of them."""
+    return {inst.rid: inst for inst in relation_instances(s, Truncation(1, 2))}
+
+
+def _cancel(beads: tuple, left: tuple, right: tuple, coef, rows) -> tuple:
+    """``beads`` with every inverse pair on one strand cancelled, as a stack
+    does; each cancellation of ``left beads right`` appends its BeadGroup
+    row to ``rows`` unless that is None."""
+    out: list = []
+    for k, b in enumerate(beads):
+        top = out[-1] if out else None
+        if top and top[1] == b[1] and top[2] == (b[2][0], b[2][1], -b[2][2]):
+            out.pop()
+            if rows is not None:
+                rows.append((coef, left + tuple(out), f"BeadGroup[{_letter_name(top[2])}@{b[1]}]",
+                             beads[k + 1:] + right))
+        else:
+            out.append(b)
+    return tuple(out)
+
+
+def _swap_rows(later, sooner, left: tuple, right: tuple, coef, rows) -> None:
+    """The rows of the step ``left later sooner right -> left sooner later
+    right``: BeadBead when the two beads sit on different strands, else the
+    closed torus swap ``b1^e a1^d -> a1^d b1^e``.  That one is ClosedSum
+    framed by L, the inverses of the letters with a negative exponent, as
+    sigma (L ClosedSum L^-1 - G(L a1 b1 L^-1) + G(L b1 a1 L^-1)) with sigma
+    = -e d and G(w) the cancellations that freely reduce w."""
+    if later[1] != sooner[1]:
+        rows.append((-coef, left, f"BeadBead[{_letter_name(sooner[2])}@{sooner[1]},"
+                     f"{_letter_name(later[2])}@{later[1]}]", right))
+        return
+    e, d, strand = later[2][2], sooner[2][2], later[1]
+    sigma = -e * d * coef
+    frame = tuple(bead(strand, (kind, 1, -1)) for kind, sign in (("a", d), ("b", e)) if sign < 0)
+    a1, b1 = bead(strand, ("a", 1, 1)), bead(strand, ("b", 1, 1))
+    rows.append((sigma, left + frame, f"ClosedSum[{strand}]", frame[::-1] + right))
+    _cancel(frame + (a1, b1) + frame[::-1], left, right, -sigma, rows)
+    _cancel(frame + (b1, a1) + frame[::-1], left, right, sigma, rows)
+
+
+def _bead_normal_form(mono: Monomial, s: SurfaceParams, coef, rows) -> Monomial:
+    """The bead normal form of ``mono``: its chords in order, then its beads
+    sorted stably by strand with every inverse pair on one strand cancelled,
+    on the closed torus each strand's beads in the exponent form ``a1^m
+    b1^k``.  First each bead left of a chord moves right across it, onto the
+    chord's other strand when it sits on the chord (pushes, the last bead
+    first), then the beads are sorted by insertion, on the closed torus the
+    a1 letters of a strand before its b1 letters, then they cancel.
+
+    When ``rows`` is a list, each step appends its rows ``(c, left,
+    relation id, right)``, each naming a relation of ``_catalogue(s)``:
+    they sum to ``coef`` times ``mono`` minus its normal form."""
+    word = list(mono)
+    for start in range(len(word) - 1, -1, -1):
+        i = start
+        while word[i][0] == "B" and i + 1 < len(word) and word[i + 1][0] == "C":
+            b, (_, lo, hi) = word[i], word[i + 1]
+            moved = bead(lo + hi - b[1], b[2]) if b[1] in (lo, hi) else b
+            if rows is not None:
+                rid = f"BeadPush[{_letter_name(b[2])};{b[1]}>{moved[1]}]" if moved != b \
+                    else f"BeadFar[{_letter_name(b[2])}@{b[1]};{lo},{hi}]"
+                rows.append((coef, tuple(word[:i]), rid, tuple(word[i + 2:])))
+            word[i:i + 2] = word[i + 1], moved
+            i += 1
+    torus = s.closed and s.genus == 1
+
+    def key(b):
+        return b[1], torus and b[2][0] == "b"
+
+    first = chord_degree(mono)
+    for start in range(first + 1, len(word)):
+        i = start
+        while i > first and key(word[i - 1]) > key(word[i]):
+            if rows is not None:
+                _swap_rows(word[i - 1], word[i], tuple(word[:i - 1]), tuple(word[i + 1:]),
+                           coef, rows)
+            word[i - 1:i + 1] = word[i], word[i - 1]
+            i -= 1
+    return tuple(word[:first]) + _cancel(tuple(word[first:]), tuple(word[:first]), (), coef, rows)
 
 
 def _support_letters(x: WreathDiagram) -> set:
@@ -641,37 +675,39 @@ def ideal_member(
     span of the instances of ``relation_instances(s, trunc)`` framed by
     monomials so that every term keeps at most ``window`` beads.
 
-    The surface's rule table (``_rule_table``) rewrites the query to its
-    bead normal form, on the closed torus on to the exponent form ``a1^m
-    b1^k`` per strand, keeping its rewriting steps.  The ideal is graded by
-    permutation and chord degree, so x is a member exactly when every
-    (permutation, chord degree) component of the normal form is; a
-    vanishing one is.  Except on
-    closed surfaces of genus >= 2 the chord-degree <= 1 rules resolve every
-    ambiguity (Bergman's diamond lemma), so a non-zero chord-degree <= 1
-    normal form is NotMember at every window, with it as witness.
+    ``_bead_normal_form`` writes each term of the query in its bead normal
+    form, on the closed torus with each strand in the exponent form ``a1^m
+    b1^k``.  The ideal is graded by permutation and chord degree, so x is a
+    member exactly when every (permutation, chord degree) component of the
+    normal form is; a vanishing one is.  Except on closed surfaces of genus
+    >= 2 the bead normal words of chord degree <= 1 are the normal words of
+    a confluent rewriting system that generates the ideal there (Bergman's
+    diamond lemma; ``tests/oracles.py`` completes it from the relations),
+    so a non-zero chord-degree <= 1 normal form is NotMember at every
+    window, with it as witness.
 
     Every other non-zero component, padded with a central letter ``t`` to
     ``window`` beads, is reduced by the relations padded likewise and
     completed over every ambiguity with at most its chord degree and at most
     ``window`` beads and ``t`` (``_box``, cached and shared with the torsion
-    report), keeping these steps too.  Both counts are
-    homogeneous, so by the diamond lemma in each piece of that box it
-    reduces to zero exactly when it is a member at ``window``.  If one does
-    not, the answer is NotMemberAtWindow, proven at ``window`` only and not
-    against the whole ideal; its witness is the normal form with ``t``
-    erased, and x minus the witness is a member at ``window``.  Except on
-    closed surfaces of genus >= 2, where the relator needs every letter, the
-    completion takes only the query's bead letters: sending the others to 1
-    maps every relation into the ideal of the rest and lengthens nothing.
+    report), keeping the rewriting steps.  Both counts are homogeneous, so
+    by the diamond lemma in each piece of that box it reduces to zero
+    exactly when it is a member at ``window``.  If one does not, the answer
+    is NotMemberAtWindow, proven at ``window`` only and not against the
+    whole ideal; its witness is the normal form with ``t`` erased, and x
+    minus the witness is a member at ``window``.  Except on closed surfaces
+    of genus >= 2, where the relator needs every letter, the completion
+    takes only the query's bead letters: sending the others to 1 maps every
+    relation into the ideal of the rest and lengthens nothing.
 
-    Only a certified Member frames the kept steps, once: each system's
-    ``RewritingSystem.proof`` expands them through its rules' derivations
-    into relation rows, the certificate, which is re-expanded against x.
-    With ``certify=False`` the certificate is None.  Raises DimensionMismatchError when x and s
-    have different strand counts, TruncationOverflowError when a monomial
-    of x does not fit ``trunc``, and ResourceLimitError when the rule table
-    or a box passes ``rewriting.MAX_RULES`` rules.
+    With ``certify=True`` the normal form's rows are kept as it goes, and
+    only a Member expands the box steps, once, through the box rules'
+    derivations (``RewritingSystem.proof``) into relation rows; the whole
+    certificate is re-expanded against x.  With ``certify=False`` the
+    certificate is None.  Raises DimensionMismatchError when x and s have
+    different strand counts, TruncationOverflowError when a monomial of x
+    does not fit ``trunc``, and ResourceLimitError when a box passes
+    ``rewriting.MAX_RULES`` rules.
     """
     if x.strands != s.strands:
         raise DimensionMismatchError(
@@ -686,17 +722,16 @@ def ideal_member(
     if x.is_zero:
         return Membership("member", () if certify else None)
 
-    table = _rule_table(s)
-    reduced: list = []  # (coded system, its rewriting steps, perm)
+    certificate: list | None = [] if certify else None
     components: dict = {}  # (perm, chord degree) -> normal form: rows mix neither
     for (mono, perm), c in sorted(
         x.terms.items(), key=lambda kv: (kv[0][1], mono_key(kv[0][0]))
     ):
-        steps: list = []
-        for word, v in table.system.reduce({table.word(mono): c}, steps).items():
-            form = table.mono(word)
-            _add(components.setdefault((perm, chord_degree(form)), {}), form, v)
-        reduced.append((table, steps, perm))
+        rows = [] if certify else None
+        form = _bead_normal_form(mono, s, c, rows)
+        _add(components.setdefault((perm, chord_degree(form)), {}), form, c)
+        if certify:
+            certificate += [CertificateTerm(*row, perm) for row in rows]
 
     if not (s.closed and s.genus >= 2):
         decided = {(mono, perm): c for (perm, degree), form in components.items()
@@ -707,6 +742,7 @@ def ideal_member(
     letters = {let[:2] for let in s.pi1_letters()} if s.closed and s.genus >= 2 \
         else _support_letters(x)
     witness: dict = {}
+    reduced: list = []  # (box, its rewriting steps, perm)
     for (perm, degree), form in components.items():
         if form:
             box = _box(s, tuple(sorted(letters)), trunc, window, degree)
@@ -720,10 +756,10 @@ def ideal_member(
                           witness=WreathDiagram(x.strands, x.trunc, witness))
     if not certify:
         return Membership("member", None)
-    certificate = [term for coded, steps, perm in reduced for term in coded.rows(steps, perm)]
+    certificate += [term for box, steps, perm in reduced for term in box.rows(steps, perm)]
     result = Membership("member", tuple(certificate))
-    systems = {id(coded): coded for coded, _, _ in reduced}.values()
-    by_id = {inst.rid: inst for coded in systems for inst in coded.instances if inst}
+    by_id = dict(_catalogue(s))
+    by_id.update((inst.rid, inst) for box, _, _ in reduced for inst in box.instances if inst)
     check = expand_certificate(result.certificate, by_id, x.strands, trunc)
     if check.terms != x.terms:
         raise SurfbraidError("internal error: certificate re-expansion mismatch")

@@ -19,7 +19,7 @@ from surfbraid.abelianization import (
     h1_nonzero,
     relation_classes_killed,
 )
-from surfbraid.braid import identity_perm, transposition_perm
+from surfbraid.braid import transposition_perm
 from surfbraid.diagrams import (
     RelationInstance,
     Truncation,

@@ -11,8 +11,6 @@ import random
 import time
 from fractions import Fraction
 
-import pytest
-
 from surfbraid.abelianization import (
     degree_one_torsion,
     h1_class,

@@ -190,6 +190,15 @@ class TestAlgebraCommands:
         assert out == "NotMemberAtWindow\n" \
             "1 * a1@2 Z(1,2) ; perm=(1)(2) + -1 * b1@2 Z(1,2) ; perm=(1)(2)\n"
 
+    def test_diagram_member_on_a_large_surface(self, capsys):
+        # the bead normal form needs no table: (3,1,5) answers at once
+        code, out, _ = run(
+            capsys, ["diagram", "member", "-g", "3", "-p", "1", "-n", "5",
+                     "1 * a1@1 a1^-1@1 + -1 * 1"]
+        )
+        assert code == EXIT_OK
+        assert out.splitlines()[0] == "Member"
+
     def test_diagram_member_refused_past_the_rule_limit(self, capsys, monkeypatch):
         # a window no other test uses, so that the box is completed here
         monkeypatch.setattr(rewriting, "MAX_RULES", 10)

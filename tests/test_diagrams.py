@@ -16,7 +16,6 @@ from surfbraid.diagrams import (
     Membership,
     Truncation,
     WreathDiagram,
-    _rule_table,
     bead,
     chord,
     chord_degree,
@@ -48,6 +47,8 @@ from surfbraid.errors import (
 from surfbraid.group_algebra import JSummand
 from surfbraid.linalg import ExactReducer
 from surfbraid.surface import SurfaceParams, letter
+
+import oracles
 
 S112 = SurfaceParams(1, 1, 2)
 S113 = SurfaceParams(1, 1, 3)
@@ -434,7 +435,7 @@ def _draw_element(data, s, max_chords, loose, families=BEAD_FAMILIES):
     loose monomials, each in a random permutation, of chord degree <=
     max_chords."""
     rows = [inst for inst in relation_instances(s, TR) if inst.family in families]
-    symbols = _rule_table(s).symbols
+    symbols = oracles.symbols(s)
     frame = st.lists(st.sampled_from(symbols), max_size=1).map(tuple)
     pieces = [data.draw(st.sampled_from(rows)).mono_terms()
               for _ in range(data.draw(st.integers(0, 3)))]
@@ -473,10 +474,8 @@ class TestNormalFormDecides:
             verify_certificate(x, m, s, TR)
             return
         assert m.status == "not_member" and not m.witness.is_zero
-        table = _rule_table(s)
-        for (mono, _), c in m.witness.terms.items():
-            word = table.word(mono)
-            assert table.system.reduce({word: c}) == {word: c}, format_monomial(mono)
+        for mono, _ in m.witness.terms:
+            assert oracles.table_normal_form(mono, s) == mono, format_monomial(mono)
         rest = ideal_member(x - m.witness, s, TR)
         assert rest.is_member
         verify_certificate(x - m.witness, rest, s, TR)
@@ -551,6 +550,51 @@ class TestNormalFormDecides:
             assert m.status == "not_member"
             assert m.witness == x
 
+    @pytest.mark.parametrize("s", [SurfaceParams(3, 1, 5), SurfaceParams(3, 0, 5)],
+                             ids=_surface_id)
+    def test_large_surfaces_answer_without_a_completion(self, s, monkeypatch):
+        # their completed rule tables would pass rewriting.MAX_RULES
+        monkeypatch.setattr(diagrams, "complete", _searched)
+        x = parse_diagram("1 * a1@1 Z(1,2) a1^-1@2 + -1 * Z(1,2)"
+                          " + 1 * b2@3 Z(1,2) a1@1 + -1 * Z(1,2) a1@1 b2@3", s, TR)
+        m = ideal_member(x, s, TR)
+        assert m.is_member
+        verify_certificate(x, m, s, TR)
+        if not s.closed:
+            # on closed genus >= 2 a non-zero normal form goes on to a box
+            x = parse_diagram("1 * Z(1,2) a1@1 + -1 * Z(1,2) a1@2", s, TR)
+            m = ideal_member(x, s, TR)
+            assert m.status == "not_member" and m.witness == x
+
+    @pytest.mark.parametrize(
+        "s", [S112, S102, SurfaceParams(1, 0, 3), SurfaceParams(2, 0, 2),
+              SurfaceParams(0, 0, 3), SurfaceParams(0, 2, 3), SurfaceParams(2, 1, 3),
+              SurfaceParams(1, 1, 3)], ids=_surface_id)
+    def test_normal_form_agrees_with_the_completed_table(self, s):
+        # seeded monomials of chord degree 0..2 with up to 8 beads: the same
+        # normal form as the table of tests/oracles.py, and rows that
+        # re-expand to the monomial minus it
+        rng = random.Random(_surface_id(s))
+        symbols = oracles.symbols(s)
+        beads = [sym for sym in symbols if sym[0] == "B"]
+        chords = [sym for sym in symbols if sym[0] == "C"]
+        trunc = Truncation(2, 8)
+        ident = identity_perm(s.strands)
+        for _ in range(150):
+            mono = [rng.choice(beads) for _ in range(rng.randint(0, 8 if beads else 0))]
+            for _ in range(rng.randint(0, 2)):
+                mono.insert(rng.randint(0, len(mono)), rng.choice(chords))
+            mono = tuple(mono)
+            coef = Fraction(rng.choice([1, -2, 3]), rng.choice([1, 2]))
+            rows = []
+            form = diagrams._bead_normal_form(mono, s, coef, rows)
+            assert form == oracles.table_normal_form(mono, s), format_monomial(mono)
+            certificate = [CertificateTerm(*row, ident) for row in rows]
+            expected = WreathDiagram(s.strands, trunc, {(mono, ident): coef}) \
+                - WreathDiagram(s.strands, trunc, {(form, ident): coef})
+            assert expand_certificate(certificate, diagrams._catalogue(s), s.strands,
+                                      trunc) == expected
+
 
 ORACLE_TRUNC = Truncation(2, 3)
 ORACLE_WINDOW = 3
@@ -571,7 +615,7 @@ def _oracle_rows(s) -> dict:
     """Every relation instance of ``s`` framed by monomials into a row of
     chord degree 2 whose terms all keep at most the window's beads, grouped
     by bead multidegree (every row is homogeneous in it)."""
-    symbols = _rule_table(s).symbols
+    symbols = oracles.symbols(s)
     rows: dict = {}
     for inst in relation_instances(s, ORACLE_TRUNC):
         terms = inst.mono_terms()
@@ -589,7 +633,7 @@ def _oracle_rows(s) -> dict:
 def _oracle_pools(s) -> tuple:
     """The framed rows and the monomials that queries are drawn from."""
     rows = [row for key in sorted(_oracle_rows(s)) for row in _oracle_rows(s)[key]]
-    loose = sorted(_words(_rule_table(s).symbols, 2, ORACLE_WINDOW), key=mono_key)
+    loose = sorted(_words(oracles.symbols(s), 2, ORACLE_WINDOW), key=mono_key)
     return rows, loose
 
 
@@ -663,7 +707,7 @@ class TestExpandCertificate:
         # repeat, and some terms are repeated negated so that they cancel
         insts = relation_instances(s, TR)
         by_id = {inst.rid: inst for inst in insts}
-        symbols = _rule_table(s).symbols
+        symbols = oracles.symbols(s)
         index = st.integers(0, len(insts) - 1)
         rids = [insts[data.draw(index)].rid for _ in range(data.draw(st.integers(1, 3)))]
         frame = st.lists(st.sampled_from(symbols), max_size=2).map(tuple)
@@ -684,7 +728,7 @@ class TestExpandCertificate:
         insts = {inst.rid: inst.element for inst in relation_instances(S112, TR)}
         push, swap = insts["BeadPush[a1;1>2]"], insts["BeadBead[a1@1,b1@2]"]
         z = chord_generator(2, 1, 2, TR)
-        x = push * swap * z + swap * z * push
+        x = push * swap * z + swap * z * push + swap * push * z
 
         def fold(self, other):
             raise AssertionError("a certificate was summed term by term")

@@ -15,17 +15,17 @@ from surfbraid.braid import identity_perm
 from surfbraid.diagrams import (
     Truncation,
     WreathDiagram,
-    _rule_count,
-    _rule_table,
     bead,
     chord,
     expand_certificate,
     relation_instances,
 )
-from surfbraid import diagrams, rewriting
+from surfbraid import rewriting
 from surfbraid.errors import ResourceLimitError
 from surfbraid.rewriting import RewritingSystem, _add, complete
 from surfbraid.surface import SurfaceParams
+
+from oracles import bead_word_series, fixed_point_counts, rule_table, word
 
 
 def words_up_to(weights, max_degree):
@@ -291,7 +291,8 @@ def written_rules(s):
 
 
 class TestBeadRules:
-    """The rule table that ``ideal_member`` normalizes with."""
+    """The completed rule table that ``_bead_normal_form`` is checked
+    against."""
 
     SURFACES = [SurfaceParams(1, 1, 2), SurfaceParams(0, 2, 3), SurfaceParams(2, 1, 3)]
 
@@ -303,23 +304,10 @@ class TestBeadRules:
     def test_completion_gives_the_written_rules(self, s):
         # the leading words and tails fix every normal form, so every
         # NotMember witness
-        table = _rule_table(s)
+        table = rule_table(s)
         rules = {table.mono(lead): {table.mono(w): c for w, c in tail.items()}
                  for lead, tail in table.system.rules.items()}
         assert rules == written_rules(s)
-        # the count the table refuses by, before any completion
-        assert _rule_count(s) == len(rules)
-
-    @pytest.mark.parametrize("s", [SurfaceParams(3, 1, 5), SurfaceParams(3, 0, 5)],
-                             ids=lambda s: f"g{s.genus}p{s.boundary}n{s.strands}")
-    def test_a_table_past_the_rule_limit_is_refused_before_completion(self, s, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("the completion ran")
-
-        monkeypatch.setattr(diagrams, "complete", refuse)
-        assert _rule_count(s) == 2100 > rewriting.MAX_RULES
-        with pytest.raises(ResourceLimitError, match="2100 rules"):
-            _rule_table(s)
 
     def test_every_ambiguity_resolves(self):
         """The bead rules are confluent on every surface with boundary, so a
@@ -333,7 +321,7 @@ class TestBeadRules:
         a1, b1, a2, b2, holds a copy of every ambiguity of every surface with
         boundary, resolved in the same way."""
         for s in self.SURFACES + [SurfaceParams(2, 1, 4)]:
-            assert _rule_table(s).system.unresolved() == [], s
+            assert rule_table(s).system.unresolved() == [], s
 
     def test_torus_rules_resolve_every_ambiguity(self):
         """The torus rules are confluent on every closed torus, so with the
@@ -346,19 +334,19 @@ class TestBeadRules:
         and a reduction brings in no strand the word lacks.  So (1,0,4)
         holds a copy of every ambiguity of every closed torus."""
         for s in TORI:
-            assert _rule_table(s).system.unresolved() == [], s
+            assert rule_table(s).system.unresolved() == [], s
 
     def test_torus_rules_reduce_every_relation(self):
         # the chord-degree <= 1 instances, ClosedSum and BeadRelator among
         # them, lie in the ideal of the rules, whose every rule is a
         # certified row of ``ideal_member``: the two ideals agree there
         for s in TORI:
-            table = _rule_table(s)
+            table = rule_table(s)
             families = set()
             for inst in relation_instances(s, Truncation(1, 4)):
                 families.add(inst.family)
-                word = {table.word(mono): c for mono, c in inst.mono_terms()}
-                assert table.system.reduce(word) == {}, inst.rid
+                coded = {word(table, mono): c for mono, c in inst.mono_terms()}
+                assert table.system.reduce(coded) == {}, inst.rid
             assert {"ClosedSum", "BeadRelator", "BeadPush"} <= families
 
     @pytest.mark.parametrize("s", [SurfaceParams(2, 1, 4), SurfaceParams(1, 0, 4)])
@@ -370,7 +358,7 @@ class TestBeadRules:
         hold a copy of every rule of every surface with boundary and of
         every closed torus."""
         trunc = Truncation(1, 4)
-        table = _rule_table(s)
+        table = rule_table(s)
         by_id = {inst.rid: inst for inst in relation_instances(s, trunc)}
         ident = identity_perm(s.strands)
         for lead, tail in table.system.rules.items():
@@ -380,6 +368,22 @@ class TestBeadRules:
                               {(table.mono(w), ident): c for w, c in tail.items()})
             assert expand_certificate(proof, by_id, s.strands, trunc) == difference, \
                 table.mono(lead)
+
+
+
+@pytest.mark.parametrize("s, beads", [
+    (SurfaceParams(1, 1, 2), (5, 4)), (SurfaceParams(0, 2, 3), (4, 4)),
+    (SurfaceParams(2, 1, 2), (4, 3)), (SurfaceParams(1, 2, 2), (4, 3)),
+    (SurfaceParams(1, 0, 2), (5, 4)), (SurfaceParams(1, 0, 3), (4, 3)),
+    (SurfaceParams(1, 1, 3), (4, 3))], ids=lambda v: f"g{v.genus}p{v.boundary}n{v.strands}"
+    if isinstance(v, SurfaceParams) else f"beads{v[0]},{v[1]}")
+def test_bead_normal_words_follow_the_growth_series(s, beads):
+    # every monomial with no chord, up to beads[0] beads, and with one
+    # chord, up to beads[1], is normalized: the fixed points are one word of
+    # the strand's group per strand (Gamma(t)^n) after at most one chord
+    for chords in (0, 1):
+        assert fixed_point_counts(s, chords, beads[chords]) == \
+            bead_word_series(s, chords, beads[chords])
 
 
 def test_every_rule_of_the_package_comes_from_complete():

@@ -25,6 +25,8 @@ from surfbraid.surface import (
     word_sort_key,
 )
 
+from oracles import surface_group_growth
+
 A1 = letter("a", 1)
 B1 = letter("b", 1)
 Z1 = letter("z", 1)
@@ -230,6 +232,14 @@ class TestClosedSystem:
         assert len(system.rules) == 8 * genus
         assert max(map(len, system.rules)) <= 2 * genus
         assert letters[:2] == (("b", 1, 1), ("b", 1, -1))
+
+    @pytest.mark.parametrize("genus", range(1, 7))
+    def test_normal_words_follow_the_growth_series(self, genus):
+        # confluence shows a basis of some quotient; the count shows it is
+        # pi_1 of the closed surface
+        degree = 10 if genus <= 3 else 8
+        system, _, _ = _closed_system(genus)
+        assert system.normal_word_counts(degree) == surface_group_growth(genus, degree)
 
     def test_the_torus_system_gives_the_exponent_form(self):
         system, letters, code = _closed_system(1)
