@@ -10,7 +10,6 @@ expression, and it only depends on the braid class of the framing words.
 """
 
 import random
-from fractions import Fraction
 
 from surfbraid import (
     JSummand,
@@ -39,7 +38,7 @@ for text in ("x1", "a1 x1 s1", "x1 x1"):
 
 # s1^2 - 1 factors as (s1 - s1^-1) s1: one doubled crossing framed by s1,
 # so its degree-one symbol is defined - and it is the bare chord
-expr = [JSummand(Fraction(1), (), 1, (("s", 1, 1),))]
+expr = [JSummand(1, (), 1, (("s", 1, 1),))]
 symbol = degree_one_symbol(expr, s, trunc)
 print("\nsymbol of s1^2 - 1:   ", format_diagram(symbol))
 print("bare chord generator: ", format_diagram(chord_generator(2, 1, 2, trunc)))
@@ -53,10 +52,10 @@ print("disk augmentation:    ", format_diagram(disk_augmentation(symbol)))
 # residue modulo the relation ideal
 rng = random.Random(7)
 u, v = (("a", 1, 1), ("s", 1, 1)), (("s", 1, -1), ("b", 1, 1))
-base = degree_one_symbol([JSummand(Fraction(1), u, 1, v)], s, trunc)
+base = degree_one_symbol([JSummand(1, u, 1, v)], s, trunc)
 for step in range(3):
     u, _ = random_relator_rewrite(u, s, rng)
     v, _ = random_relator_rewrite(v, s, rng)
-    rewritten = degree_one_symbol([JSummand(Fraction(1), u, 1, v)], s, trunc)
+    rewritten = degree_one_symbol([JSummand(1, u, 1, v)], s, trunc)
     res = ideal_member(rewritten - base, s, trunc, window=6)
     print(f"rewrite {step + 1}: symbols agree modulo the ideal: {res.is_member}")

@@ -10,8 +10,6 @@ coefficients are all +-1, proves the degree-one quotient torsion-free at
 the default truncation.
 """
 
-from fractions import Fraction
-
 from surfbraid import (
     JSummand,
     SurfaceParams,
@@ -35,7 +33,7 @@ print(h1_degree_zero_report(s))
 
 # the squared-crossing symbol keeps a visible class downstairs
 symbol = degree_one_symbol(
-    [JSummand(Fraction(1), (), 1, (("s", 1, 1),))], s, trunc
+    [JSummand(1, (), 1, (("s", 1, 1),))], s, trunc
 )
 print("class of the squared-crossing symbol:", format_h1(h1_class(symbol, s)))
 

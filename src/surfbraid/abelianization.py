@@ -29,17 +29,17 @@ from .diagrams import (
     relation_instances,
 )
 from .errors import HypothesisError, ParameterError, UnsupportedDegreeError
-from .rewriting import RewritingSystem
+from .rewriting import RewritingSystem, _coefficient
 from .surface import SurfaceParams
 
 # an H1 element maps keys (z_exponent, tau_bit, ((kind, idx), net), ...) to
-# rational coefficients
+# rational coefficients, ints when integral
 H1Key = tuple
 
 
-def h1_class(x: WreathDiagram, s: SurfaceParams) -> dict:
+def h1_class(x: WreathDiagram, s: SurfaceParams) -> dict[H1Key, int | Fraction]:
     """Class of a chord-degree <= 1 element in the commutative quotient."""
-    out: dict[H1Key, Fraction] = {}
+    out: dict[H1Key, int | Fraction] = {}
     for (mono, perm), coef in x.terms.items():
         z = chord_degree(mono)
         if z > 1:
@@ -50,7 +50,7 @@ def h1_class(x: WreathDiagram, s: SurfaceParams) -> dict:
         key = (z, tau, bead_multidegree(mono))
         c = out.get(key, 0) + coef
         if c:
-            out[key] = c
+            out[key] = _coefficient(c)
         elif key in out:
             del out[key]
     return out
@@ -87,7 +87,7 @@ class H1Witness:
 
     nonzero: bool
     monomial: str | None = None
-    coefficient: Fraction | None = None
+    coefficient: int | Fraction | None = None
 
 
 def h1_nonzero(h: dict) -> H1Witness:

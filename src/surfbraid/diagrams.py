@@ -10,6 +10,14 @@ bead length.  An operation that would make a monomial past the truncation
 raises TruncationOverflowError (``Truncation.check``) where it makes it, so
 no term is ever dropped.
 
+A coefficient (of a diagram, a relation instance, a certificate term) is
+``int | Fraction``: an ``int`` when it is integral, a ``Fraction`` only
+when it is not (``rewriting._coefficient``), and a float is refused.  Every
+relation has integer coefficients, so the normal form, the box reduction
+and the certificates run on ints unless a query brings a fraction; an
+equal int and Fraction compare and hash alike, so neither equality nor
+printing tells them apart.
+
 Relation families (all with identity permutation, homogeneous in chord
 degree; ``F`` is the set of signed loop letters of the surface):
 
@@ -76,7 +84,7 @@ from .errors import (
     TruncationOverflowError,
     UnsupportedDegreeError,
 )
-from .rewriting import RewritingSystem, _add, complete
+from .rewriting import RewritingSystem, _add, _coefficient, complete
 from .surface import SurfaceParams, Word, inverse_word
 
 # symbols: ("B", strand, (kind, idx, sign)) and ("C", i, j) with i < j
@@ -174,15 +182,17 @@ class WreathDiagram:
     def __init__(self, strands: int, trunc: Truncation, terms=None):
         self.strands = strands
         self.trunc = trunc
-        clean: dict[tuple[Monomial, tuple], Fraction] = {}
+        clean: dict[tuple[Monomial, tuple], int | Fraction] = {}
         for (mono, perm), coef in (terms or {}).items():
-            coef = Fraction(coef)
+            # ``_coefficient``'s int test inline: a fifth of this loop's time
+            if type(coef) is not int:
+                coef = _coefficient(coef)
             if not coef:
                 continue
             key = (tuple(mono), tuple(perm))
             c = clean.get(key, 0) + coef
             if c:
-                clean[key] = c
+                clean[key] = c if type(c) is int else _coefficient(c)
             elif key in clean:
                 del clean[key]
         self.terms = clean
@@ -226,9 +236,8 @@ class WreathDiagram:
         return WreathDiagram(self.strands, self.trunc, {k: -c for k, c in self.terms.items()})
 
     def scale(self, coef) -> "WreathDiagram":
-        return WreathDiagram(
-            self.strands, self.trunc, {k: Fraction(coef) * c for k, c in self.terms.items()}
-        )
+        coef = _coefficient(coef)
+        return WreathDiagram(self.strands, self.trunc, {k: coef * c for k, c in self.terms.items()})
 
     def __mul__(self, other: "WreathDiagram") -> "WreathDiagram":
         self._check_compatible(other)
@@ -320,7 +329,7 @@ class RelationInstance:
     rid: str
     element: WreathDiagram
 
-    def mono_terms(self) -> list[tuple[Monomial, Fraction]]:
+    def mono_terms(self) -> list[tuple[Monomial, int | Fraction]]:
         return [(mono, c) for (mono, _), c in self.element.terms.items()]
 
 
@@ -458,7 +467,7 @@ def relation_instances(s: SurfaceParams, trunc: Truncation) -> list[RelationInst
 class CertificateTerm:
     """One summand coef * left * relation * right placed in a permutation coset."""
 
-    coef: Fraction
+    coef: int | Fraction
     left: Monomial
     relation_id: str
     right: Monomial
@@ -520,7 +529,7 @@ class _CodedSystem:
             inst = self.instances[index]
             if inst is not None:
                 _add(acc, (self.mono(left), inst.rid, self.mono(right)), c)
-        return [CertificateTerm(Fraction(c), *key, perm) for key, c in acc.items()]
+        return [CertificateTerm(_coefficient(c), *key, perm) for key, c in acc.items()]
 
 
 @functools.lru_cache(maxsize=None)
@@ -652,7 +661,7 @@ def _box(s: SurfaceParams, letters: tuple, trunc: Truncation, window: int,
     insts = [inst for inst in relation_instances(s, trunc)
              if inst.element.max_chord_degree() <= degree and _instance_applicable(inst, letters)]
     t = len(symbols)
-    relations = [{box.word(mono, max(bead_length(m) for m, _ in inst.mono_terms())): int(c)
+    relations = [{box.word(mono, max(bead_length(m) for m, _ in inst.mono_terms())): c
                   for mono, c in inst.mono_terms()} for inst in insts]
     relations += [{(x, t): 1, (t, x): -1} for x in range(t)]
 
@@ -901,11 +910,11 @@ def parse_diagram(text: str, s: SurfaceParams, trunc: Truncation) -> WreathDiagr
         if "*" in mono_part:
             coef_text, mono_text = mono_part.split("*", 1)
             try:
-                coef = Fraction(coef_text.strip())
+                coef = _coefficient(Fraction(coef_text.strip()))
             except (ValueError, ZeroDivisionError) as exc:
                 raise ParseError(f"bad coefficient {coef_text.strip()!r}") from exc
         else:
-            coef, mono_text = Fraction(1), mono_part
+            coef, mono_text = 1, mono_part
         key = (trunc.check(parse_monomial(mono_text, s)), perm)
         terms[key] = terms.get(key, 0) + coef
     return WreathDiagram(s.strands, trunc, terms)

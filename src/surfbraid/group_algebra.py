@@ -1,8 +1,9 @@
 """Formal linear combinations of braid words and singular-word expansion.
 
 ``AlgebraElement`` is a finite rational combination of freely reduced braid
-words with syntactic equality; group-level equality is deliberately not
-provided (consumers pass to homomorphic images instead).  Singular words
+words with syntactic equality, each coefficient an int when it is integral
+(``rewriting._coefficient``, as in ``diagrams``); group-level equality is
+deliberately not provided (consumers pass to homomorphic images instead).  Singular words
 carry crossings ``x_i`` that desingularize to ``s_i - s_i^-1``, and a
 ``JExpression`` is a structured sum ``sum c * u (s_i - s_i^-1) v`` of such
 differences framed by ordinary words.
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ParseError
+from .rewriting import _coefficient
 from .surface import SurfaceParams, format_word, free_reduce, parse_word, word_sort_key
 from .braid import BraidWord, check_braid_word, parse_braid_word
 
@@ -24,14 +26,14 @@ class AlgebraElement:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        clean: dict[BraidWord, Fraction] = {}
+        clean: dict[BraidWord, int | Fraction] = {}
         for word, coef in (terms or {}).items():
-            coef = Fraction(coef)
+            coef = _coefficient(coef)
             if coef:
                 word = free_reduce(word)
                 c = clean.get(word, 0) + coef
                 if c:
-                    clean[word] = c
+                    clean[word] = _coefficient(c)
                 elif word in clean:
                     del clean[word]
         self.terms = clean
@@ -65,10 +67,11 @@ class AlgebraElement:
         return AlgebraElement({w: -c for w, c in self.terms.items()})
 
     def scale(self, coef) -> "AlgebraElement":
-        return AlgebraElement({w: Fraction(coef) * c for w, c in self.terms.items()})
+        coef = _coefficient(coef)
+        return AlgebraElement({w: coef * c for w, c in self.terms.items()})
 
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
-        out: dict[BraidWord, Fraction] = {}
+        out: dict[BraidWord, int | Fraction] = {}
         for wu, cu in self.terms.items():
             for wv, cv in other.terms.items():
                 w = free_reduce(wu + wv)
@@ -144,7 +147,7 @@ def desingularize(word) -> AlgebraElement:
 class JSummand:
     """One summand c * u (s_i - s_i^-1) v."""
 
-    coef: Fraction
+    coef: int | Fraction
     left: BraidWord
     crossing: int
     right: BraidWord
@@ -168,7 +171,7 @@ def parse_jexpr(text: str, s: SurfaceParams) -> list[JSummand]:
         if len(parts) != 4:
             raise ParseError(f"expected 'coef | u | i | v', got {chunk.strip()!r}")
         try:
-            coef = Fraction(parts[0])
+            coef = _coefficient(Fraction(parts[0]))
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad coefficient {parts[0]!r}") from exc
         left = parse_braid_word(parts[1], s)

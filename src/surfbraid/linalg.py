@@ -37,6 +37,8 @@ import heapq
 import math
 from fractions import Fraction
 
+from .rewriting import _quotient
+
 
 class ExactReducer:
     """Incremental fraction-free row echelon form.
@@ -137,8 +139,7 @@ class ExactReducer:
         work, den = self._to_int_row(row)
         scale = self._eliminate(work) * den
         keys = self.col_keys
-        return {keys[c]: Fraction(v, scale) if scale != 1 else v
-                for c, v in work.items()}
+        return {keys[c]: _quotient(v, scale) for c, v in work.items()}
 
     def insert(self, row: dict) -> bool:
         """Add a row; returns True iff it enlarged the span."""

@@ -39,10 +39,11 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import numbers
 from collections import deque
 from fractions import Fraction
 
-from .errors import ResourceLimitError
+from .errors import ParameterError, ResourceLimitError
 
 # the most rules a completion may hold: past it ``complete`` refuses
 MAX_RULES = 2000
@@ -62,6 +63,20 @@ def _quotient(a, b):
         return a * b
     q = Fraction(a) / b
     return q.numerator if q.denominator == 1 else q
+
+
+def _coefficient(c):
+    """``c`` as an exact coefficient: an int when it is integral, else a
+    Fraction.  Raises ParameterError on anything that is not rational, a
+    binary floating-point value above all, which would pass for its exact
+    binary expansion."""
+    if type(c) is int:
+        return c
+    if type(c) is not Fraction:
+        if not isinstance(c, numbers.Rational):
+            raise ParameterError(f"coefficient {c!r} is not exact: give an int or a Fraction")
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 def _occurs(factor: tuple, word: tuple) -> bool:

@@ -21,7 +21,6 @@ arise; the verifier reports the hypothesis as not met.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .abelianization import format_h1, h1_class, h1_nonzero
 from .braid import Move, Relator, apply_move, is_relator_move
@@ -114,7 +113,7 @@ def verify_nonexistence(
     ))
 
     # (b) degree-one symbol of s1^2 - 1 equals the bare chord
-    expr = [JSummand(Fraction(1), (), 1, (("s", 1, 1),))]
+    expr = [JSummand(1, (), 1, (("s", 1, 1),))]
     symbol = degree_one_symbol(expr, s, trunc)
     target = chord_generator(s.strands, 1, 2, trunc)
     membership = ideal_member(symbol - target, s, trunc, window)

@@ -1,6 +1,7 @@
 """Reference implementations the tests compare the package against: the
 completed rule table of the bead normal form, and closed-form counts of
-normal words.  Not a test module; test modules import it."""
+normal words and of graded dimensions.  Not a test module; test modules
+import it."""
 
 import functools
 import itertools
@@ -45,7 +46,7 @@ def rule_table(s: SurfaceParams) -> _CodedSystem:
     table = _CodedSystem(codes, {sym: x for x, sym in enumerate(codes)})
     insts = tuple(inst for inst in relation_instances(s, Truncation(1, 2))
                   if inst.family != "ClosedSum" or s.genus == 1)
-    relations = [{word(table, mono): int(c) for mono, c in inst.mono_terms()} for inst in insts]
+    relations = [{word(table, mono): c for mono, c in inst.mono_terms()} for inst in insts]
     return replace(table, system=complete([1] * len(codes), relations, 4), instances=insts)
 
 
@@ -118,3 +119,26 @@ def surface_group_growth(genus: int, max_degree: int) -> list[int]:
         acc -= sum(den[i] * out[k - i] for i in range(1, min(k, top) + 1))
         out.append(acc)
     return out
+
+
+def hilbert_series(g, p, n, dmax):
+    """Coefficients up to t^dmax of the closed-form Hilbert series (the
+    Fadell-Neuwirth fibration, one free fiber per strand):
+    ``prod_{k=1..n} 1/(1 - 2g t - (k+p-2) t^2)`` for p >= 1, and
+    ``(1-t)^-2 prod_{k=2..n} 1/(1 - 2t - (k-2) t^2)`` for the closed torus.
+    Closed surfaces of other genus have no such product."""
+    if p >= 1:
+        factors = [(2 * g, k + p - 2) for k in range(1, n + 1)]
+    elif g == 1:
+        factors = [(1, 0), (1, 0)] + [(2, k - 2) for k in range(2, n + 1)]
+    else:
+        raise ValueError("no product formula for a closed surface of genus != 1")
+    series = [1] + [0] * dmax
+    for a, b in factors:
+        # multiply by 1 / (1 - a t - b t^2): out[d] = series[d] + a out[d-1] + b out[d-2]
+        out = []
+        for d, v in enumerate(series):
+            out.append(v + (a * out[d - 1] if d >= 1 else 0)
+                       + (b * out[d - 2] if d >= 2 else 0))
+        series = out
+    return series

@@ -71,6 +71,16 @@ class TestH1Class:
         h = h1_class(one_term(2, (), transposition_perm(2, 1)), S112)
         assert h == {TAU_KEY: Fraction(1)}
 
+    def test_integral_classes_are_ints(self):
+        # two halves on different strands meet in one class, which is an int
+        x = one_term(2, (bead(1, A1), chord(1, 2)), coef=Fraction(1, 2)) \
+            + one_term(2, (chord(1, 2), bead(2, A1)), coef=Fraction(1, 2)) \
+            + one_term(2, (), transposition_perm(2, 1), coef=Fraction(1, 3))
+        h = h1_class(x, S112)
+        assert h == {(1, 0, ((("a", 1), 1),)): 1, TAU_KEY: Fraction(1, 3)}
+        assert type(h[(1, 0, ((("a", 1), 1),))]) is int
+        assert type(h1_nonzero(h1_class(chord_generator(2, 1, 2, TR), S112)).coefficient) is int
+
     def test_strand_and_order_insensitive(self):
         x = one_term(2, (bead(1, A1), bead(2, B1)))
         y = one_term(2, (bead(2, B1), bead(1, A1)))

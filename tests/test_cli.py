@@ -19,6 +19,7 @@ from surfbraid.cli import (
 )
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+GOLDEN = Path(__file__).resolve().parent / "cli_golden.txt"
 
 S112 = ["-g", "1", "-p", "1", "-n", "2"]
 MEMBER_QUERY = "1 * a1@1 a1^-1@1 ; perm=(1)(2) + -1 * 1 ; perm=(1)(2)"
@@ -473,3 +474,23 @@ def test_readme_examples_run(capsys, tmp_path, monkeypatch):
         _, arrow, expected = comment.partition("→")
         if arrow:
             assert out == expected.strip() + "\n", line
+
+
+def _golden_transcript() -> list:
+    """One case ``(command, stdout, exit code)`` per block of
+    ``cli_golden.txt``: a ``$ command`` line, its output, then ``[exit N]``."""
+    blocks = re.findall(r"^\$ (.*?)\n(.*?)\[exit (\d+)\]\n", GOLDEN.read_text(encoding="utf-8"),
+                        re.S | re.M)
+    return [pytest.param(command, out, int(code), id=command) for command, out, code in blocks]
+
+
+@pytest.mark.parametrize("command, expected, code", _golden_transcript())
+def test_golden_output(capsys, command, expected, code):
+    # membership with its certificate or witness, h1 classes and symbols on
+    # bench surfaces, fractional coefficients among them, print exactly the
+    # recorded text
+    assert run(capsys, shlex.split(command))[:2] == (code, expected)
+
+
+def test_golden_transcript_is_read_whole():
+    assert len(_golden_transcript()) == GOLDEN.read_text(encoding="utf-8").count("\n$ ") + 1 == 21

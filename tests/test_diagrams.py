@@ -2,6 +2,7 @@
 
 import functools
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -872,6 +873,82 @@ class TestDiskAugmentation:
         x = conjugated_chord(S112, 1, 2, (A1,), Truncation(1, 2))
         with pytest.raises(TruncationOverflowError):
             disk_nonzero(x * x)
+
+
+def _types(*coefficient_maps) -> set:
+    return {type(c) for terms in coefficient_maps for c in terms.values()}
+
+
+def _fraction_twin(x: WreathDiagram) -> WreathDiagram:
+    """``x`` built again from Fraction coefficients."""
+    return WreathDiagram(x.strands, x.trunc, {k: Fraction(c) for k, c in x.terms.items()})
+
+
+class TestCoefficients:
+    """A coefficient is an int when it is integral and a Fraction only when
+    it is not; a value that is not rational is refused where it comes in."""
+
+    @pytest.mark.parametrize("s", [S112, S102, SurfaceParams(2, 0, 2)], ids=_surface_id)
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_int_and_fraction_coefficients_agree(self, s, data):
+        # the same diagrams built from ints and from Fractions: equal sums,
+        # products, scalings and membership answers, all int-valued, and
+        # halving commutes with membership, whose certificates re-expand
+        x = _draw_element(data, s, 2, loose=True, families=DEGREE_ONE_FAMILIES)
+        y = _draw_element(data, s, 1, loose=True, families=DEGREE_ONE_FAMILIES)
+        twin_x, twin_y = _fraction_twin(x), _fraction_twin(y)
+        assert (twin_x, twin_y) == (x, y)
+        k = data.draw(st.integers(-3, 3))
+        pairs = [(x + y, twin_x + twin_y), (x - y, twin_x - twin_y),
+                 (x.scale(k), twin_x.scale(Fraction(k))),
+                 (_outcome(WreathDiagram.__mul__, x, y), _outcome(WreathDiagram.__mul__, twin_x, twin_y))]
+        for got, twin in pairs:
+            got, twin = getattr(got, "terms", got), getattr(twin, "terms", twin)
+            assert got == twin
+            assert isinstance(got, type) or _types(got, twin) <= {int}
+        half = twin_x.scale(Fraction(1, 2))
+        assert half.scale(2) == x and half + half == x and _types((half + half).terms) <= {int}
+        for query in (x - y, x + y):
+            whole = ideal_member(query, s, TR, window=4)
+            assert ideal_member(_fraction_twin(query), s, TR, window=4) == whole
+            halved = ideal_member(query.scale(Fraction(1, 2)), s, TR, window=4)
+            assert halved.status == whole.status
+            if whole.is_member:
+                assert {type(term.coef) for term in whole.certificate} <= {int}
+                verify_certificate(query, whole, s, TR)
+                verify_certificate(query.scale(Fraction(1, 2)), halved, s, TR)
+            else:
+                assert _types(whole.witness.terms) <= {int}
+                assert halved.witness == whole.witness.scale(Fraction(1, 2))
+
+    @pytest.mark.parametrize("value", [0.1, 0.5, 1.0, 2j], ids=repr)
+    def test_an_inexact_coefficient_is_refused(self, value):
+        x = one_term(2, (chord(1, 2),))
+        with pytest.raises(ParameterError, match=re.escape(repr(value))):
+            WreathDiagram(2, TR, {((), ID2): value})
+        with pytest.raises(ParameterError, match=re.escape(repr(value))):
+            one_term(2, (), coef=value)
+        with pytest.raises(ParameterError, match=re.escape(repr(value))):
+            x.scale(value)
+        with pytest.raises(ParameterError, match=re.escape(repr(value))):
+            degree_one_symbol([JSummand(value, (), 1, ())], S112, TR)
+
+    def test_parsed_decimals_stay_exact(self):
+        x = parse_diagram("0.6 * a1@1 + 0.4 * a1@1 + 1/2 * Z(1,2)", S112, TR)
+        assert x.terms == {((bead(1, A1),), ID2): 1, ((chord(1, 2),), ID2): Fraction(1, 2)}
+        assert type(x.terms[((bead(1, A1),), ID2)]) is int
+
+    @pytest.mark.parametrize("s, text", [
+        (S102, "1 * b1@1 a1@1 Z(1,2) + -1 * Z(1,2) a1@2 b1@2"),
+        # closed genus 2: the box completion answers, and its rows are ints too
+        (SurfaceParams(2, 0, 2), "1 * a1@1 b1@1 + -1 * b1@1 a1@1 + 1 * a2@1 b2@1 + -1 * b2@1 a2@1"),
+    ], ids=["normal-form", "box"])
+    def test_relations_and_rows_are_int_valued(self, s, text):
+        insts = relation_instances(s, TR)
+        assert _types(*(inst.element.terms for inst in insts)) == {int}
+        m = ideal_member(parse_diagram(text, s, TR), s, TR)
+        assert m.is_member and {type(term.coef) for term in m.certificate} == {int}
 
 
 class TestSerialization:

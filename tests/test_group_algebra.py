@@ -1,10 +1,12 @@
 """Group-algebra elements, singular words, and crossing-difference expansion."""
 
 import itertools
+import re
+from fractions import Fraction
 
 import pytest
 
-from surfbraid.errors import ParseError
+from surfbraid.errors import ParameterError, ParseError
 from surfbraid.group_algebra import (
     AlgebraElement,
     JSummand,
@@ -53,6 +55,23 @@ class TestAlgebraElement:
         assert one * x == x
         assert zero * x == zero
         assert x - x == zero
+
+    def test_integral_coefficients_are_ints(self):
+        x = elem(((S1,), Fraction(4, 2)), ((S1I,), Fraction(1, 2)))
+        y = x * x + x.scale(Fraction(2, 3)) + elem(((S1I,), Fraction(2, 3)))
+        assert {type(c) for c in x.scale(2).terms.values()} == {int}
+        assert y.terms == {(S1, S1): 4, (S1I, S1I): Fraction(1, 4), (S1,): Fraction(4, 3),
+                           (S1I,): 1, (): 2}
+        assert type(y.terms[()]) is type(y.terms[(S1I,)]) is int
+
+    @pytest.mark.parametrize("value", [0.1, 0.5, 2j], ids=repr)
+    def test_an_inexact_coefficient_is_refused(self, value):
+        with pytest.raises(ParameterError, match=re.escape(repr(value))):
+            AlgebraElement({(): value})
+        with pytest.raises(ParameterError, match=re.escape(repr(value))):
+            AlgebraElement.from_word((S1,), value)
+        with pytest.raises(ParameterError, match=re.escape(repr(value))):
+            elem(((S1,), 1)).scale(value)
 
     def test_format(self):
         x = elem(((), -2), ((S1, S1), 1))
@@ -156,6 +175,11 @@ class TestJExpressions:
             JSummand(2, (S1,), 1, ()),
             JSummand(-1, (), 1, ()),
         ]
+
+    def test_parse_exact_coefficients(self):
+        # decimals parse exactly; integral values come out as ints
+        (half, two) = parse_jexpr("0.5 | | 1 | ; 4/2 | | 1 |", S2)
+        assert half.coef == Fraction(1, 2) and type(two.coef) is int and two.coef == 2
 
     def test_parse_errors(self):
         with pytest.raises(ParseError):

@@ -23,6 +23,8 @@ from surfbraid.symplectic import (
     words_of_degree,
 )
 
+import oracles
+
 
 def brute_rank(rows):
     """Fraction Gaussian elimination, independent of the library."""
@@ -108,29 +110,6 @@ def rank_graded_dim(s, d, relations=None, word_cap=200000):
                         row[key] = row.get(key, 0) + c
                     reducer.insert({k: c for k, c in row.items() if c})
     return len(words) - reducer.rank
-
-
-def hilbert_series(g, p, n, dmax):
-    """Coefficients up to t^dmax of the closed-form Hilbert series (the
-    Fadell-Neuwirth fibration, one free fiber per strand):
-    ``prod_{k=1..n} 1/(1 - 2g t - (k+p-2) t^2)`` for p >= 1, and
-    ``(1-t)^-2 prod_{k=2..n} 1/(1 - 2t - (k-2) t^2)`` for the closed torus.
-    Closed surfaces of other genus have no such product."""
-    if p >= 1:
-        factors = [(2 * g, k + p - 2) for k in range(1, n + 1)]
-    elif g == 1:
-        factors = [(1, 0), (1, 0)] + [(2, k - 2) for k in range(2, n + 1)]
-    else:
-        raise ValueError("no product formula for a closed surface of genus != 1")
-    series = [1] + [0] * dmax
-    for a, b in factors:
-        # multiply by 1 / (1 - a t - b t^2): out[d] = series[d] + a out[d-1] + b out[d-2]
-        out = []
-        for d, v in enumerate(series):
-            out.append(v + (a * out[d - 1] if d >= 1 else 0)
-                       + (b * out[d - 2] if d >= 2 else 0))
-        series = out
-    return series
 
 
 def surface_id(surface):
@@ -239,7 +218,7 @@ class TestDimensions:
     def test_matches_hilbert_series(self, surface, dmax):
         s = SurfaceParams(*surface)
         dims = [int(line.split()[1]) for line in dims_table(s, dmax).splitlines()]
-        assert dims == hilbert_series(*surface, dmax)
+        assert dims == oracles.hilbert_series(*surface, dmax)
         assert symp_graded_dim(s, dmax) == dims[dmax]
 
     @settings(max_examples=40, deadline=None)
@@ -247,7 +226,7 @@ class TestDimensions:
     def test_matches_hilbert_series_at_random(self, g, p, n, d):
         assume(p >= 1 or g == 1)
         dim = symp_graded_dim(SurfaceParams(g, p, n), d)
-        assert dim == hilbert_series(g, p, n, d)[d]
+        assert dim == oracles.hilbert_series(g, p, n, d)[d]
 
     @pytest.mark.parametrize("surface", [(1, 0, 3), (2, 0, 2), (3, 0, 1)], ids=surface_id)
     def test_closed_surfaces_match_rank_oracle(self, surface):
