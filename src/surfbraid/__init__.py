@@ -39,7 +39,6 @@ from .diagrams import (
     degree_one_symbol,
     disk_augmentation,
     disk_nonzero,
-    embed_wreath,
     expand_certificate,
     format_certificate,
     format_diagram,
@@ -61,11 +60,9 @@ from .errors import (
     UnsupportedDegreeError,
 )
 from .group_algebra import (
-    AlgebraElement,
     JSummand,
     desingularize,
     format_algebra_element,
-    jexpr_value,
     parse_jexpr,
     parse_singular_word,
 )
@@ -75,9 +72,6 @@ from .surface import (
     free_reduce,
     inverse_word,
     parse_word,
-    pi1_inv,
-    pi1_is_trivial,
-    pi1_mul,
     pi1_normalize,
 )
 from .symplectic import (

@@ -41,6 +41,7 @@ from .errors import (
     DimensionMismatchError,
     InvalidGeneratorError,
     ParameterError,
+    ParseError,
     ResourceLimitError,
     SurfbraidError,
 )
@@ -149,8 +150,6 @@ def format_perm_cycles(p: tuple[int, ...]) -> str:
 
 def parse_perm_cycles(text: str, n: int) -> tuple[int, ...]:
     """Parse cycle notation like ``(1 3 2)(4)``; unlisted points stay fixed."""
-    from .errors import ParseError
-
     text = text.strip()
     if text in ("", "()", "id"):
         return identity_perm(n)

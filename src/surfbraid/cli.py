@@ -18,6 +18,7 @@ from .abelianization import format_h1, h1_class
 from .braid import (
     bounded_equal,
     format_perm_cycles,
+    identity_perm,
     parse_braid_word,
     relators,
     strand_permutation,
@@ -31,18 +32,10 @@ from .diagrams import (
     format_diagram,
     format_monomial,
     ideal_member,
+    mono_key,
     parse_diagram,
 )
-from .errors import (
-    HypothesisError,
-    InvalidGeneratorError,
-    ParameterError,
-    ParseError,
-    ResourceLimitError,
-    SurfbraidError,
-    TruncationOverflowError,
-    UnsupportedDegreeError,
-)
+from .errors import ParameterError, ResourceLimitError, SurfbraidError, TruncationOverflowError
 from .group_algebra import (
     desingularize,
     format_algebra_element,
@@ -150,9 +143,6 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 def _format_symbol(x) -> str:
     if x.is_zero:
         return "0"
-    from .braid import identity_perm
-    from .diagrams import mono_key
-
     parts = []
     ident = identity_perm(x.strands)
     for (mono, perm) in sorted(x.terms, key=lambda k: (k[1], mono_key(k[0]))):
@@ -274,16 +264,7 @@ def main(argv=None) -> int:
     except (ResourceLimitError, TruncationOverflowError) as exc:
         print(f"resource error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (
-        ParseError,
-        InvalidGeneratorError,
-        ParameterError,
-        HypothesisError,
-        UnsupportedDegreeError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except SurfbraidError as exc:  # pragma: no cover - defensive
+    except SurfbraidError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

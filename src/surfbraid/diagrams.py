@@ -74,6 +74,7 @@ from .braid import (
     invert_perm,
     parse_perm_cycles,
     transposition_perm,
+    wreath_image,
 )
 from .errors import (
     DimensionMismatchError,
@@ -85,7 +86,7 @@ from .errors import (
     UnsupportedDegreeError,
 )
 from .rewriting import RewritingSystem, _add, _coefficient, complete
-from .surface import SurfaceParams, Word, inverse_word
+from .surface import SurfaceParams, Word, check_pi1_word, inverse_word
 
 # symbols: ("B", strand, (kind, idx, sign)) and ("C", i, j) with i < j
 Monomial = tuple
@@ -282,12 +283,6 @@ def _bead_monomial(w: WreathElement, trunc: Truncation) -> Monomial:
     ))
 
 
-def embed_wreath(w: WreathElement, trunc: Truncation) -> WreathDiagram:
-    """A wreath-product element as a bead monomial (strand 1 first) with its
-    permutation; raises on bead-length overflow."""
-    return WreathDiagram(w.surface.strands, trunc, {(_bead_monomial(w, trunc), w.perm): 1})
-
-
 def chord_generator(strands: int, i: int, j: int, trunc: Truncation) -> WreathDiagram:
     _check_strand_range(strands, (i, j))
     mono = trunc.check((chord(i, j),))
@@ -299,8 +294,6 @@ def conjugated_chord(
 ) -> WreathDiagram:
     """The transported chord gamma@i Z(i,j) gamma^-1@i: the image of the
     gamma-decorated crossing generator between strands i and j."""
-    from .surface import check_pi1_word
-
     _check_strand_range(s.strands, (i, j))
     if i == j:
         raise InvalidGeneratorError("a chord needs two distinct strands")
@@ -785,15 +778,13 @@ def degree_one_symbol(summands, s: SurfaceParams, trunc: Truncation) -> WreathDi
     contributes its chord (Z(i,i+1); s_i) framed by the degree-zero images
     of u and v.
 
-    Each summand is the one term of the product embed(u) * (Z; s_i) *
-    embed(v), written directly: u's beads, the chord relabelled by
+    Each summand is the one term of the diagram product u * (Z; s_i) * v of
+    the degree-zero images, written directly: u's beads, the chord relabelled by
     u.perm^-1, v's beads relabelled by (u.perm s_i)^-1, and the permutation
     u.perm s_i v.perm.  ``fits`` is monotone, so the whole monomial fits
     exactly when every partial product does.  Every error, an invalid word
     or crossing or a monomial past the truncation, raises at the first
     summand that has it, as the products would."""
-    from .braid import wreath_image
-
     acc: dict = {}
     for t in summands:
         u = wreath_image(t.left, s)

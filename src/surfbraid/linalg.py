@@ -25,7 +25,11 @@ Two tools live here:
 
 No module of the package calls either: membership, the torsion report and
 the chord redundancy check are proven by completions (``rewriting``), and
-the tests check them against these two as oracles.
+the tests check them against these two as oracles.  The module stays in
+the package only because the benchmark's tracer (``bench/tracing.py``)
+imports it and wraps ``ExactReducer.insert``/``reduce`` and
+``elementary_divisors`` by name; once the benchmark stops tracing them
+(ROADMAP.md, "The bench follows the engine") it can move under ``tests/``.
 
 Callers hand over rows keyed by any hashable objects: how columns are
 identified and how unit rows are eliminated is decided here alone.
@@ -158,14 +162,6 @@ class ExactReducer:
         self.pivots[pivot] = len(self.rows)
         self.rows.append(work)
         return True
-
-
-def span_rank(rows) -> int:
-    """Rank of a collection of sparse rows."""
-    red = ExactReducer()
-    for row in rows:
-        red.insert(row)
-    return red.rank
 
 
 # ---------------------------------------------------------------------------

@@ -204,15 +204,3 @@ def pi1_normalize(word: Word, s: SurfaceParams) -> Word:
     system, letters, code = _closed_system(s.genus)
     (normal,) = system.reduce({tuple(map(code.__getitem__, word)): 1})
     return tuple(map(letters.__getitem__, normal))
-
-
-def pi1_mul(u: Word, v: Word, s: SurfaceParams) -> Word:
-    return pi1_normalize(u + v, s)
-
-
-def pi1_inv(u: Word, s: SurfaceParams) -> Word:
-    return pi1_normalize(inverse_word(u), s)
-
-
-def pi1_is_trivial(word: Word, s: SurfaceParams) -> bool:
-    return pi1_normalize(word, s) == ()

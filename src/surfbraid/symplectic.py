@@ -69,20 +69,6 @@ def word_degree(word: tuple) -> int:
     return sum(generator_degree(sym) for sym in word)
 
 
-def format_symp_word(word: tuple) -> str:
-    if not word:
-        return "1"
-    parts = []
-    for sym in word:
-        if sym[0] in ("A", "B"):
-            parts.append(f"{sym[0]}{sym[1]}^{sym[2]}")
-        elif sym[0] == "Z":
-            parts.append(f"Z({sym[1]},{sym[2]})")
-        else:
-            parts.append(f"Z({sym[1]},{sym[2]})b")
-    return " ".join(parts)
-
-
 def _zc(i: int, j: int) -> tuple:
     return ("Z", min(i, j), max(i, j))
 
@@ -242,7 +228,13 @@ def _word_count(gens: list, d: int) -> int:
 def words_of_degree(s: SurfaceParams, d: int, word_cap: int = 200000) -> list[tuple]:
     """All degree-d words in the free algebra on the generators, in
     lexicographic order of the generators as ``symp_generators`` lists them;
-    guarded by a word-count cap."""
+    guarded by a word-count cap.
+
+    No path of the package calls it: the dimensions count normal words, and
+    only the tests' rank oracle lists words.  It and ``_word_count`` stay in
+    the package only because the benchmark's tracer (``bench/tracing.py``)
+    rebinds ``words_of_degree`` by name, until the benchmark stops tracing
+    it (ROADMAP.md, "The bench follows the engine")."""
     if d < 0:
         raise ParameterError("degree must be non-negative")
     gens = symp_generators(s)

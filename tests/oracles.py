@@ -1,7 +1,7 @@
 """Reference implementations the tests compare the package against: the
-completed rule table of the bead normal form, and closed-form counts of
-normal words and of graded dimensions.  Not a test module; test modules
-import it."""
+completed rule table of the bead normal form, a wreath-product element as
+a diagram, and closed-form counts of normal words and of graded
+dimensions.  Not a test module; test modules import it."""
 
 import functools
 import itertools
@@ -10,6 +10,7 @@ from math import comb
 
 from surfbraid.diagrams import (
     Truncation,
+    WreathDiagram,
     _bead_normal_form,
     _CodedSystem,
     bead,
@@ -60,6 +61,14 @@ def table_normal_form(mono, s: SurfaceParams):
     table = rule_table(s)
     (form,) = table.system.reduce({word(table, mono): 1})
     return table.mono(form)
+
+
+def embed_wreath(w, trunc: Truncation) -> WreathDiagram:
+    """The wreath-product element ``w`` as one diagram term: its beads as one
+    monomial, strand 1 first, with its permutation; raises on bead-length
+    overflow."""
+    mono = trunc.check(tuple(bead(i, let) for i, word in enumerate(w.beads, 1) for let in word))
+    return WreathDiagram(w.surface.strands, trunc, {(mono, w.perm): 1})
 
 
 def fixed_point_counts(s: SurfaceParams, chords: int, max_beads: int) -> list[int]:

@@ -40,7 +40,7 @@ from surfbraid.errors import (
     UnsupportedDegreeError,
 )
 from surfbraid.group_algebra import JSummand
-from surfbraid.linalg import elementary_divisors, span_rank
+from surfbraid.linalg import ExactReducer, elementary_divisors
 from surfbraid.surface import SurfaceParams, letter
 
 S112 = SurfaceParams(1, 1, 2)
@@ -314,7 +314,10 @@ class TestTorsion:
     def test_rank_is_rational_rank(self, g, p, n, beads, rank):
         s, trunc = SurfaceParams(g, p, n), Truncation(max_beads=beads)
         rep = degree_one_torsion(s, trunc)
-        assert rep.rank == span_rank(framed_rows(s, trunc)) == rank
+        reducer = ExactReducer()
+        for row in framed_rows(s, trunc):
+            reducer.insert(row)
+        assert rep.rank == reducer.rank == rank
 
     @pytest.mark.parametrize("g, p, n, beads", [
         (1, 1, 2, 3), (0, 2, 2, 4), (2, 0, 2, 2), (0, 1, 3, 2),

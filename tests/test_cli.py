@@ -493,4 +493,4 @@ def test_golden_output(capsys, command, expected, code):
 
 
 def test_golden_transcript_is_read_whole():
-    assert len(_golden_transcript()) == GOLDEN.read_text(encoding="utf-8").count("\n$ ") + 1 == 21
+    assert len(_golden_transcript()) == GOLDEN.read_text(encoding="utf-8").count("\n$ ") + 1 == 24

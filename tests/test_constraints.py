@@ -1,15 +1,17 @@
 """The package's fixed constraints, read from its source: every import is
-from the standard library or the package itself, and the arithmetic is
-exact (no float, no ``math`` function other than the integer ones, true
-division only of a Fraction)."""
+from the standard library or the package itself, the arithmetic is exact
+(no float, no ``math`` function other than the integer ones, true division
+only of a Fraction), and every name the package exports has a caller."""
 
 import ast
+import re
 import sys
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "surfbraid").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "surfbraid").glob("*.py"))
 # the functions of math that take and return integers
 INTEGER_MATH = {"comb", "factorial", "gcd", "isqrt", "lcm", "perm", "prod"}
 
@@ -94,3 +96,41 @@ def test_each_breach_is_found(source):
 ])
 def test_exact_code_passes(source):
     assert violations(source) == []
+
+
+def exported_names() -> list[str]:
+    """Every name ``surfbraid/__init__.py`` imports."""
+    tree = ast.parse((ROOT / "src" / "surfbraid" / "__init__.py").read_text())
+    return [alias.asname or alias.name for node in tree.body
+            if isinstance(node, ast.ImportFrom) for alias in node.names]
+
+
+def package_references() -> set[str]:
+    """The names and attributes read in the package's modules other than
+    ``__init__``, each outside the top-level def or class of that name."""
+    found = set()
+    for path in SOURCES:
+        if path.name == "__init__.py":
+            continue
+        for stmt in ast.parse(path.read_text()).body:
+            own = getattr(stmt, "name", None)
+            for node in ast.walk(stmt):
+                name = getattr(node, "id", None) or getattr(node, "attr", None)
+                if name is not None and name != own:
+                    found.add(name)
+    return found
+
+
+def script_words() -> set[str]:
+    """Every word of the demos and the benchmark, which also rebinds the
+    package's functions by attribute-name strings."""
+    return {word for pattern in ("demos/*.py", "bench/*.py") for path in ROOT.glob(pattern)
+            for word in re.findall(r"\w+", path.read_text())}
+
+
+def test_every_export_has_a_caller():
+    # a public name that no module, demo or benchmark calls is code that
+    # only its own tests run
+    used = package_references() | script_words()
+    assert len(exported_names()) > 50
+    assert [name for name in exported_names() if name not in used] == []

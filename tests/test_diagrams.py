@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from surfbraid import diagrams, rewriting
-from surfbraid.braid import identity_perm, transposition_perm, wreath_image, parse_braid_word
+from surfbraid.braid import identity_perm, transposition_perm, wreath_image
 from surfbraid.diagrams import (
     CertificateTerm,
     Membership,
@@ -25,7 +25,6 @@ from surfbraid.diagrams import (
     degree_one_symbol,
     disk_augmentation,
     disk_nonzero,
-    embed_wreath,
     expand_certificate,
     format_certificate,
     format_diagram,
@@ -157,17 +156,7 @@ class TestDiagramAlgebra:
         assert (-x + x).is_zero
 
 
-class TestEmbedAndGenerators:
-    def test_embed_wreath(self):
-        w = wreath_image(parse_braid_word("a1 s1", S112), S112)
-        d = embed_wreath(w, TR)
-        assert d == one_term(2, (bead(1, A1),), transposition_perm(2, 1))
-
-    def test_embed_overflow(self):
-        w = wreath_image(parse_braid_word("a1 a1 a1 a1 a1", S112), S112)
-        with pytest.raises(TruncationOverflowError):
-            embed_wreath(w, TR)
-
+class TestGenerators:
     def test_chord_generator(self):
         assert chord_generator(2, 1, 2, TR) == one_term(2, (chord(1, 2),))
         with pytest.raises(InvalidGeneratorError):
@@ -751,13 +740,13 @@ def _product_symbol(summands, s, trunc):
     summed: the definition that ``degree_one_symbol`` writes directly."""
     acc: dict = {}
     for t in summands:
-        left = embed_wreath(wreath_image(t.left, s), trunc)
+        left = oracles.embed_wreath(wreath_image(t.left, s), trunc)
         mid = WreathDiagram(
             s.strands, trunc,
             {((chord(t.crossing, t.crossing + 1),),
               transposition_perm(s.strands, t.crossing)): 1},
         )
-        right = embed_wreath(wreath_image(t.right, s), trunc)
+        right = oracles.embed_wreath(wreath_image(t.right, s), trunc)
         for key, c in (left * mid * right).terms.items():
             rewriting._add(acc, key, t.coef * c)
     return WreathDiagram(s.strands, trunc, acc)
@@ -922,7 +911,7 @@ class TestCoefficients:
                 assert _types(whole.witness.terms) <= {int}
                 assert halved.witness == whole.witness.scale(Fraction(1, 2))
 
-    @pytest.mark.parametrize("value", [0.1, 0.5, 1.0, 2j], ids=repr)
+    @pytest.mark.parametrize("value", [0.1, 0.5, 1.0, 2j, "1/2"], ids=repr)
     def test_an_inexact_coefficient_is_refused(self, value):
         x = one_term(2, (chord(1, 2),))
         with pytest.raises(ParameterError, match=re.escape(repr(value))):

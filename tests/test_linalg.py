@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import surfbraid
-from surfbraid.linalg import ExactReducer, _dense_smith, elementary_divisors, span_rank
+from surfbraid.linalg import ExactReducer, _dense_smith, elementary_divisors
 
 
 def random_row(rng, cols, width):
@@ -199,22 +199,6 @@ class TestExactReducer:
             for row in inserted:
                 assert r.contains({c: 2 * v for c, v in row.items()})
             r.reduce({c: 1 for c in range(12)})
-
-
-class TestSpanRank:
-    def test_known_ranks(self):
-        assert span_rank([]) == 0
-        assert span_rank([{0: 1, 1: 2}, {0: 2, 1: 4}]) == 1
-        assert span_rank([{0: 1}, {1: 1}, {0: 1, 1: 1}]) == 2
-
-    def test_matches_reducer(self):
-        rng = random.Random(17)
-        for _ in range(20):
-            rows = [random_row(rng, 6, 3) for _ in range(rng.randint(1, 7))]
-            r = ExactReducer()
-            for row in rows:
-                r.insert(dict(row))
-            assert span_rank([dict(x) for x in rows]) == r.rank
 
 
 class TestElementaryDivisors:

@@ -13,7 +13,6 @@ from surfbraid.linalg import ExactReducer
 from surfbraid.surface import SurfaceParams
 from surfbraid.symplectic import (
     dims_table,
-    format_symp_word,
     generator_degree,
     symp_generators,
     symp_graded_dim,
@@ -140,11 +139,6 @@ class TestGenerators:
         assert generator_degree(("Z", 1, 2)) == 2
         assert generator_degree(("Zb", 3, 1)) == 2
         assert word_degree((("A", 1, 1), ("Z", 1, 2))) == 3
-
-    def test_format(self):
-        assert format_symp_word(()) == "1"
-        assert format_symp_word((("A", 1, 2), ("Z", 1, 2), ("Zb", 3, 1))) == \
-            "A1^2 Z(1,2) Z(3,1)b"
 
 
 class TestRelations:
