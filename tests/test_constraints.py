@@ -105,32 +105,54 @@ def exported_names() -> list[str]:
             if isinstance(node, ast.ImportFrom) for alias in node.names]
 
 
-def package_references() -> set[str]:
-    """The names and attributes read in the package's modules other than
-    ``__init__``, each outside the top-level def or class of that name."""
+def module_references(source: str) -> set[str]:
+    """The names and attributes read in a module, each outside the
+    top-level def or class of that name."""
     found = set()
-    for path in SOURCES:
-        if path.name == "__init__.py":
-            continue
-        for stmt in ast.parse(path.read_text()).body:
-            own = getattr(stmt, "name", None)
-            for node in ast.walk(stmt):
-                name = getattr(node, "id", None) or getattr(node, "attr", None)
-                if name is not None and name != own:
-                    found.add(name)
+    for stmt in ast.parse(source).body:
+        own = getattr(stmt, "name", None)
+        for node in ast.walk(stmt):
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            if name is not None and name != own:
+                found.add(name)
     return found
 
 
-def script_words() -> set[str]:
-    """Every word of the demos and the benchmark, which also rebinds the
-    package's functions by attribute-name strings."""
-    return {word for pattern in ("demos/*.py", "bench/*.py") for path in ROOT.glob(pattern)
-            for word in re.findall(r"\w+", path.read_text())}
+def uncalled(exports, modules, scripts) -> list[str]:
+    """The exports that no module source reads and no script (a demo or
+    the benchmark, which also rebinds the package's functions by
+    attribute-name strings) names as a whole word."""
+    used = set().union(*map(module_references, modules))
+    used |= {word for text in scripts for word in re.findall(r"\w+", text)}
+    return [name for name in exports if name not in used]
 
 
 def test_every_export_has_a_caller():
     # a public name that no module, demo or benchmark calls is code that
     # only its own tests run
-    used = package_references() | script_words()
+    modules = [path.read_text() for path in SOURCES if path.name != "__init__.py"]
+    scripts = [path.read_text() for pattern in ("demos/*.py", "bench/*.py")
+               for path in ROOT.glob(pattern)]
     assert len(exported_names()) > 50
-    assert [name for name in exported_names() if name not in used] == []
+    assert uncalled(exported_names(), modules, scripts) == []
+
+
+@pytest.mark.parametrize("modules, scripts", [
+    ([], []),
+    (["def f(n):\n    return f(n - 1)"], []),
+    (["class f:\n    def m(self):\n        return f()"], []),
+    (["def g():\n    pass"], ["print('fx', f_)"]),
+    (["# f is called nowhere\nx = 'f'"], []),
+])
+def test_an_uncalled_export_is_found(modules, scripts):
+    assert uncalled(["f"], modules, scripts) == ["f"]
+
+
+@pytest.mark.parametrize("modules, scripts", [
+    (["def f():\n    pass\n\ndef g():\n    return f()"], []),
+    (["import m\nh = m.f"], []),
+    ([], ["from surfbraid import f"]),
+    ([], ["setattr(surfbraid, 'f', traced)"]),
+])
+def test_a_called_export_passes(modules, scripts):
+    assert uncalled(["f"], modules, scripts) == []

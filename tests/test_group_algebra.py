@@ -1,8 +1,10 @@
 """Singular words, crossing-difference expansion, and J-expressions."""
 
 import itertools
+import random
 import re
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -56,6 +58,59 @@ class TestDesingularize:
     def test_framed(self):
         got = desingularize((S1, X1))
         assert got == {(S1, S1): 1, (): -1}
+
+    def test_words_come_out_freely_reduced(self):
+        assert desingularize((S1, S1I)) == {(): 1}
+        assert desingularize((S1I, X1, S1)) == {(S1,): 1, (S1I,): -1}
+
+    def test_resolutions_of_one_word_merge(self):
+        # s1 (s1 - s1^-1) s1^-1 = s1 - s1^-1, so the conjugated crossing
+        # squares like x1 x1
+        assert desingularize((S1, X1, S1I, X1)) == desingularize((X1, X1))
+
+    @pytest.mark.parametrize("d", range(6))
+    def test_a_power_of_one_crossing_is_binomial(self, d):
+        # (s1 - s1^-1)^d = sum_k (-1)^k C(d, k) s1^(d - 2k)
+        def power(e):
+            return (S1,) * e if e >= 0 else (S1I,) * -e
+
+        expected = {power(d - 2 * k): (-1) ** k * comb(d, k) for k in range(d + 1)}
+        assert desingularize((X1,) * d) == expected
+
+    def test_sums_to_the_augmentation(self):
+        # sending every s_i to 1 sends each crossing to 1 - 1 = 0; at most
+        # 2^d resolutions survive, each with coefficient +-1 before merging
+        letters = [("s", 1, 1), ("s", 1, -1), ("s", 2, 1), ("x", 1, 1), ("x", 2, 1)]
+        for length in range(5):
+            for word in itertools.product(letters, repeat=length):
+                got = desingularize(word)
+                crossings = sum(1 for letter in word if letter[0] == "x")
+                assert sum(got.values()) == (0 if crossings else 1), word
+                assert sum(map(abs, got.values())) <= 2 ** crossings, word
+                assert all(type(c) is int and c != 0 for c in got.values()), word
+
+    def test_is_multiplicative(self):
+        # the expansion of a concatenation is the free-group-ring product
+        # of the expansions
+        def product(x, y):
+            out = {}
+            for (u, a), (v, b) in itertools.product(x.items(), y.items()):
+                w = list(u)
+                for letter in v:
+                    if w and w[-1] == (letter[0], letter[1], -letter[2]):
+                        w.pop()
+                    else:
+                        w.append(letter)
+                w = tuple(w)
+                out[w] = out.get(w, 0) + a * b
+            return {w: c for w, c in out.items() if c}
+
+        rng = random.Random(23)
+        letters = [("s", i, e) for i in (1, 2) for e in (1, -1)] + [("x", 1, 1), ("x", 2, 1)]
+        for _ in range(200):
+            u = tuple(rng.choice(letters) for _ in range(rng.randrange(5)))
+            v = tuple(rng.choice(letters) for _ in range(rng.randrange(5)))
+            assert desingularize(u + v) == product(desingularize(u), desingularize(v)), (u, v)
 
     def _nested_expansion(self, word):
         """Independent oracle: resolve the first singular letter, recurse,
