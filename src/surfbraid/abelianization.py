@@ -29,7 +29,7 @@ from .diagrams import (
     relation_instances,
 )
 from .errors import HypothesisError, ParameterError, UnsupportedDegreeError
-from .rewriting import RewritingSystem, _coefficient
+from .rewriting import _coefficient, normal_word_counts
 from .surface import SurfaceParams
 
 # an H1 element maps keys (z_exponent, tau_bit, ((kind, idx), net), ...) to
@@ -198,7 +198,7 @@ def degree_one_torsion(s: SurfaceParams, trunc: Truncation = Truncation()) -> To
         # normal words of weight 2L + 1: with chords of weight L + 1 these
         # are one chord and L other letters, or 2L + 1 letters and no chord
         weights = [chord_weight] * chords + [1] * (beads + 1)
-        return RewritingSystem(weights, box.system.rules).normal_word_counts(2 * L + 1)[-1]
+        return normal_word_counts(weights, box.system.rules, 2 * L + 1)[-1]
 
     columns = chords * sum((k + 1) * beads ** k for k in range(L + 1))
     return TorsionReport(

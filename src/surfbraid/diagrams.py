@@ -692,7 +692,7 @@ def ideal_member(
     ``window`` beads, is reduced by the relations padded likewise and
     completed over every ambiguity with at most its chord degree and at most
     ``window`` beads and ``t`` (``_box``, cached and shared with the torsion
-    report), keeping the rewriting steps.  Both counts are homogeneous, so
+    report), keeping its steps if ``certify``.  Both counts are homogeneous, so
     by the diamond lemma in each piece of that box it reduces to zero
     exactly when it is a member at ``window``.  If one does not, the answer
     is NotMemberAtWindow, proven at ``window`` only and not against the
@@ -748,7 +748,7 @@ def ideal_member(
     for (perm, degree), form in components.items():
         if form:
             box = _box(s, tuple(sorted(letters)), trunc, window, degree)
-            steps = []
+            steps = [] if certify else None
             padded = {box.word(mono, window): c for mono, c in form.items()}
             for word, c in box.system.reduce(padded, steps).items():
                 _add(witness, (box.mono(word), perm), c)

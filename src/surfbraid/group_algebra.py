@@ -11,14 +11,12 @@ words.
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ParseError
 from .rewriting import _add, _coefficient
-from .surface import SurfaceParams, format_word, free_reduce, parse_word, word_sort_key
+from .surface import SurfaceParams, format_word, parse_word, word_sort_key
 from .braid import BraidWord, check_braid_word, parse_braid_word
 
 
@@ -57,15 +55,30 @@ def parse_singular_word(text: str, s: SurfaceParams) -> tuple:
 def desingularize(word) -> dict:
     """Signed sum over the 2^d resolutions of the d singular crossings, each
     replaced by s_i (+) or s_i^-1 (-) with coefficient the product of signs:
-    a map freely reduced word -> nonzero int."""
-    crossings = [pos for pos, letter in enumerate(word) if letter[0] == "x"]
-    out: dict = {}
-    for signs in itertools.product((1, -1), repeat=len(crossings)):
-        resolved = list(word)
-        for pos, sign in zip(crossings, signs):
-            resolved[pos] = ("s", word[pos][1], sign)
-        _add(out, free_reduce(tuple(resolved)), math.prod(signs))
-    return out
+    a map freely reduced word -> nonzero int.  The crossings are resolved
+    left to right on a map from freely reduced prefix to coefficient, and
+    equal prefixes merge after each one, so the work follows the number of
+    distinct prefixes, not 2^d."""
+    prefixes: dict = {(): 1}
+    for kind, idx, sign in word:
+        if kind != "x":
+            # appending one letter is injective on freely reduced words
+            prefixes = {_append(u, (kind, idx, sign)): c for u, c in prefixes.items()}
+            continue
+        resolved: dict = {}
+        for u, c in prefixes.items():
+            _add(resolved, _append(u, ("s", idx, 1)), c)
+            _add(resolved, _append(u, ("s", idx, -1)), -c)
+        prefixes = resolved
+    return prefixes
+
+
+def _append(word: tuple, letter: tuple) -> tuple:
+    """``free_reduce(word + (letter,))`` for a freely reduced ``word``."""
+    kind, idx, sign = letter
+    if word and word[-1] == (kind, idx, -sign):
+        return word[:-1]
+    return word + (letter,)
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,19 @@ from integer relations, None means every rule is integral and the normal
 words are a basis over the integers, so the quotient has no torsion in the
 completed degrees.
 
+The system finds its work through indexes of its leading words, kept by
+``add_rule`` and ``remove_rule``, and they change no rule, derivation,
+normal form or step.  ``reduce`` tries at each position of a word only the
+lengths of the leading words that start with its letter, in the order the
+lengths first appeared, so it finds the leftmost leading word that trying
+every length at every position finds.  Each rule carries, for each word of
+its tail, the degree that word drops from the lead, so a rewritten word's
+heap key is its parent's plus that drop.  ``complete`` looks for the rules
+that contain a new leading word or overlap it only among the rules that
+share a letter with it (each letter keeps its leading words with their
+insertion ticks), in the order of ``rules``, so its pending elements and
+their ticks are the ones a search of every rule gives.
+
 ``unresolved`` is the overlap check on its own: given rules that terminate,
 an empty answer proves their normal words a basis, whatever order produced
 the rules.  Everything is exact; no floating point anywhere.
@@ -103,7 +116,16 @@ class RewritingSystem:
         self.non_unit_lead = None
         # leading word -> derivation, as ``complete`` records it (see there)
         self.derivations: dict[tuple, tuple] = {}
-        self._lengths: dict[int, int] = {}  # lead length -> number of rules
+        # lead length -> number of rules, in the order the lengths appeared:
+        # at one position, the lengths are tried in this order
+        self._lengths: dict[int, int] = {}
+        # first letter -> {lead length: number of rules}, in ``_lengths`` order
+        self._starts: dict[int, dict[int, int]] = {}
+        # lead -> its tail as (word, coef, lead degree - word degree)
+        self._carried: dict[tuple, tuple] = {}
+        # letter -> {lead holding it: insertion tick}
+        self._holding: dict[int, dict[tuple, int]] = {}
+        self._ticks = itertools.count()
         for lead, tail in (rules or {}).items():
             self.add_rule(lead, tail)
 
@@ -115,25 +137,50 @@ class RewritingSystem:
         return (-self.degree(word), word)
 
     def add_rule(self, lead: tuple, tail: dict) -> None:
-        self.rules[lead] = dict(tail)
-        self._lengths[len(lead)] = self._lengths.get(len(lead), 0) + 1
+        self.rules[lead] = tail = dict(tail)
+        k = len(lead)
+        self._lengths[k] = self._lengths.get(k, 0) + 1
+        if lead:
+            starts = self._starts.get(lead[0], {})
+            if k in starts:
+                starts[k] += 1
+            else:
+                self._starts[lead[0]] = {m: starts.get(m, 0) + (m == k)
+                                         for m in self._lengths if m in starts or m == k}
+        tick = next(self._ticks)
+        for x in set(lead):
+            self._holding.setdefault(x, {})[lead] = tick
+        d = self.degree(lead)
+        self._carried[lead] = tuple((w, c, d - self.degree(w)) for w, c in tail.items() if c)
 
     def remove_rule(self, lead: tuple) -> dict:
         tail = self.rules.pop(lead)
-        self._lengths[len(lead)] -= 1
-        if not self._lengths[len(lead)]:
-            del self._lengths[len(lead)]
+        del self._carried[lead]
+        k = len(lead)
+        self._lengths[k] -= 1
+        if not self._lengths[k]:
+            del self._lengths[k]
+        if lead:
+            starts = self._starts[lead[0]]
+            starts[k] -= 1
+            if not starts[k]:
+                del starts[k]
+        for x in set(lead):
+            del self._holding[x][lead]
         return tail
 
-    def _match(self, word: tuple):
-        """The first position and leading word occurring in ``word``, or None."""
-        rules = self.rules
-        for i in range(len(word) + 1):
-            for k in self._lengths:
-                factor = word[i:i + k]
-                if len(factor) == k and factor in rules:
-                    return i, factor
-        return None
+    def _sharing(self, lead: tuple) -> list:
+        """The leading words that share a letter with ``lead``, in the order
+        of ``rules``, and every one if ``lead`` is empty: besides an empty
+        leading word, which ``complete`` never keeps beside another rule (it
+        reduces every word to zero), only they can overlap ``lead``, contain
+        it or lie in it."""
+        if not lead:
+            return list(self.rules)
+        found: dict = {}
+        for x in set(lead):
+            found.update(self._holding.get(x, {}))
+        return sorted(found, key=found.__getitem__)
 
     def _rewrite(self, word: tuple, i: int, lead: tuple, coef=1) -> dict:
         """One step: ``coef * word`` with the occurrence of ``lead`` at ``i``
@@ -146,33 +193,66 @@ class RewritingSystem:
         word.  Words are rewritten leading word first, each once per time it
         appears, so any terminating set of rules reaches the end.
 
+        A word is rewritten at its leftmost leading word, and at one position
+        the lead lengths are tried in the order they first appeared.  The scan
+        tries at each position only the lengths of the leads that start with
+        its letter (``_starts``, kept in that order), and an empty leading
+        word matches at position 0; so it finds the lead that trying every
+        length at every position would.  A rewritten word's degree is its
+        parent's less the drop from the lead to the tail word, carried with
+        each rule, so words leave the heap (by ``order_key``) in the same
+        order and the steps are the same.
+
         Each step appends ``(coef, left, lead, right)`` to ``steps`` if given:
         ``coef * left lead right`` became ``coef * left tail right``, so
         ``comb`` minus its normal form is the sum over the steps of
         ``coef * left (lead - tail) right``."""
+        carried, starts, lengths = self._carried, self._starts, self._lengths
+        empty = () in carried
         out: dict = {}
         work: dict = {}
-        heap: list = []
+        heap: list = []  # (-degree, word): the order of ``order_key``
         for w, c in comb.items():
             if c:
                 work[w] = c
-                heapq.heappush(heap, (self.order_key(w), w))
+                heapq.heappush(heap, (-self.degree(w), w))
         while heap:
-            _, w = heapq.heappop(heap)
+            key, w = heapq.heappop(heap)
             c = work.pop(w, 0)
             if not c:
                 continue
-            hit = self._match(w)
-            if hit is None:
+            n = len(w)
+            tails = None
+            if empty:
+                i = 0
+                k = next(k for k in lengths if k <= n and w[:k] in carried)
+                tails = carried[w[:k]]
+            else:
+                for i, x in enumerate(w):
+                    for k in starts.get(x, ()):
+                        if i + k <= n:
+                            tails = carried.get(w[i:i + k])
+                            if tails is not None:
+                                break
+                    if tails is not None:
+                        break
+            if tails is None:
                 _add(out, w, c)
                 continue
+            left, right = w[:i], w[i + k:]
             if steps is not None:
-                i, lead = hit
-                steps.append((c, w[:i], lead, w[i + len(lead):]))
-            for v, cv in self._rewrite(w, *hit, coef=c).items():
-                if v not in work:
-                    heapq.heappush(heap, (self.order_key(v), v))
-                _add(work, v, cv)
+                steps.append((c, left, w[i:i + k], right))
+            for mid, cm, drop in tails:
+                v = left + mid + right
+                cv = c * cm
+                old = work.get(v)
+                if old is None:
+                    heapq.heappush(heap, (key + drop, v))
+                    work[v] = cv
+                elif old + cv:
+                    work[v] = old + cv
+                else:
+                    del work[v]
         return out
 
     def _ambiguities_of(self, lead: tuple, others, inside):
@@ -232,52 +312,58 @@ class RewritingSystem:
         return rows
 
     def normal_word_counts(self, max_degree: int) -> list[int]:
-        """Number of normal words of each degree 0..max_degree, by dynamic
-        programming over the Aho-Corasick automaton of the leading words.  A
-        state is the longest suffix of the word read so far that is a proper
-        prefix of a leading word; a letter that completes a leading word
-        leads nowhere."""
-        goto: list[dict] = [{}]
-        dead = [False]
-        for lead in self.rules:
-            state = 0
-            for x in lead:
-                nxt = goto[state].get(x)
-                if nxt is None:
-                    nxt = goto[state][x] = len(goto)
-                    goto.append({})
-                    dead.append(False)
-                state = nxt
-            dead[state] = True
-        letters = range(len(self.weights))
-        fail = [0] * len(goto)
-        delta: list[list[int]] = [[0] * len(self.weights) for _ in goto]
+        """Number of normal words of each degree 0..max_degree
+        (``normal_word_counts`` of the weights and leading words)."""
+        return normal_word_counts(self.weights, self.rules, max_degree)
+
+
+def normal_word_counts(weights, leads, max_degree: int) -> list[int]:
+    """Number of normal words of each degree 0..max_degree, by dynamic
+    programming over the Aho-Corasick automaton of the leading words.  A
+    state is the longest suffix of the word read so far that is a proper
+    prefix of a leading word; a letter that completes a leading word
+    leads nowhere."""
+    goto: list[dict] = [{}]
+    dead = [False]
+    for lead in leads:
+        state = 0
+        for x in lead:
+            nxt = goto[state].get(x)
+            if nxt is None:
+                nxt = goto[state][x] = len(goto)
+                goto.append({})
+                dead.append(False)
+            state = nxt
+        dead[state] = True
+    letters = range(len(weights))
+    fail = [0] * len(goto)
+    delta: list[list[int]] = [[0] * len(weights) for _ in goto]
+    for x in letters:
+        delta[0][x] = goto[0].get(x, 0)
+    queue = deque(goto[0].values())
+    while queue:
+        state = queue.popleft()
+        dead[state] = dead[state] or dead[fail[state]]
         for x in letters:
-            delta[0][x] = goto[0].get(x, 0)
-        queue = deque(goto[0].values())
-        while queue:
-            state = queue.popleft()
-            dead[state] = dead[state] or dead[fail[state]]
+            nxt = goto[state].get(x)
+            if nxt is None:
+                delta[state][x] = delta[fail[state]][x]
+            else:
+                fail[nxt] = delta[fail[state]][x]
+                delta[state][x] = nxt
+                queue.append(nxt)
+    dp: list[dict] = [{} for _ in range(max_degree + 1)]
+    if not dead[0]:
+        dp[0][0] = 1
+    for d in range(max_degree + 1):
+        for state, count in dp[d].items():
+            row = delta[state]
             for x in letters:
-                nxt = goto[state].get(x)
-                if nxt is None:
-                    delta[state][x] = delta[fail[state]][x]
-                else:
-                    fail[nxt] = delta[fail[state]][x]
-                    delta[state][x] = nxt
-                    queue.append(nxt)
-        dp: list[dict] = [{} for _ in range(max_degree + 1)]
-        if not dead[0]:
-            dp[0][0] = 1
-        for d in range(max_degree + 1):
-            for state, count in dp[d].items():
-                row = delta[state]
-                for x in letters:
-                    e = d + self.weights[x]
-                    t = row[x]
-                    if e <= max_degree and not dead[t]:
-                        dp[e][t] = dp[e].get(t, 0) + count
-        return [sum(layer.values()) for layer in dp]
+                e = d + weights[x]
+                t = row[x]
+                if e <= max_degree and not dead[t]:
+                    dp[e][t] = dp[e].get(t, 0) + count
+    return [sum(layer.values()) for layer in dp]
 
 
 def complete(weights, relations, bound) -> RewritingSystem:
@@ -320,7 +406,7 @@ def complete(weights, relations, bound) -> RewritingSystem:
         if head not in (1, -1) and system.non_unit_lead is None:
             system.non_unit_lead = head
         tail = {w: _quotient(-c, head) for w, c in comb.items()}
-        for old in [m for m in system.rules if len(m) > len(lead) and _occurs(lead, m)]:
+        for old in [m for m in system._sharing(lead) if len(m) > len(lead) and _occurs(lead, m)]:
             old_rel = {old: 1}
             for w, c in system.remove_rule(old).items():
                 _add(old_rel, w, -c)
@@ -331,7 +417,7 @@ def complete(weights, relations, bound) -> RewritingSystem:
         system.derivations[lead] = tuple(
             (_quotient(c, head), left, src, right) for c, left, src, right in derivation
         ) + tuple((_quotient(-c, head), left, src, right) for c, left, src, right in steps)
-        for word, i, one, j, other in system._ambiguities_of(lead, system.rules, inside):
+        for word, i, one, j, other in system._ambiguities_of(lead, system._sharing(lead), inside):
             push(system._difference(word, i, one, j, other),
                  ((-1, word[:i], one, word[i + len(one):]),
                   (1, word[:j], other, word[j + len(other):])))

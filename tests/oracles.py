@@ -1,12 +1,14 @@
 """Reference implementations the tests compare the package against: the
-completed rule table of the bead normal form, a wreath-product element as
-a diagram, and closed-form counts of normal words and of graded
-dimensions.  Not a test module; test modules import it."""
+rewriting kernel before its leading words were indexed, desingularization
+by every sign choice, the completed rule table of the bead normal form, a
+wreath-product element as a diagram, and closed-form counts of normal words
+and of graded dimensions.  Not a test module; test modules import it."""
 
 import functools
+import heapq
 import itertools
 from dataclasses import replace
-from math import comb
+from math import comb, prod
 
 from surfbraid.diagrams import (
     Truncation,
@@ -17,8 +19,119 @@ from surfbraid.diagrams import (
     chord,
     relation_instances,
 )
-from surfbraid.rewriting import complete
-from surfbraid.surface import SurfaceParams
+from surfbraid import rewriting
+from surfbraid.rewriting import RewritingSystem, _add, _occurs, _quotient, complete
+from surfbraid.surface import SurfaceParams, free_reduce
+
+
+class OracleSystem(RewritingSystem):
+    """A rewriting system whose ``reduce`` tries every lead length at every
+    position, slicing, and takes each word's degree afresh: the package's
+    ``reduce`` must take the same steps to the same normal form."""
+
+    def __init__(self, weights, rules=None):
+        self._order: dict[int, int] = {}  # lead length -> number of rules
+        super().__init__(weights, rules)
+
+    def add_rule(self, lead, tail):
+        super().add_rule(lead, tail)
+        self._order[len(lead)] = self._order.get(len(lead), 0) + 1
+
+    def remove_rule(self, lead):
+        self._order[len(lead)] -= 1
+        if not self._order[len(lead)]:
+            del self._order[len(lead)]
+        return super().remove_rule(lead)
+
+    def _match(self, word):
+        """The first position and leading word occurring in ``word``, or None."""
+        for i in range(len(word) + 1):
+            for k in self._order:
+                factor = word[i:i + k]
+                if len(factor) == k and factor in self.rules:
+                    return i, factor
+        return None
+
+    def reduce(self, comb, steps=None):
+        out: dict = {}
+        work: dict = {}
+        heap: list = []
+        for w, c in comb.items():
+            if c:
+                work[w] = c
+                heapq.heappush(heap, (self.order_key(w), w))
+        while heap:
+            _, w = heapq.heappop(heap)
+            c = work.pop(w, 0)
+            if not c:
+                continue
+            hit = self._match(w)
+            if hit is None:
+                _add(out, w, c)
+                continue
+            if steps is not None:
+                i, lead = hit
+                steps.append((c, w[:i], lead, w[i + len(lead):]))
+            for v, cv in self._rewrite(w, *hit, coef=c).items():
+                if v not in work:
+                    heapq.heappush(heap, (self.order_key(v), v))
+                _add(work, v, cv)
+        return out
+
+
+def oracle_complete(weights, relations, bound) -> OracleSystem:
+    """``rewriting.complete`` on an ``OracleSystem``, searching every rule
+    for the ones that contain a new leading word or overlap it."""
+    system = OracleSystem(weights)
+    inside = rewriting._inside(bound, system)
+    pending: list = []
+    tick = itertools.count()
+
+    def push(comb: dict, derivation):
+        if comb and all(map(inside, comb)):
+            deg = max(map(system.degree, comb))
+            heapq.heappush(pending, (deg, next(tick), comb, derivation))
+
+    for index, rel in enumerate(relations):
+        push({w: c for w, c in rel.items() if c}, ((1, (), index, ()),))
+    while pending:
+        _, _, comb, derivation = heapq.heappop(pending)
+        steps: list = []
+        comb = system.reduce(comb, steps)
+        if not comb:
+            continue
+        lead = min(comb, key=system.order_key)
+        head = comb.pop(lead)
+        if head not in (1, -1) and system.non_unit_lead is None:
+            system.non_unit_lead = head
+        tail = {w: _quotient(-c, head) for w, c in comb.items()}
+        for old in [m for m in system.rules if len(m) > len(lead) and _occurs(lead, m)]:
+            old_rel = {old: 1}
+            for w, c in system.remove_rule(old).items():
+                _add(old_rel, w, -c)
+            push(old_rel, ((1, (), old, ()),))
+        system.add_rule(lead, tail)
+        system.derivations[lead] = tuple(
+            (_quotient(c, head), left, src, right) for c, left, src, right in derivation
+        ) + tuple((_quotient(-c, head), left, src, right) for c, left, src, right in steps)
+        for word, i, one, j, other in system._ambiguities_of(lead, system.rules, inside):
+            push(system._difference(word, i, one, j, other),
+                 ((-1, word[:i], one, word[i + len(one):]),
+                  (1, word[:j], other, word[j + len(other):])))
+    return system
+
+
+def desingularize_by_signs(word) -> dict:
+    """The signed sum over all 2^d sign choices of the d singular crossings,
+    each resolution freely reduced on its own."""
+    crossings = [pos for pos, letter in enumerate(word) if letter[0] == "x"]
+    out: dict = {}
+    for signs in itertools.product((1, -1), repeat=len(crossings)):
+        resolved = list(word)
+        for pos, sign in zip(crossings, signs):
+            resolved[pos] = ("s", word[pos][1], sign)
+        _add(out, free_reduce(tuple(resolved)), prod(signs))
+    return out
 
 
 def symbols(s: SurfaceParams) -> tuple:

@@ -7,6 +7,8 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from surfbraid.errors import ParameterError, ParseError
 from surfbraid.group_algebra import (
@@ -17,6 +19,8 @@ from surfbraid.group_algebra import (
     parse_singular_word,
 )
 from surfbraid.surface import SurfaceParams
+
+from oracles import desingularize_by_signs
 
 S2 = SurfaceParams(0, 1, 2)
 S3 = SurfaceParams(0, 1, 3)
@@ -76,6 +80,18 @@ class TestDesingularize:
 
         expected = {power(d - 2 * k): (-1) ** k * comb(d, k) for k in range(d + 1)}
         assert desingularize((X1,) * d) == expected
+
+    def test_sixteen_crossings_merge_to_seventeen_terms(self):
+        # 2^16 sign choices, but (s1 - s1^-1)^16 has one term per power of s1
+        got = desingularize(parse_singular_word(" ".join(["x1"] * 16), S2))
+        assert len(got) == 17 and got[()] == comb(16, 8)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.sampled_from([("s", 1, 1), ("s", 1, -1), ("s", 2, 1), ("s", 2, -1),
+                                     ("a", 1, 1), ("a", 1, -1), ("x", 1, 1), ("x", 2, 1)]),
+                    max_size=10))
+    def test_agrees_with_every_sign_choice(self, word):
+        assert desingularize(tuple(word)) == desingularize_by_signs(tuple(word))
 
     def test_sums_to_the_augmentation(self):
         # sending every s_i to 1 sends each crossing to 1 - 1 = 0; at most

@@ -20,12 +20,19 @@ from surfbraid.diagrams import (
     expand_certificate,
     relation_instances,
 )
-from surfbraid import rewriting
+from surfbraid import diagrams, rewriting, surface, symplectic
 from surfbraid.errors import ResourceLimitError
 from surfbraid.rewriting import RewritingSystem, _add, complete
 from surfbraid.surface import SurfaceParams
 
-from oracles import bead_word_series, fixed_point_counts, rule_table, word
+from oracles import (
+    OracleSystem,
+    bead_word_series,
+    fixed_point_counts,
+    oracle_complete,
+    rule_table,
+    word,
+)
 
 
 def words_up_to(weights, max_degree):
@@ -129,6 +136,93 @@ class TestReduce:
             for w, c in system.rules[lead].items():
                 _add(removed, left + w + right, coef * c)
         assert removed == {}
+
+
+WORDS = st.lists(st.integers(0, 2), max_size=5).map(tuple)
+# leads in letters 0 and 1, so that they often share a first letter, and the
+# empty lead, which leads every word, once among the 15
+LEADS = st.sampled_from([()] + [w for k in (1, 2, 3)
+                                 for w in itertools.product(range(2), repeat=k)])
+COEFS = st.integers(-3, 3) | st.fractions(-2, 2, max_denominator=3)
+
+
+def assert_same_completion(got, expected):
+    assert list(got.rules.items()) == list(expected.rules.items())
+    assert list(got.derivations.items()) == list(expected.derivations.items())
+    assert got.non_unit_lead == expected.non_unit_lead
+
+
+class TestAgainstTheOracle:
+    """``reduce`` finds its work through the leading words' indexes, and
+    ``complete`` searches only the rules that share a letter: both must do
+    exactly what trying every lead and every rule does."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_reduce_takes_the_oracle_steps(self, data):
+        # leads of lengths 0..3, one a prefix of another allowed, added and
+        # removed at random; every tail word follows its lead in the order,
+        # so the rules terminate
+        weights = data.draw(st.lists(st.integers(1, 3), min_size=3, max_size=3))
+        system, oracle = RewritingSystem(weights), OracleSystem(weights)
+        for _ in range(data.draw(st.integers(1, 12))):
+            if system.rules and data.draw(st.booleans()):
+                lead = data.draw(st.sampled_from(sorted(system.rules)))
+                assert system.remove_rule(lead) == oracle.remove_rule(lead)
+            else:
+                lead = data.draw(LEADS)
+                if lead in system.rules:
+                    continue
+                tail = data.draw(st.dictionaries(WORDS, COEFS, max_size=3))
+                tail = {w: c for w, c in tail.items()
+                        if system.order_key(w) > system.order_key(lead)}
+                system.add_rule(lead, tail)
+                oracle.add_rule(lead, tail)
+            # each lead followed by each letter meets every lead it prefixes
+            comb = {lead + (x,): 1 for lead in system.rules for x in range(3)}
+            comb.update(data.draw(st.dictionaries(WORDS, COEFS, max_size=4)))
+            steps, oracle_steps = [], []
+            assert system.reduce(comb, steps) == oracle.reduce(comb, oracle_steps)
+            assert steps == oracle_steps
+
+    def test_lengths_at_one_position_go_in_the_order_they_appeared(self):
+        # (0,) and (0, 1) both lead at position 0 of (0, 1); length 2 came
+        # first, with (1, 1), so (0, 1) is the one rewritten
+        for system in (RewritingSystem([1, 1]), OracleSystem([1, 1])):
+            for lead in [(1, 1), (0,), (0, 1)]:
+                system.add_rule(lead, {})
+            steps = []
+            assert system.reduce({(0, 1): 1}, steps) == {}
+            assert steps == [(1, (), (0, 1), ())]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(1, 2), min_size=3, max_size=3),
+           st.lists(st.dictionaries(st.lists(st.integers(0, 2), max_size=3).map(tuple),
+                                    st.integers(-2, 2), min_size=1, max_size=3),
+                    min_size=1, max_size=4))
+    def test_complete_agrees_on_random_relations(self, weights, relations):
+        # inhomogeneous relations too, so the empty word may lead
+        assert_same_completion(complete(weights, relations, 5),
+                               oracle_complete(weights, relations, 5))
+
+    @pytest.mark.parametrize("module, build", [
+        (symplectic, lambda: symplectic._completion(SurfaceParams(1, 1, 3), 4)),
+        (surface, lambda: surface._closed_system.__wrapped__(3)),
+        (diagrams, lambda: diagrams._box.__wrapped__(
+            SurfaceParams(0, 2, 3), (("z", 1),), Truncation(2, 6), 6, 2)),
+    ], ids=["symplectic(1,1,3)@4", "closed genus 3", "box(0,2,3)"])
+    def test_complete_gives_the_oracle_rules(self, monkeypatch, module, build):
+        calls = []
+
+        def recording(weights, relations, bound):
+            calls.append((weights, relations, bound))
+            return complete(weights, relations, bound)
+
+        monkeypatch.setattr(module, "complete", recording)
+        build()
+        assert calls
+        for args in calls:
+            assert_same_completion(complete(*args), oracle_complete(*args))
 
 
 class TestCounting:
