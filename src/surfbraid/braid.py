@@ -48,7 +48,7 @@ from .errors import (
 from .surface import (
     SurfaceParams,
     Word,
-    format_word,
+    format_letter,
     free_reduce,
     inverse_word,
     letter_sort_key,
@@ -78,7 +78,7 @@ def check_braid_word(word: BraidWord, s: SurfaceParams) -> None:
                 raise InvalidGeneratorError(f"crossing letter s{idx} has sign {sign}")
         elif not s.pi1_letter_valid((kind, idx, sign)):
             raise InvalidGeneratorError(
-                f"loop letter {format_word(((kind, idx, sign),))} does not exist "
+                f"loop letter {format_letter((kind, idx, sign))} does not exist "
                 f"on genus {s.genus}, boundary {s.boundary}"
             )
 

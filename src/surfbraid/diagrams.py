@@ -86,7 +86,7 @@ from .errors import (
     UnsupportedDegreeError,
 )
 from .rewriting import RewritingSystem, _add, _coefficient, complete
-from .surface import SurfaceParams, Word, check_pi1_word, inverse_word
+from .surface import SurfaceParams, Word, check_pi1_word, format_letter, inverse_word
 
 # symbols: ("B", strand, (kind, idx, sign)) and ("C", i, j) with i < j
 Monomial = tuple
@@ -326,11 +326,6 @@ class RelationInstance:
         return [(mono, c) for (mono, _), c in self.element.terms.items()]
 
 
-def _letter_name(let) -> str:
-    kind, idx, sign = let
-    return f"{kind}{idx}" + ("^-1" if sign < 0 else "")
-
-
 def relation_instances(s: SurfaceParams, trunc: Truncation) -> list[RelationInstance]:
     """Every relation instance with single-letter beads that fits the
     truncation.  A relation with a longer bead word, such as ``a1 b1``
@@ -358,7 +353,7 @@ def relation_instances(s: SurfaceParams, trunc: Truncation) -> list[RelationInst
                 for de in letters:
                     emit(
                         "BeadBead",
-                        f"BeadBead[{_letter_name(ga)}@{i},{_letter_name(de)}@{j}]",
+                        f"BeadBead[{format_letter(ga)}@{i},{format_letter(de)}@{j}]",
                         [((bead(i, ga), bead(j, de)), 1),
                          ((bead(j, de), bead(i, ga)), -1)],
                     )
@@ -367,7 +362,7 @@ def relation_instances(s: SurfaceParams, trunc: Truncation) -> list[RelationInst
         for j in range(i + 1, n + 1):
             z = chord(i, j)
             for ga in letters:
-                name = _letter_name(ga)
+                name = format_letter(ga)
                 emit(
                     "BeadPush",
                     f"BeadPush[{name};{i}>{j}]",
@@ -388,7 +383,7 @@ def relation_instances(s: SurfaceParams, trunc: Truncation) -> list[RelationInst
                 for ga in letters:
                     emit(
                         "BeadFar",
-                        f"BeadFar[{_letter_name(ga)}@{k};{i},{j}]",
+                        f"BeadFar[{format_letter(ga)}@{k};{i},{j}]",
                         [((bead(k, ga), z), 1), ((z, bead(k, ga)), -1)],
                     )
 
@@ -434,7 +429,7 @@ def relation_instances(s: SurfaceParams, trunc: Truncation) -> list[RelationInst
             inv = (ga[0], ga[1], -ga[2])
             emit(
                 "BeadGroup",
-                f"BeadGroup[{_letter_name(ga)}@{i}]",
+                f"BeadGroup[{format_letter(ga)}@{i}]",
                 [((bead(i, ga), bead(i, inv)), 1), ((), -1)],
             )
 
@@ -542,7 +537,7 @@ def _cancel(beads: tuple, left: tuple, right: tuple, coef, rows) -> tuple:
         if top and top[1] == b[1] and top[2] == (b[2][0], b[2][1], -b[2][2]):
             out.pop()
             if rows is not None:
-                rows.append((coef, left + tuple(out), f"BeadGroup[{_letter_name(top[2])}@{b[1]}]",
+                rows.append((coef, left + tuple(out), f"BeadGroup[{format_letter(top[2])}@{b[1]}]",
                              beads[k + 1:] + right))
         else:
             out.append(b)
@@ -557,8 +552,8 @@ def _swap_rows(later, sooner, left: tuple, right: tuple, coef, rows) -> None:
     sigma (L ClosedSum L^-1 - G(L a1 b1 L^-1) + G(L b1 a1 L^-1)) with sigma
     = -e d and G(w) the cancellations that freely reduce w."""
     if later[1] != sooner[1]:
-        rows.append((-coef, left, f"BeadBead[{_letter_name(sooner[2])}@{sooner[1]},"
-                     f"{_letter_name(later[2])}@{later[1]}]", right))
+        rows.append((-coef, left, f"BeadBead[{format_letter(sooner[2])}@{sooner[1]},"
+                     f"{format_letter(later[2])}@{later[1]}]", right))
         return
     e, d, strand = later[2][2], sooner[2][2], later[1]
     sigma = -e * d * coef
@@ -588,8 +583,8 @@ def _bead_normal_form(mono: Monomial, s: SurfaceParams, coef, rows) -> Monomial:
             b, (_, lo, hi) = word[i], word[i + 1]
             moved = bead(lo + hi - b[1], b[2]) if b[1] in (lo, hi) else b
             if rows is not None:
-                rid = f"BeadPush[{_letter_name(b[2])};{b[1]}>{moved[1]}]" if moved != b \
-                    else f"BeadFar[{_letter_name(b[2])}@{b[1]};{lo},{hi}]"
+                rid = f"BeadPush[{format_letter(b[2])};{b[1]}>{moved[1]}]" if moved != b \
+                    else f"BeadFar[{format_letter(b[2])}@{b[1]};{lo},{hi}]"
                 rows.append((coef, tuple(word[:i]), rid, tuple(word[i + 2:])))
             word[i:i + 2] = word[i + 1], moved
             i += 1
@@ -835,8 +830,7 @@ def format_monomial(mono: Monomial) -> str:
     parts = []
     for sym in mono:
         if sym[0] == "B":
-            kind, idx, sign = sym[2]
-            parts.append(f"{kind}{idx}" + ("^-1" if sign < 0 else "") + f"@{sym[1]}")
+            parts.append(f"{format_letter(sym[2])}@{sym[1]}")
         else:
             parts.append(f"Z({sym[1]},{sym[2]})")
     return " ".join(parts)

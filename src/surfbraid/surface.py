@@ -96,10 +96,15 @@ def parse_word(text: str, kinds: tuple[str, ...] = ("a", "b", "z")) -> tuple:
     return tuple(out)
 
 
+def format_letter(letter) -> str:
+    kind, idx, sign = letter
+    return f"{kind}{idx}" + ("^-1" if sign < 0 else "")
+
+
 def format_word(word) -> str:
     if not word:
         return "1"
-    return " ".join(f"{k}{i}" + ("^-1" if s < 0 else "") for (k, i, s) in word)
+    return " ".join(map(format_letter, word))
 
 
 @dataclass(frozen=True)
@@ -158,7 +163,7 @@ def check_pi1_word(word: Word, s: SurfaceParams) -> None:
     for l in word:
         if not s.pi1_letter_valid(l):
             raise InvalidGeneratorError(
-                f"letter {format_word((l,))} does not exist on genus {s.genus}, "
+                f"letter {format_letter(l)} does not exist on genus {s.genus}, "
                 f"boundary {s.boundary}"
             )
 

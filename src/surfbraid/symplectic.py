@@ -8,20 +8,26 @@ Generators (all on ``n`` strands, genus ``g``, ``p`` boundary components):
 * ``Zb(alpha, k)`` — a boundary chord between boundary label
   ``alpha in {n+1 .. n+p}`` and strand ``k``, degree 2.
 
-Relation families (each instance homogeneous):
+The relations follow one locality rule.  A generator's points are its
+strand for a bead and its two ends for a chord; a boundary label counts as a
+point.  Two generators on disjoint points commute, except ``A(s, i)`` and
+``B(s, j)``, whose commutator is the chord ``Z(i, j)`` (the twist).  On top
+come three sums: 4T over a chord and a third strand, the sum per strand, and
+a handle letter at both ends of a strand chord.  The rule yields these
+families (each instance homogeneous):
 
 * extended infinitesimal: ``[Z_ij, Z_kl] = 0`` for disjoint pairs,
   ``[Z_ij, Z_jk + Z_ik] = 0`` for distinct ``i, j, k``, plus the boundary
   variants ``[Zb_aj, Z_kl] = 0`` (j off the chord), ``[Zb_aj, Zb_bk] = 0``
-  (fully disjoint), ``[Zb_aj, Zb_ak + Z_jk] = 0`` (j != k);
+  (fully disjoint), ``[Zb_aj, Zb_ak + Z_jk] = 0`` (j != k); 4T on a strand
+  chord with a boundary third point is not imposed, as the other two 4T
+  instances of that triple sum to it;
 * fundamental-group: ``[A_s^i, A_r^k] = [B_s^i, B_r^k] = 0`` for ``i != k``,
   ``[A_s^i, B_r^j] = 0`` for ``r != s`` and ``i != j``, and per strand ``k``
   the sum ``sum_s [A_s^k, B_s^k] + sum_{j != k} Z_jk + sum_a Zb_ak = 0``;
 * mixed: ``[Z_jk, X_s^i] = 0`` for ``i`` off the chord and
-  ``[Zb_ak, X_s^i] = 0`` for ``i != k``, for ``X`` either ``A`` or ``B``
-  (the two families are symmetric in the handle pairing, so the ``B``
-  versions are imposed alongside the ``A`` ones), and
-  ``[X_s^j + X_s^k, Z_jk] = 0``;
+  ``[Zb_ak, X_s^i] = 0`` for ``i != k``, for ``X`` either ``A`` or ``B``,
+  and ``[X_s^j + X_s^k, Z_jk] = 0``;
 * twist (genus >= 1 only): ``[A_s^i, B_s^j] = Z_ij`` for ``i != j``.
 
 ``symp_graded_dim`` computes dim of the degree-``d`` piece by counting normal
@@ -40,7 +46,7 @@ from __future__ import annotations
 
 import functools
 
-from .errors import HypothesisError, ParameterError, ResourceLimitError
+from .errors import HypothesisError, ParameterError, ResourceLimitError, SurfbraidError
 from .rewriting import _add, complete
 from .surface import SurfaceParams
 
@@ -73,138 +79,68 @@ def _zc(i: int, j: int) -> tuple:
     return ("Z", min(i, j), max(i, j))
 
 
-def _comm(x: tuple, y: tuple) -> dict:
+def _points(sym: tuple) -> set:
+    """A bead's strand, or a chord's two ends (a boundary label is a point)."""
+    return {sym[2]} if generator_degree(sym) == 1 else {sym[1], sym[2]}
+
+
+def _comm(xs, ys) -> dict:
+    """The commutator ``[sum xs, sum ys]``."""
     acc: dict = {}
-    _add(acc, (x, y), 1)
-    _add(acc, (y, x), -1)
+    for x in xs:
+        for y in ys:
+            _add(acc, (x, y), 1)
+            _add(acc, (y, x), -1)
     return acc
 
 
 def symp_relations(s: SurfaceParams, max_degree: int) -> list[dict]:
     """All relation instances of degree <= max_degree, each a homogeneous
-    word -> coefficient map."""
+    word -> coefficient map, from the locality rule of the module docstring.
+
+    ``complete`` takes the relations of one degree in the order they come,
+    which sets its time but not its answer.  The per-strand and bead-chord
+    sums come first, then the commutators of the pairs on disjoint points,
+    then the 4T sums.  The pairs are scanned over the generators listed as
+    boundary chords, strand chords, ``A`` beads and ``B`` beads, strand by
+    strand; that list also orients each pair.  Of the orders tried this one
+    took the fewest rewriting steps, over the benchmark's dimension tables
+    and over six of the tests' surfaces in degrees 6 to 8: 1150 and 2515,
+    against 1334 and 2785 with the sums after the pairs, and 1150 and 3161
+    with the pairs scanned in fiber order."""
     if max_degree < 2:
         raise ParameterError("relations start in degree 2")
-    n, g, p = s.strands, s.genus, s.boundary
-    alphas = range(n + 1, n + p + 1)
-    out: list[dict] = []
-
-    def emit(acc: dict):
-        if not acc:
-            return
-        degs = {word_degree(w) for w in acc}
-        if len(degs) != 1:
-            raise ParameterError("internal error: inhomogeneous relation instance")
-        if degs.pop() <= max_degree:
-            out.append(acc)
-
-    # extended infinitesimal braid relations
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            for k in range(i, n + 1):
-                for l in range(k + 1, n + 1):
-                    if (k, l) <= (i, j) or {i, j} & {k, l}:
-                        continue
-                    emit(_comm(_zc(i, j), _zc(k, l)))
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            for k in range(1, n + 1):
-                if k in (i, j):
-                    continue
-                acc: dict = {}
-                for other in (_zc(j, k), _zc(i, k)):
-                    for w, c in _comm(_zc(i, j), other).items():
-                        _add(acc, w, c)
-                emit(acc)
-    for alpha in alphas:
-        for j in range(1, n + 1):
-            for k in range(1, n + 1):
-                for l in range(k + 1, n + 1):
-                    if j in (k, l):
-                        continue
-                    emit(_comm(("Zb", alpha, j), _zc(k, l)))
-    for alpha in alphas:
-        for beta in alphas:
-            if beta <= alpha:
-                continue
-            for j in range(1, n + 1):
-                for k in range(1, n + 1):
-                    if j == k:
-                        continue
-                    emit(_comm(("Zb", alpha, j), ("Zb", beta, k)))
-    for alpha in alphas:
-        for j in range(1, n + 1):
-            for k in range(1, n + 1):
-                if j == k:
-                    continue
-                acc = {}
-                for other in (("Zb", alpha, k), _zc(j, k)):
-                    for w, c in _comm(("Zb", alpha, j), other).items():
-                        _add(acc, w, c)
-                emit(acc)
-
-    # relations from the fundamental group of the surface
-    for kind in ("A", "B"):
-        for h1 in range(1, g + 1):
-            for h2 in range(1, g + 1):
-                for i in range(1, n + 1):
-                    for k in range(i + 1, n + 1):
-                        emit(_comm((kind, h1, i), (kind, h2, k)))
-    for h1 in range(1, g + 1):
-        for h2 in range(1, g + 1):
-            if h1 == h2:
-                continue
-            for i in range(1, n + 1):
-                for j in range(1, n + 1):
-                    if i == j:
-                        continue
-                    emit(_comm(("A", h1, i), ("B", h2, j)))
-    for k in range(1, n + 1):
-        acc = {}
-        for h in range(1, g + 1):
-            for w, c in _comm(("A", h, k), ("B", h, k)).items():
-                _add(acc, w, c)
-        for j in range(1, n + 1):
-            if j != k:
-                _add(acc, (_zc(j, k),), 1)
-        for alpha in alphas:
-            _add(acc, (("Zb", alpha, k),), 1)
-        emit(acc)
-
-    # mixed relations (A and B versions alike)
-    for kind in ("A", "B"):
-        for h in range(1, g + 1):
-            for j in range(1, n + 1):
-                for k in range(j + 1, n + 1):
-                    for i in range(1, n + 1):
-                        if i in (j, k):
-                            continue
-                        emit(_comm((_zc(j, k)), (kind, h, i)))
-            for alpha in alphas:
-                for k in range(1, n + 1):
-                    for i in range(1, n + 1):
-                        if i == k:
-                            continue
-                        emit(_comm(("Zb", alpha, k), (kind, h, i)))
-            for j in range(1, n + 1):
-                for k in range(j + 1, n + 1):
-                    acc = {}
-                    for strand in (j, k):
-                        for w, c in _comm((kind, h, strand), _zc(j, k)).items():
-                            _add(acc, w, c)
-                    emit(acc)
-
-    # twist relation (genus >= 1)
-    if g >= 1:
-        for h in range(1, g + 1):
-            for i in range(1, n + 1):
-                for j in range(1, n + 1):
-                    if i == j:
-                        continue
-                    acc = _comm(("A", h, i), ("B", h, j))
-                    _add(acc, (_zc(i, j),), -1)
-                    emit(acc)
-
+    n = s.strands
+    strands = range(1, n + 1)
+    handles = range(1, s.genus + 1)
+    strand_chords = [("Z", i, j) for i in strands for j in range(i + 1, n + 1)]
+    chords = [("Zb", alpha, k) for alpha in range(n + 1, n + s.boundary + 1) for k in strands]
+    chords += strand_chords
+    gens = chords + [(kind, h, k) for kind in "AB" for k in strands for h in handles]
+    rels: list[dict] = []
+    for k in strands:
+        rel = {(c,): 1 for c in chords if k in _points(c)}
+        for h in handles:
+            rel.update(_comm([("A", h, k)], [("B", h, k)]))
+        rels.append(rel)
+    rels += [_comm([(kind, h, i), (kind, h, j)], [("Z", i, j)])
+             for _, i, j in strand_chords for kind in "AB" for h in handles]
+    for a, x in enumerate(gens):
+        for y in gens[a + 1:]:
+            if not _points(x) & _points(y):
+                rel = _comm([x], [y])
+                if x[0] == "A" and y[:2] == ("B", x[1]):
+                    _add(rel, (_zc(x[2], y[2]),), -1)  # the twist
+                rels.append(rel)
+    rels += [_comm([c], [("Zb", e, k) if e > n else _zc(e, k) for e in _points(c)])
+             for c in chords for k in strands if k not in _points(c)]
+    out = []
+    for rel in rels:
+        degs = {word_degree(w) for w in rel}
+        if len(degs) > 1:
+            raise SurfbraidError("internal error: inhomogeneous relation instance")
+        if degs and degs.pop() <= max_degree:
+            out.append(rel)
     return out
 
 

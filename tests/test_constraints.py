@@ -1,7 +1,8 @@
 """The package's fixed constraints, read from its source: every import is
 from the standard library or the package itself, the arithmetic is exact
 (no float, no ``math`` function other than the integer ones, true division
-only of a Fraction), and every name the package exports has a caller."""
+only of a Fraction), an internal error is raised as ``SurfbraidError``, and
+every name the package exports has a caller."""
 
 import ast
 import re
@@ -48,6 +49,13 @@ def violations(source: str) -> list[str]:
             and node.left.func.id == "Fraction"
         ):
             found.append(f"line {line}: true division of {ast.unparse(node.left)}")
+        if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and node.exc.args:
+            message = node.exc.args[0]
+            if isinstance(message, ast.JoinedStr) and message.values:
+                message = message.values[0]
+            if isinstance(message, ast.Constant) and str(message.value).startswith("internal error") \
+                    and ast.unparse(node.exc.func) != "SurfbraidError":
+                found.append(f"line {line}: internal error raised as {ast.unparse(node.exc.func)}")
     return found
 
 
@@ -77,6 +85,8 @@ def test_module_keeps_the_constraints(path):
     "x = math.pi",
     "from math import log",
     "from math import gcd, floor",
+    "raise ParameterError('internal error: lost a row')",
+    "raise errors.ParseError(f'internal error at {i}')",
 ])
 def test_each_breach_is_found(source):
     assert len(violations(source)) == 1
@@ -93,6 +103,10 @@ def test_each_breach_is_found(source):
     "q = Fraction(a) / b",
     "q = a // b",
     "s = 'a 0.5 / b'",
+    "raise SurfbraidError('internal error: lost a row')",
+    "raise SurfbraidError(f'internal error at {i}')",
+    "raise ParameterError('degree must be non-negative')",
+    "raise ParameterError",
 ])
 def test_exact_code_passes(source):
     assert violations(source) == []

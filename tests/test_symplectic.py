@@ -1,5 +1,6 @@
 """Graded algebra of handle generators and chords: dimensions and redundancy."""
 
+import collections
 import itertools
 from fractions import Fraction
 
@@ -115,6 +116,20 @@ def surface_id(surface):
     return "-".join(map(str, surface))
 
 
+# (g, p, n): the number of relations of degree 2, 3 and 4 that
+# symp_relations gives up to degree 4, as the family-by-family listing gave
+CATALOGUE = {
+    (0, 0, 1): (0, 0, 0), (0, 0, 2): (2, 0, 0), (0, 0, 3): (3, 0, 3), (0, 0, 4): (4, 0, 15),
+    (0, 1, 1): (1, 0, 0), (0, 1, 2): (2, 0, 2), (0, 1, 3): (3, 0, 12), (0, 1, 4): (4, 0, 39),
+    (0, 2, 1): (1, 0, 0), (0, 2, 2): (2, 0, 6), (0, 2, 3): (3, 0, 27), (0, 2, 4): (4, 0, 75),
+    (1, 0, 1): (1, 0, 0), (1, 0, 2): (6, 2, 0), (1, 0, 3): (15, 12, 3), (1, 0, 4): (28, 36, 15),
+    (1, 1, 1): (1, 0, 0), (1, 1, 2): (6, 6, 2), (1, 1, 3): (15, 24, 12), (1, 1, 4): (28, 60, 39),
+    (1, 2, 1): (1, 0, 0), (1, 2, 2): (6, 10, 6), (1, 2, 3): (15, 36, 27), (1, 2, 4): (28, 84, 75),
+    (2, 0, 1): (1, 0, 0), (2, 0, 2): (18, 4, 0), (2, 0, 3): (51, 24, 3), (2, 0, 4): (100, 72, 15),
+    (2, 1, 1): (1, 0, 0), (2, 1, 2): (18, 12, 2), (2, 1, 3): (51, 48, 12), (2, 1, 4): (100, 120, 39),
+    (2, 2, 1): (1, 0, 0), (2, 2, 2): (18, 20, 6), (2, 2, 3): (51, 72, 27), (2, 2, 4): (100, 168, 75),
+}
+
 GEN_S110 = SurfaceParams(genus=1, boundary=0, strands=1)
 GEN_S120 = SurfaceParams(genus=1, boundary=0, strands=2)
 
@@ -170,6 +185,18 @@ class TestRelations:
             for rel in symp_relations(s, 6):
                 degs = {word_degree(w) for w in rel}
                 assert len(degs) == 1
+
+    @pytest.mark.parametrize("surface", list(CATALOGUE), ids=surface_id)
+    def test_catalogue(self, surface):
+        # a redundant relation that leaves every dimension unchanged, such
+        # as 4T on a strand chord with a boundary third point, shows here
+        rels = symp_relations(SurfaceParams(*surface), 4)
+        counts = collections.Counter(word_degree(next(iter(rel))) for rel in rels)
+        assert tuple(counts[d] for d in (2, 3, 4)) == CATALOGUE[surface]
+        # no two relations are equal up to sign, but on the sphere with two
+        # strands, where the per-strand sums of both strands are Z(1,2)
+        signed = {frozenset((w, c * rel[min(rel)]) for w, c in rel.items()) for rel in rels}
+        assert len(rels) - len(signed) == (surface == (0, 0, 2))
 
     def test_degree_floor(self):
         with pytest.raises(ParameterError):
@@ -249,6 +276,18 @@ class TestDimensions:
         assert max(len(lead) for lead in system.rules) <= 2
         assert max(system.degree(lead) for lead in system.rules) <= 4
         assert system.unresolved(8) == []
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([((1, 1, 3), 4), ((2, 1, 2), 5), ((1, 0, 2), 6)]),
+           st.randoms(use_true_random=False))
+    def test_relation_order_changes_no_count(self, case, rng):
+        # the order of the relations sets the completion's time, not its answer
+        surface, d = case
+        s = SurfaceParams(*surface)
+        rels = symp_relations(s, d)
+        expected = symplectic._completion(s, d, rels).normal_word_counts(d)
+        rng.shuffle(rels)
+        assert symplectic._completion(s, d, rels).normal_word_counts(d) == expected
 
     def test_more_relations_cannot_raise_dimension(self):
         s = GEN_S120
