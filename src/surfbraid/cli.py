@@ -60,7 +60,6 @@ _READS = {
     "diagram member": (*_TRUNCATION, "window"),
     "diagram equal": (*_TRUNCATION, "window"),
     "h1 class": _TRUNCATION,
-    "verify-theorem": (*_TRUNCATION, "window"),
 }
 _FLAGS = {
     "genus": ("--genus", "-g"),
@@ -119,18 +118,23 @@ def _leaf(parser: argparse.ArgumentParser, command: str, arguments) -> None:
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The top parser and every group, with leaf parsers for ``command``
-    alone when it names a group, and for every group otherwise."""
+    """The top parser with the group ``command`` alone when it names one,
+    and with every group otherwise; the usage line lists every group
+    either way."""
     top = argparse.ArgumentParser(
         prog="surfbraid",
         description="surface braid groups, their graded diagram algebras, "
         "and the degree-one obstruction, in exact arithmetic",
     )
-    sub = top.add_subparsers(dest="command", required=True)
+    one = command in _GROUPS
+    # a metavar names the action in errors too, so only the one-group tree,
+    # whose usage line would list its group alone, sets it
+    sub = top.add_subparsers(dest="command", required=True,
+                             metavar="{" + ",".join(_GROUPS) + "}" if one else None)
     for group, (help_text, leaves) in _GROUPS.items():
-        parser = sub.add_parser(group, help=help_text)
-        if command in _GROUPS and command != group:
+        if one and command != group:
             continue
+        parser = sub.add_parser(group, help=help_text)
         if not isinstance(leaves, dict):
             _leaf(parser, group, leaves)
             continue
@@ -230,7 +234,7 @@ def _run(args) -> int:
         return EXIT_OK
 
     if args.command == "verify-theorem":
-        rep = verify_nonexistence(s, _trunc(cfg), cfg.window)
+        rep = verify_nonexistence(s)
         text = format_report(rep)
         print(text)
         if args.report:

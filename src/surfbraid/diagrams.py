@@ -18,8 +18,17 @@ and the certificates run on ints unless a query brings a fraction; an
 equal int and Fraction compare and hash alike, so neither equality nor
 printing tells them apart.
 
-Relation families (all with identity permutation, homogeneous in chord
-degree; ``F`` is the set of signed loop letters of the surface):
+The relations follow one rule.  A bead sits on its strand and a chord on
+its two ends, and two symbols on disjoint strands commute.  A bead on an end
+of a chord slides across it to the other end.  On top come the 4T sum over
+a chord and a third strand and, per strand of a closed surface, the sum of
+the handle commutators; and bead words equal in the fundamental group are
+identified.  ``relation_instances`` spells each id ``Family[args]`` in one
+place, and the normal form reads its rows' ids from those instances.  The
+rule yields these families, emitted in this order, which the completions
+and so the certificates depend on (all with identity permutation,
+homogeneous in chord degree; ``F`` is the set of signed loop letters of
+the surface):
 
 * ``BeadBead``    gamma@i delta@j - delta@j gamma@i          (i != j)
 * ``BeadPush``    gamma@i Z(i,j) - Z(i,j) gamma@j — a bead slides across a
@@ -328,121 +337,67 @@ class RelationInstance:
 
 def relation_instances(s: SurfaceParams, trunc: Truncation) -> list[RelationInstance]:
     """Every relation instance with single-letter beads that fits the
-    truncation.  A relation with a longer bead word, such as ``a1 b1``
-    sliding across a chord, is a sum of these framed by monomials."""
+    truncation, family by family in the order of the module docstring.  A
+    relation with a longer bead word, such as ``a1 b1`` sliding across a
+    chord, is a sum of these framed by monomials."""
     n = s.strands
+    strands = range(1, n + 1)
+    pairs = [(i, j) for i in strands for j in range(i + 1, n + 1)]
+    off = [(i, j, k) for i, j in pairs for k in strands if k not in (i, j)]  # chord, strand off it
     letters = s.pi1_letters()
     ident = identity_perm(n)
     out: list[RelationInstance] = []
 
-    def emit(family: str, rid: str, term_list):
-        terms = {}
+    def emit(family: str, args: str, term_list):
+        terms: dict = {}
         for mono, coef in term_list:
-            mono = tuple(mono)
             if not trunc.fits(mono):
                 return
-            key = (mono, ident)
-            terms[key] = terms.get(key, 0) + coef
-        element = WreathDiagram(n, trunc, terms)
-        if not element.is_zero:
-            out.append(RelationInstance(family, rid, element))
+            _add(terms, (mono, ident), coef)
+        if terms:
+            element = WreathDiagram(n, trunc, terms)
+            out.append(RelationInstance(family, f"{family}[{args}]", element))
 
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            for ga in letters:
-                for de in letters:
-                    emit(
-                        "BeadBead",
-                        f"BeadBead[{format_letter(ga)}@{i},{format_letter(de)}@{j}]",
-                        [((bead(i, ga), bead(j, de)), 1),
-                         ((bead(j, de), bead(i, ga)), -1)],
-                    )
+    def comm(x, *ys):
+        """The commutator ``[x, y1 + y2 + ...]``."""
+        return [((x, y), 1) for y in ys] + [((y, x), -1) for y in ys]
 
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            z = chord(i, j)
-            for ga in letters:
-                name = format_letter(ga)
-                emit(
-                    "BeadPush",
-                    f"BeadPush[{name};{i}>{j}]",
-                    [((bead(i, ga), z), 1), ((z, bead(j, ga)), -1)],
-                )
-                emit(
-                    "BeadPush",
-                    f"BeadPush[{name};{j}>{i}]",
-                    [((bead(j, ga), z), 1), ((z, bead(i, ga)), -1)],
-                )
+    def at(let, i: int) -> str:
+        return f"{format_letter(let)}@{i}"
 
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            z = chord(i, j)
-            for k in range(1, n + 1):
-                if k in (i, j):
-                    continue
-                for ga in letters:
-                    emit(
-                        "BeadFar",
-                        f"BeadFar[{format_letter(ga)}@{k};{i},{j}]",
-                        [((bead(k, ga), z), 1), ((z, bead(k, ga)), -1)],
-                    )
-
-    # ChordSym is vacuous: chords are stored with i < j already.
-
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            for k in range(i, n + 1):
-                for l in range(k + 1, n + 1):
-                    if (k, l) <= (i, j) or {i, j} & {k, l}:
-                        continue
-                    z1, z2 = chord(i, j), chord(k, l)
-                    emit(
-                        "ChordFar",
-                        f"ChordFar[{i},{j};{k},{l}]",
-                        [((z1, z2), 1), ((z2, z1), -1)],
-                    )
-
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            for k in range(1, n + 1):
-                if k in (i, j):
-                    continue
-                zij, zjk, zik = chord(i, j), chord(j, k), chord(i, k)
-                emit(
-                    "FourT",
-                    f"FourT[{i},{j};{k}]",
-                    [((zij, zjk), 1), ((zij, zik), 1),
-                     ((zjk, zij), -1), ((zik, zij), -1)],
-                )
-
-    if s.closed and s.genus >= 1:
-        for i in range(1, n + 1):
-            term_list = []
-            for t in range(1, s.genus + 1):
-                at, bt = ("a", t, 1), ("b", t, 1)
-                term_list.append(((bead(i, at), bead(i, bt)), 1))
-                term_list.append(((bead(i, bt), bead(i, at)), -1))
-            emit("ClosedSum", f"ClosedSum[{i}]", term_list)
-
-    for i in range(1, n + 1):
+    for i, j in pairs:
         for ga in letters:
-            inv = (ga[0], ga[1], -ga[2])
-            emit(
-                "BeadGroup",
-                f"BeadGroup[{format_letter(ga)}@{i}]",
-                [((bead(i, ga), bead(i, inv)), 1), ((), -1)],
-            )
-
-    if s.closed and s.genus >= 1:
+            for de in letters:
+                emit("BeadBead", f"{at(ga, i)},{at(de, j)}", comm(bead(i, ga), bead(j, de)))
+    for i, j in pairs:
+        z = chord(i, j)
+        for ga in letters:
+            for a, b in ((i, j), (j, i)):
+                emit("BeadPush", f"{format_letter(ga)};{a}>{b}",
+                     [((bead(a, ga), z), 1), ((z, bead(b, ga)), -1)])
+    for i, j, k in off:
+        for ga in letters:
+            emit("BeadFar", f"{at(ga, k)};{i},{j}", comm(bead(k, ga), chord(i, j)))
+    # ChordSym is vacuous: chords are stored with i < j already.
+    for x, (i, j) in enumerate(pairs):
+        for k, l in pairs[x + 1:]:
+            if not {i, j} & {k, l}:
+                emit("ChordFar", f"{i},{j};{k},{l}", comm(chord(i, j), chord(k, l)))
+    for i, j, k in off:
+        emit("FourT", f"{i},{j};{k}", comm(chord(i, j), chord(j, k), chord(i, k)))
+    if s.closed:
+        for i in strands:
+            emit("ClosedSum", str(i), [term for t in range(1, s.genus + 1) for term in
+                                       comm(bead(i, ("a", t, 1)), bead(i, ("b", t, 1)))])
+    for i in strands:
+        for ga in letters:
+            emit("BeadGroup", at(ga, i), [((bead(i, ga), bead(i, (*ga[:2], -ga[2]))), 1), ((), -1)])
+    if s.closed:
         rel = s.surface_relator()
-        for i in range(1, n + 1):
+        for i in strands:
             for word, mark in ((rel, "+"), (inverse_word(rel), "-")):
-                emit(
-                    "BeadRelator",
-                    f"BeadRelator[{i};{mark}]",
-                    [(tuple(bead(i, let) for let in word), 1), ((), -1)],
-                )
-
+                emit("BeadRelator", f"{i};{mark}",
+                     [(tuple(bead(i, let) for let in word), 1), ((), -1)])
     return out
 
 
@@ -527,41 +482,55 @@ def _catalogue(s: SurfaceParams) -> dict:
     return {inst.rid: inst for inst in relation_instances(s, Truncation(1, 2))}
 
 
-def _cancel(beads: tuple, left: tuple, right: tuple, coef, rows) -> tuple:
+@functools.lru_cache(maxsize=None)
+def _factors(s: SurfaceParams) -> dict:
+    """Each two-symbol term of ``_catalogue(s)`` to the id of the one
+    instance that holds it and its coefficient there, +-1."""
+    return {mono: (rid, c) for rid, inst in _catalogue(s).items()
+            for mono, c in inst.mono_terms() if len(mono) == 2}
+
+
+def _row(rows: list, factors: dict, coef, left: tuple, factor: tuple, right: tuple) -> None:
+    """Append the row of a step that rewrites ``coef * left factor right``:
+    the relation that holds the two-symbol ``factor``, signed by its
+    coefficient there."""
+    rid, sign = factors[factor]
+    rows.append((sign * coef, left, rid, right))
+
+
+def _cancel(beads: tuple, left: tuple, right: tuple, coef, row) -> tuple:
     """``beads`` with every inverse pair on one strand cancelled, as a stack
-    does; each cancellation of ``left beads right`` appends its BeadGroup
-    row to ``rows`` unless that is None."""
+    does; each cancellation of ``left beads right`` passes its step to
+    ``row`` unless that is None."""
     out: list = []
     for k, b in enumerate(beads):
         top = out[-1] if out else None
         if top and top[1] == b[1] and top[2] == (b[2][0], b[2][1], -b[2][2]):
             out.pop()
-            if rows is not None:
-                rows.append((coef, left + tuple(out), f"BeadGroup[{format_letter(top[2])}@{b[1]}]",
-                             beads[k + 1:] + right))
+            if row:
+                row(coef, left + tuple(out), (top, b), beads[k + 1:] + right)
         else:
             out.append(b)
     return tuple(out)
 
 
-def _swap_rows(later, sooner, left: tuple, right: tuple, coef, rows) -> None:
-    """The rows of the step ``left later sooner right -> left sooner later
-    right``: BeadBead when the two beads sit on different strands, else the
-    closed torus swap ``b1^e a1^d -> a1^d b1^e``.  That one is ClosedSum
-    framed by L, the inverses of the letters with a negative exponent, as
-    sigma (L ClosedSum L^-1 - G(L a1 b1 L^-1) + G(L b1 a1 L^-1)) with sigma
-    = -e d and G(w) the cancellations that freely reduce w."""
+def _swap_rows(later, sooner, left: tuple, right: tuple, coef, row) -> None:
+    """The steps of ``left later sooner right -> left sooner later right``,
+    passed to ``row``: the factor itself when the two beads sit on different
+    strands, else the closed torus swap ``b1^e a1^d -> a1^d b1^e``.  That one
+    is the swap ``b1 a1 -> a1 b1`` framed by L, the inverses of the letters
+    with a negative exponent, with coefficient ``e d coef``, followed by the
+    cancellations that freely reduce L a1 b1 L^-1 and L b1 a1 L^-1."""
     if later[1] != sooner[1]:
-        rows.append((-coef, left, f"BeadBead[{format_letter(sooner[2])}@{sooner[1]},"
-                     f"{format_letter(later[2])}@{later[1]}]", right))
+        row(coef, left, (later, sooner), right)
         return
     e, d, strand = later[2][2], sooner[2][2], later[1]
-    sigma = -e * d * coef
+    c = e * d * coef
     frame = tuple(bead(strand, (kind, 1, -1)) for kind, sign in (("a", d), ("b", e)) if sign < 0)
     a1, b1 = bead(strand, ("a", 1, 1)), bead(strand, ("b", 1, 1))
-    rows.append((sigma, left + frame, f"ClosedSum[{strand}]", frame[::-1] + right))
-    _cancel(frame + (a1, b1) + frame[::-1], left, right, -sigma, rows)
-    _cancel(frame + (b1, a1) + frame[::-1], left, right, sigma, rows)
+    row(c, left + frame, (b1, a1), frame[::-1] + right)
+    _cancel(frame + (a1, b1) + frame[::-1], left, right, c, row)
+    _cancel(frame + (b1, a1) + frame[::-1], left, right, -c, row)
 
 
 def _bead_normal_form(mono: Monomial, s: SurfaceParams, coef, rows) -> Monomial:
@@ -574,18 +543,18 @@ def _bead_normal_form(mono: Monomial, s: SurfaceParams, coef, rows) -> Monomial:
     a1 letters of a strand before its b1 letters, then they cancel.
 
     When ``rows`` is a list, each step appends its rows ``(c, left,
-    relation id, right)``, each naming a relation of ``_catalogue(s)``:
+    relation id, right)``, each naming the relation of ``_catalogue(s)``
+    that holds the two-symbol factor the step rewrites (``_factors``):
     they sum to ``coef`` times ``mono`` minus its normal form."""
+    row = None if rows is None else functools.partial(_row, rows, _factors(s))
     word = list(mono)
     for start in range(len(word) - 1, -1, -1):
         i = start
         while word[i][0] == "B" and i + 1 < len(word) and word[i + 1][0] == "C":
             b, (_, lo, hi) = word[i], word[i + 1]
             moved = bead(lo + hi - b[1], b[2]) if b[1] in (lo, hi) else b
-            if rows is not None:
-                rid = f"BeadPush[{format_letter(b[2])};{b[1]}>{moved[1]}]" if moved != b \
-                    else f"BeadFar[{format_letter(b[2])}@{b[1]};{lo},{hi}]"
-                rows.append((coef, tuple(word[:i]), rid, tuple(word[i + 2:])))
+            if row:
+                row(coef, tuple(word[:i]), tuple(word[i:i + 2]), tuple(word[i + 2:]))
             word[i:i + 2] = word[i + 1], moved
             i += 1
     torus = s.closed and s.genus == 1
@@ -597,12 +566,12 @@ def _bead_normal_form(mono: Monomial, s: SurfaceParams, coef, rows) -> Monomial:
     for start in range(first + 1, len(word)):
         i = start
         while i > first and key(word[i - 1]) > key(word[i]):
-            if rows is not None:
+            if row:
                 _swap_rows(word[i - 1], word[i], tuple(word[:i - 1]), tuple(word[i + 1:]),
-                           coef, rows)
+                           coef, row)
             word[i - 1:i + 1] = word[i], word[i - 1]
             i -= 1
-    return tuple(word[:first]) + _cancel(tuple(word[first:]), tuple(word[:first]), (), coef, rows)
+    return tuple(word[:first]) + _cancel(tuple(word[first:]), tuple(word[:first]), (), coef, row)
 
 
 def _support_letters(x: WreathDiagram) -> set:

@@ -96,7 +96,8 @@ def _comm(xs, ys) -> dict:
 
 def symp_relations(s: SurfaceParams, max_degree: int) -> list[dict]:
     """All relation instances of degree <= max_degree, each a homogeneous
-    word -> coefficient map, from the locality rule of the module docstring.
+    word -> coefficient map, from the locality rule of the module docstring;
+    none of a higher degree is built.
 
     ``complete`` takes the relations of one degree in the order they come,
     which sets its time but not its answer.  The per-strand and bead-chord
@@ -123,17 +124,19 @@ def symp_relations(s: SurfaceParams, max_degree: int) -> list[dict]:
         for h in handles:
             rel.update(_comm([("A", h, k)], [("B", h, k)]))
         rels.append(rel)
-    rels += [_comm([(kind, h, i), (kind, h, j)], [("Z", i, j)])
-             for _, i, j in strand_chords for kind in "AB" for h in handles]
+    if max_degree >= 3:
+        rels += [_comm([(kind, h, i), (kind, h, j)], [("Z", i, j)])
+                 for _, i, j in strand_chords for kind in "AB" for h in handles]
     for a, x in enumerate(gens):
         for y in gens[a + 1:]:
-            if not _points(x) & _points(y):
+            if word_degree((x, y)) <= max_degree and not _points(x) & _points(y):
                 rel = _comm([x], [y])
                 if x[0] == "A" and y[:2] == ("B", x[1]):
                     _add(rel, (_zc(x[2], y[2]),), -1)  # the twist
                 rels.append(rel)
-    rels += [_comm([c], [("Zb", e, k) if e > n else _zc(e, k) for e in _points(c)])
-             for c in chords for k in strands if k not in _points(c)]
+    if max_degree >= 4:
+        rels += [_comm([c], [("Zb", e, k) if e > n else _zc(e, k) for e in _points(c)])
+                 for c in chords for k in strands if k not in _points(c)]
     out = []
     for rel in rels:
         degs = {word_degree(w) for w in rel}

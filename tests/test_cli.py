@@ -395,7 +395,7 @@ LEAVES = [
     (["diagram", "equal", *S112, "1 * a1@1 a1^-1@1 ; perm=(1)(2)", "1 * 1 ; perm=(1)(2)"],
      EXIT_OK, (*TRUNCATION, "--window")),
     (["h1", "class", *S112, "1 * Z(1,2) ; perm=(1)(2)"], EXIT_OK, TRUNCATION),
-    (["verify-theorem", *S112], EXIT_OK, (*TRUNCATION, "--window")),
+    (["verify-theorem", *S112], EXIT_OK, ()),
     (["symplectic", "dims", *S112, "--max-degree", "1"], EXIT_OK, ()),
     (["symplectic", "twist-check", "-g", "1", "-p", "0", "-n", "2"], EXIT_OK, ()),
 ]
@@ -452,9 +452,12 @@ def test_parser_builds_only_the_branch_argv_names():
     assert every == {(group, name) for group, names in GROUPS.items() for name in names}
     for command in (None, "--help", "frobnicate"):
         assert leaves(build_parser(command)) == every
-    # the top parser offers every group, so errors and help list them all
+    # a one-group tree holds that group alone, and its usage line, which
+    # errors print, still lists every group
+    for group in GROUPS:
+        assert list(_choices(build_parser(group))) == [group]
+        assert build_parser(group).format_usage() == build_parser().format_usage()
     top = build_parser("verify-theorem")
-    assert list(_choices(top)) == list(GROUPS)
     assert leaves(top) == set()
     assert "--report" in _choices(top)["verify-theorem"]._option_string_actions
     assert leaves(build_parser("braid")) == {leaf for leaf in every if leaf[0] == "braid"}

@@ -1,7 +1,9 @@
 """The package's fixed constraints, read from its source: every import is
 from the standard library or the package itself, the arithmetic is exact
 (no float, no ``math`` function other than the integer ones, true division
-only of a Fraction), an internal error is raised as ``SurfbraidError``, and
+only of a Fraction), an internal error is raised as ``SurfbraidError``, no
+string spells a relation id (``diagrams.relation_instances`` formats every
+id in one place, and the normal form reads its ids from the instances), and
 every name the package exports has a caller."""
 
 import ast
@@ -15,6 +17,10 @@ ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "surfbraid").glob("*.py"))
 # the functions of math that take and return integers
 INTEGER_MATH = {"comb", "factorial", "gcd", "isqrt", "lcm", "perm", "prod"}
+# a relation id's family and its opening bracket, as in "BeadPush[a1;1>2]"
+RELATION_ID = re.compile(
+    r"\b(BeadBead|BeadPush|BeadFar|ChordFar|FourT|ClosedSum|BeadGroup|BeadRelator)\["
+)
 
 
 def violations(source: str) -> list[str]:
@@ -34,6 +40,10 @@ def violations(source: str) -> list[str]:
                 found.append(f"line {line}: import of {module}")
         if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
             found.append(f"line {line}: literal {node.value!r}")
+        # an f-string's literal parts are Constant nodes too
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and RELATION_ID.search(node.value):
+            found.append(f"line {line}: relation id spelled in {node.value!r}")
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
                 and node.value.id == "math" and node.attr not in INTEGER_MATH:
             found.append(f"line {line}: math.{node.attr}")
@@ -87,6 +97,9 @@ def test_module_keeps_the_constraints(path):
     "from math import gcd, floor",
     "raise ParameterError('internal error: lost a row')",
     "raise errors.ParseError(f'internal error at {i}')",
+    "rid = f'BeadPush[{name};{i}>{j}]'",
+    "rid = 'ClosedSum[' + str(i) + ']'",
+    "rows.append((c, left, f'BeadBead[{x}@{i},' f'{y}@{j}]', right))",
 ])
 def test_each_breach_is_found(source):
     assert len(violations(source)) == 1
@@ -107,6 +120,9 @@ def test_each_breach_is_found(source):
     "raise SurfbraidError(f'internal error at {i}')",
     "raise ParameterError('degree must be non-negative')",
     "raise ParameterError",
+    "rid = f'{family}[{args}]'",
+    "emit('BeadPush', f'{name};{i}>{j}', terms)",
+    "ok = inst.family == 'FourT' and x[0] == 'a'",
 ])
 def test_exact_code_passes(source):
     assert violations(source) == []

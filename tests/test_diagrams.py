@@ -258,6 +258,29 @@ class TestRelationCatalog:
             degs = {chord_degree(m) for (m, _) in inst.element.terms}
             assert len(degs) == 1, inst.rid
 
+    @pytest.mark.parametrize("g", range(4))
+    def test_ids_are_unique(self, g):
+        # wide enough for every family, the relator of genus 3 included
+        trunc = Truncation(2, max(4, 4 * g))
+        for p in range(4):
+            for n in range(1, 5):
+                rids = [inst.rid for inst in relation_instances(SurfaceParams(g, p, n), trunc)]
+                assert len(set(rids)) == len(rids), (g, p, n)
+
+    @pytest.mark.parametrize("g", range(4))
+    def test_each_two_symbol_term_lies_in_one_instance(self, g):
+        # the normal form names the relation of a step by the factor it
+        # rewrites, which needs this
+        for p in range(4):
+            for n in range(1, 5):
+                s = SurfaceParams(g, p, n)
+                holders: dict = {}
+                for rid, inst in diagrams._catalogue(s).items():
+                    for mono, _ in inst.mono_terms():
+                        if len(mono) == 2:
+                            holders.setdefault(mono, []).append(rid)
+                assert all(len(rids) == 1 for rids in holders.values()), s
+
 
 def _searched(*args, **kwargs):
     raise AssertionError("completed a box for a question the normal form decides")

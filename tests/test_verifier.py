@@ -82,8 +82,7 @@ def _report(g, p, n):
         "STEP handle_relation COMPUTED PASS relator 2.iii instance found: "
         "s1^-1 s1^-1 a1 s1^-1 b1 s1^-1 a1^-1 s1 b1^-1 s1; rewrite to s1^2 in 1 move(s)",
         f"STEP squared_crossing_symbol COMPUTED PASS symbol = 1 * Z(1,2) ; perm={perm}; "
-        "difference from (Z(1,2); id) is in the relation ideal (0 certificate term(s), "
-        "re-expansion verified)",
+        "equal to (Z(1,2); id)",
         "STEP degree_one_class COMPUTED PASS h1 class = 1 * Z12; witness monomial Z12 "
         f"(coefficient 1); disk augmentation 1 * Z(1,2) ; perm={perm} nonzero in the "
         "explicit degree-1 basis",
