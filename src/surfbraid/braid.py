@@ -26,7 +26,8 @@ Both it and ``random_relator_rewrite`` read one layer of moves, the
 insertions of relator conjugates: every substitution of one part of a
 relator for the rest gives the word of an insertion (the two lemmas of
 ``_MoveTable``).  The search stores the levels below the last only: the
-last is decided by one lookup per position of each word before it.
+last is decided by one lookup per position of each word before it, each
+looked-up word a one-letter conjugate of the one before.
 ``is_relator_move`` checks one given move against the relator catalogue,
 without a search or a move table.
 """
@@ -454,7 +455,9 @@ class _MoveTable:
     inserted word's first and last letters, so the search sees that no seam
     cancels without calling ``_splice``.  ``families`` maps each inserted
     word to its family and serves the last level of ``bounded_equal``,
-    which ``insertion_to`` decides by one lookup per position.  Two lemmas
+    which ``insertion_to`` decides by one lookup per position: the word an
+    insertion there would need is the one at the previous position
+    conjugated by one letter of the frontier word.  Two lemmas
     make the insertions the only moves a rewrite needs and let the search
     skip repeats among them, writing inv(x) for the inverse of a word x:
 
@@ -520,14 +523,27 @@ class _MoveTable:
         inserting a word of ``families`` into ``word`` gives ``target``, or
         None.  An insertion I is freely reduced, so
         free_reduce(word[:p] I word[p:]) == target exactly when
-        I == free_reduce(inv(word[:p]) target inv(word[p:])): one splice and
-        one lookup per position, and at most one I per position."""
-        wi, n = self.inverse(word), len(word)
-        for pos in range(n + 1):
-            inserted = _splice(wi[n - pos:], target, wi[:n - pos])
-            family = self.families.get(inserted)
-            if family is not None:
-                return pos, inserted, family
+        I == I_p = free_reduce(inv(word[:p]) target inv(word[p:])), and at
+        most one I fits a position.  I_0 = free_reduce(target inv(word)) is
+        one splice, and with x = word[p] the next is a conjugation by one
+        letter, I_{p+1} = free_reduce(x^-1 I_p x): as I_p is freely reduced,
+        at most one letter cancels at each end.  One lookup per position."""
+        families = self.families
+        inverses = word.translate(self.flip)  # inverses[p] is word[p]^-1
+        inserted = _splice("", target, inverses[::-1])
+        if not inserted:
+            # word == target: every I_p is empty, and no insertion is
+            return None
+        for pos, (x, xi) in enumerate(zip(word, inverses)):
+            if inserted in families:
+                return pos, inserted, families[inserted]
+            # a conjugate of a non-empty reduced word is never empty
+            if inserted[0] == x:
+                inserted = inserted[1:-1] if inserted[-1] == xi else inserted[1:] + x
+            else:
+                inserted = xi + inserted[:-1] if inserted[-1] == xi else xi + inserted + x
+        if inserted in families:
+            return len(word), inserted, families[inserted]
         return None
 
 
@@ -574,14 +590,16 @@ def bounded_equal(
     Only the levels below the last are generated and stored, each word with
     its parent record.  The last level is decided without a word of it:
     an insertion I is freely reduced, so free_reduce(w[:p] I w[p:]) == v
-    exactly when I == free_reduce(inv(w[:p]) v inv(w[p:])), and
-    ``_MoveTable.insertion_to`` splices that word once per position p of
-    each frontier word w and looks it up.  At most one insertion reaches v
-    at a position, and one that lemma 2 skips reaches it one position
-    earlier too, so the first hit is the move the generating scan would
-    return first.  ``nodes`` and ``node_budget`` count the stored words,
-    those of the levels below the last (the target among them, where one
-    reaches it): depth 1 stores none, whatever it answers."""
+    exactly when I == I_p = free_reduce(inv(w[:p]) v inv(w[p:])).
+    ``_MoveTable.insertion_to`` splices I_0 = free_reduce(v inv(w)) once
+    per frontier word w, then conjugates it by one letter per position,
+    I_{p+1} = free_reduce(w[p]^-1 I_p w[p]), and looks each I_p up.  At
+    most one insertion reaches v at a position, and one that lemma 2 skips
+    reaches it one position earlier too, so the first hit is the move the
+    generating scan would return first.  ``nodes`` and ``node_budget``
+    count the stored words, those of the levels below the last (the target
+    among them, where one reaches it): depth 1 stores none, whatever it
+    answers."""
     if depth < 0:
         raise ParameterError(f"the depth must be non-negative, not {depth}")
     if node_budget < 1:

@@ -123,7 +123,8 @@ def symp_relations(s: SurfaceParams, max_degree: int) -> list[dict]:
         rel = {(c,): 1 for c in chords if k in _points(c)}
         for h in handles:
             rel.update(_comm([("A", h, k)], [("B", h, k)]))
-        rels.append(rel)
+        if rel not in rels:  # with no handle or boundary, n = 2 gives Z(1,2) twice
+            rels.append(rel)
     if max_degree >= 3:
         rels += [_comm([(kind, h, i), (kind, h, j)], [("Z", i, j)])
                  for _, i, j in strand_chords for kind in "AB" for h in handles]

@@ -642,12 +642,18 @@ def scanned_insertion_to(table, w, target):
     """The first (position, inserted, family) by which one level of the
     generating search reaches ``target`` from ``w``: each position, then the
     table's insertions in order, skipping those of ``after``."""
+    # free reduction removes letters in pairs, so an insertion reaches the
+    # target only if it is long enough and of the right parity
+    excess = len(w) - len(target)
+    inserts = [(inserted, table.decode(inserted), family, after)
+               for inserted, family, _, _, after in table.inserts
+               if len(inserted) + excess >= 0 and (len(inserted) + excess) % 2 == 0]
     for pos in range(len(w) + 1):
         h = table.encode(w[pos - 1:pos])
-        for inserted, family, _, _, after in table.inserts:
+        for inserted, letters, family, after in inserts:
             if h in after:
                 continue
-            if free_reduce(w[:pos] + table.decode(inserted) + w[pos:]) == target:
+            if free_reduce(w[:pos] + letters + w[pos:]) == target:
                 return pos, inserted, family
     return None
 
@@ -666,9 +672,74 @@ def lookup_inputs(draw):
     return s, w, target, False
 
 
+LOOKUP_GRID = [SurfaceParams(g, p, n) for g in range(4) for p in range(4) for n in range(2, 6)]
+
+
+def seeded_lookup_pairs(s, count=20):
+    """``count`` fixed (w, target, one_move) cases for ``s``, from a generator
+    seeded by the surface: reduced words of at most 5 letters, and every
+    second target w with one of the table's insertions at some position."""
+    table = braid._move_table(s)
+    rng = random.Random(repr(s))
+
+    def word():
+        return free_reduce(tuple(rng.choices(alphabet(s), k=rng.randint(0, 5))))
+
+    pairs = []
+    for k in range(count):
+        w = word()
+        if k % 2 and table.inserts:
+            inserted = table.decode(rng.choice(table.inserts)[0])
+            pos = rng.randint(0, len(w))
+            pairs.append((w, free_reduce(w[:pos] + inserted + w[pos:]), True))
+        else:
+            pairs.append((w, word(), False))
+    return pairs
+
+
+class LookupRecorder(dict):
+    """An empty ``families`` that records each word looked up in it."""
+
+    def __init__(self):
+        super().__init__()
+        self.looked_up = []
+
+    def __contains__(self, word):
+        self.looked_up.append(word)
+        return False
+
+
+def recorded_lookups(s, w, target):
+    """The words ``insertion_to(w, target)`` looks up, decoded, on a fresh
+    table of ``s`` that holds no insertion (so every position is tried)."""
+    table = braid._MoveTable(s)
+    table.families = LookupRecorder()
+    assert table.insertion_to(table.encode(w), table.encode(target)) is None
+    return [table.decode(word) for word in table.families.looked_up]
+
+
+# the bench's four depth-2 searches, the same for every seed, with their
+# status, moves and nodes
+BENCH_SEARCHES = [
+    ((1, 1, 2), "a1^-1 s1^-1 a1",
+     "a1^-1 s1^-1 b1 s1^-1 a1 s1 a1 s1^-1 a1 s1^-1 a1^-1 s1 a1^-1 s1 b1^-1 s1 a1^-1 s1 a1",
+     "equal", 150, [(1, "s1^-1 b1 s1^-1 a1 s1 b1^-1 s1 a1^-1 s1 s1", "2.iii"),
+                    (5, "s1 a1 s1^-1 a1 s1^-1 a1^-1 s1 a1^-1", "2.ii")]),
+    ((1, 0, 2), "b1 s1 s1",
+     "b1 s1^-1 b1 s1^-1 a1 s1 b1^-1 s1^-1 b1 s1^-1 b1 s1 b1^-1 s1 b1^-1 s1 a1^-1 s1 s1 s1 s1",
+     "equal", 172, [(1, "s1^-1 b1 s1^-1 a1 s1 b1^-1 s1 a1^-1 s1 s1", "2.iii"),
+                    (5, "s1 b1^-1 s1^-1 b1 s1^-1 b1 s1 b1^-1", "2.ii")]),
+    ((1, 0, 2), "s1 b1^-1 a1^-1", "s1 b1^-1", "unknown", 186, []),
+    ((1, 1, 2), "s1^-1 a1^-1 b1^-1", "s1^-1 a1^-1 b1^-1 b1^-1", "unknown", 150, []),
+]
+
+
 class TestLastLevelLookup:
     """The search's last level looks each word's one-move neighbour up
-    (``_MoveTable.insertion_to``) instead of generating the level."""
+    (``_MoveTable.insertion_to``) instead of generating the level.  At
+    position p the neighbour needs the insertion
+    I_p = free_reduce(inv(w[:p]) target inv(w[p:])): I_0 is one splice, and
+    I_{p+1} = free_reduce(x^-1 I_p x), x = w[p], conjugates by one letter."""
 
     @settings(max_examples=300, deadline=None)
     @given(lookup_inputs())
@@ -679,6 +750,62 @@ class TestLastLevelLookup:
         assert found == scanned_insertion_to(table, w, target)
         if one_move:
             assert found is not None
+
+    @pytest.mark.parametrize("genus", range(4))
+    def test_seeded_grid_matches_the_scan(self, genus):
+        # 20 fixed pairs on each surface of p 0-3, n 2-5, half one move apart
+        for s in [s for s in LOOKUP_GRID if s.genus == genus]:
+            table = braid._move_table(s)
+            for w, target, one_move in seeded_lookup_pairs(s):
+                found = table.insertion_to(table.encode(w), table.encode(target))
+                assert found == scanned_insertion_to(table, w, target), (s, w, target)
+                if one_move:
+                    assert found is not None
+
+    def test_one_letter_conjugation(self):
+        # on the one-letter word x, target y x gives I_0 = y and
+        # I_1 = x^-1 y x; with y empty, w == target and nothing is looked up,
+        # since every I_p is empty and no insertion is
+        x, xi = A1, inverse_word((A1,))[0]
+        for y in [(), (x,), (xi,), (x, B1), (B1, xi), (x, B1, xi), (B1,), (B1, x)]:
+            expected = [y, free_reduce((xi,) + y + (x,))] if y else []
+            assert recorded_lookups(S123, (x,), free_reduce(y + (x,))) == expected, y
+
+    def test_each_position_looks_up_its_insertion(self):
+        # every I_p, against its definition, on words that cancel at the
+        # seams and words that do not
+        for s in (S123, SurfaceParams(2, 0, 2), SurfaceParams(0, 0, 3)):
+            for w, target, _ in seeded_lookup_pairs(s):
+                expected = [free_reduce(inverse_word(w[:p]) + target + inverse_word(w[p:]))
+                            for p in range(len(w) + 1)]
+                assert recorded_lookups(s, w, target) == (expected if w != target else [])
+
+    def test_one_splice_per_call(self, monkeypatch):
+        # a return to one splice per position fails here, not only in timings
+        calls = []
+        splice = braid._splice
+
+        def counting(*args):
+            calls.append(args)
+            return splice(*args)
+
+        monkeypatch.setattr(braid, "_splice", counting)
+        table = braid._move_table(S112)
+        long = free_reduce(tuple(random.Random(5).choices(alphabet(S112), k=30)))
+        cases = seeded_lookup_pairs(S112) + [(long, long[:-3], False)]
+        for w, target, _ in cases:
+            del calls[:]
+            table.insertion_to(table.encode(w), table.encode(target))
+            assert len(calls) == 1, (w, target)
+
+    @pytest.mark.parametrize("case", BENCH_SEARCHES, ids=lambda c: f"{c[0]}-{c[3]}")
+    def test_bench_searches_are_pinned(self, case):
+        surface, u, v, status, nodes, moves = case
+        s = SurfaceParams(*surface)
+        eq = bounded_equal(parse_braid_word(u, s), parse_braid_word(v, s), s, depth=2)
+        assert eq == Equality(status, tuple(
+            Move(pos, (), parse_braid_word(inserted, s), family)
+            for pos, inserted, family in moves), nodes)
 
 
 class TestSearchLemmas:
