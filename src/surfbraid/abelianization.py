@@ -6,9 +6,10 @@ or ``zbar_k``) with its sign as an integer exponent, every chord maps to
 the single degree-one variable ``Z12``, and a permutation contributes
 ``tau`` raised to its parity (``tau^2 = 1``).  The computation is exact
 over the rationals.  Integer structure (torsion of the degree-one piece)
-is answered separately by ``degree_one_torsion``: it counts normal words
-in the box completion that windowed membership uses (``diagrams._box``,
-the relations homogenized by a commuting letter ``t``).  When every
+is answered separately by ``degree_one_torsion``: it counts the normal
+words with one chord in the box completion that windowed membership uses
+(``diagrams._box``, the relations homogenized by a commuting letter
+``t``), in one pass over the grading (chords, other letters).  When every
 leading coefficient of the completion is +-1 the diamond lemma holds over
 the integers, so the normal words are a basis and the piece is free; when
 one is not, the check refuses rather than guess.
@@ -29,7 +30,7 @@ from .diagrams import (
     relation_instances,
 )
 from .errors import HypothesisError, ParameterError, UnsupportedDegreeError
-from .rewriting import _coefficient, normal_word_counts
+from .rewriting import _coefficient, one_marked_counts
 from .surface import SurfaceParams
 
 # an H1 element maps keys (z_exponent, tau_bit, ((kind, idx), net), ...) to
@@ -174,7 +175,9 @@ def degree_one_torsion(s: SurfaceParams, trunc: Truncation = Truncation()) -> To
     piece leave its normal words a basis of the quotient over the integers.
     So when the completion divided only by +-1, the piece is free: the
     report is torsion-free with no divisor above 1, as a proof, and
-    ``rank`` is ``columns`` minus the normal words with one chord.
+    ``rank`` is ``columns`` minus the normal words with one chord and L
+    other letters, counted over the grading (chords, other letters) by
+    ``rewriting.one_marked_counts``.
     Otherwise the answer is unknown, and ``HypothesisError`` names the
     coefficient.  ``rows`` is the number of relation instances completed.
     A truncation without chords has no chord-degree-1 piece:
@@ -193,20 +196,15 @@ def degree_one_torsion(s: SurfaceParams, trunc: Truncation = Truncation()) -> To
         )
     chords = sum(sym[0] == "C" for sym in box.symbols)
     beads = len(box.symbols) - chords
-
-    def normal_words(chord_weight: int) -> int:
-        # normal words of weight 2L + 1: with chords of weight L + 1 these
-        # are one chord and L other letters, or 2L + 1 letters and no chord
-        weights = [chord_weight] * chords + [1] * (beads + 1)
-        return normal_word_counts(weights, box.system.rules, 2 * L + 1)[-1]
-
     columns = chords * sum((k + 1) * beads ** k for k in range(L + 1))
+    # chords are the first codes, t the last
+    normal = one_marked_counts(len(box.symbols) + 1, range(chords), box.system.rules, L)[L]
     return TorsionReport(
         surface=s,
         trunc=trunc,
         columns=columns,
         rows=sum(inst is not None for inst in box.instances),
-        rank=columns - (normal_words(L + 1) - normal_words(2 * L + 2)),
+        rank=columns - normal,
         divisors_gt_one=(),
         torsion_free=True,
     )

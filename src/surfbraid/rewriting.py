@@ -18,9 +18,19 @@ not the system ever closes: by Bergman's diamond lemma (Adv. Math. 29,
 1978), piece by piece as in the truncated Groebner bases of La Scala and
 Levandovskyy (J. Symb. Comput. 44, 2009), the words that contain no
 leading word as a factor, the normal words, form a basis of each graded
-piece of the quotient.  ``normal_word_counts`` counts them per degree
-by dynamic programming over the automaton of leading words (Ufnarovski's
-graph of normal words), so leading words of any length are handled.
+piece of the quotient.  Letter weights are positive ints, so each degree
+holds finitely many words.
+
+Normal words are counted over a grading by dynamic programming on the
+Aho-Corasick automaton of the leading words (Ufnarovski's graph of normal
+words), so leading words of any length are handled: one layer of state
+counts per graded piece, each spread to the pieces above it.
+``normal_word_counts`` counts per degree; ``one_marked_counts`` counts
+over the grading (marked letters, other letters) the words with exactly one
+marked letter, in two marked layers, so no word with none or two is counted
+on the way.  The automaton (``_automaton``) is built breadth first, each
+state's row a copy of its failure state's row with the state's own goto
+edges written over it.
 
 The diamond lemma holds over any commutative ring, so over the integers
 too when every rule's leading coefficient is +-1.  ``complete`` divides each
@@ -109,7 +119,7 @@ class RewritingSystem:
     """Rules ``lead -> tail`` over int letters with per-letter weights."""
 
     def __init__(self, weights, rules=None):
-        self.weights = tuple(weights)
+        self.weights = _weights(weights)
         self.rules: dict[tuple, dict] = {}
         # set by ``complete``: the first leading coefficient other than +-1
         # that it divided by, or None when every one was a unit
@@ -317,12 +327,26 @@ class RewritingSystem:
         return normal_word_counts(self.weights, self.rules, max_degree)
 
 
-def normal_word_counts(weights, leads, max_degree: int) -> list[int]:
-    """Number of normal words of each degree 0..max_degree, by dynamic
-    programming over the Aho-Corasick automaton of the leading words.  A
-    state is the longest suffix of the word read so far that is a proper
-    prefix of a leading word; a letter that completes a leading word
-    leads nowhere."""
+def _weights(weights) -> tuple:
+    """``weights`` as a tuple, each a positive int: a letter of weight 0 or
+    less would leave infinitely many words of one degree, or let a degree
+    fall as a word grows."""
+    weights = tuple(weights)
+    for w in weights:
+        if type(w) is not int or w < 1:
+            raise ParameterError(f"letter weight {w!r} is not a positive int")
+    return weights
+
+
+def _automaton(size: int, leads) -> tuple[list[list[int]], list[bool]]:
+    """The Aho-Corasick automaton (Comm. ACM 18, 1975) of the leading words
+    over the letters 0..size-1: ``delta[state][x]`` is the state after
+    letter ``x``, and ``dead[state]`` says the word read ends in a leading
+    word, so no normal word leads there.  A state is the longest suffix of
+    the word read so far that is a prefix of a leading word.  States are
+    taken breadth first, so a state's failure state (its longest proper
+    suffix among the states) already has its row: the state's row is a copy
+    of that row with its own goto edges written over it."""
     goto: list[dict] = [{}]
     dead = [False]
     for lead in leads:
@@ -335,35 +359,79 @@ def normal_word_counts(weights, leads, max_degree: int) -> list[int]:
                 dead.append(False)
             state = nxt
         dead[state] = True
-    letters = range(len(weights))
     fail = [0] * len(goto)
-    delta: list[list[int]] = [[0] * len(weights) for _ in goto]
-    for x in letters:
-        delta[0][x] = goto[0].get(x, 0)
+    delta: list = [None] * len(goto)
+    delta[0] = [0] * size
+    for x, nxt in goto[0].items():
+        delta[0][x] = nxt
     queue = deque(goto[0].values())
     while queue:
         state = queue.popleft()
+        back = delta[fail[state]]
         dead[state] = dead[state] or dead[fail[state]]
-        for x in letters:
-            nxt = goto[state].get(x)
-            if nxt is None:
-                delta[state][x] = delta[fail[state]][x]
-            else:
-                fail[nxt] = delta[fail[state]][x]
-                delta[state][x] = nxt
-                queue.append(nxt)
+        row = delta[state] = back[:]
+        for x, nxt in goto[state].items():
+            fail[nxt] = back[x]
+            row[x] = nxt
+            queue.append(nxt)
+    return delta, dead
+
+
+def _spread(row: list, letters, dead: list, count: int, layer: dict) -> None:
+    """Add ``count`` to ``layer`` at the state each of ``letters`` leads to
+    from ``row``, unless a leading word ends there."""
+    for x in letters:
+        t = row[x]
+        if not dead[t]:
+            layer[t] = layer.get(t, 0) + count
+
+
+def normal_word_counts(weights, leads, max_degree: int) -> list[int]:
+    """Number of normal words of each degree 0..max_degree, by dynamic
+    programming over the automaton of the leading words (``_automaton``):
+    one layer of state counts per degree, each spread to the layers above
+    by the letters of each weight."""
+    weights = _weights(weights)
+    delta, dead = _automaton(len(weights), leads)
+    by_weight: dict[int, list[int]] = {}
+    for x, w in enumerate(weights):
+        by_weight.setdefault(w, []).append(x)
     dp: list[dict] = [{} for _ in range(max_degree + 1)]
     if not dead[0]:
         dp[0][0] = 1
     for d in range(max_degree + 1):
         for state, count in dp[d].items():
             row = delta[state]
-            for x in letters:
-                e = d + weights[x]
-                t = row[x]
-                if e <= max_degree and not dead[t]:
-                    dp[e][t] = dp[e].get(t, 0) + count
+            for w, letters in by_weight.items():
+                if d + w <= max_degree:
+                    _spread(row, letters, dead, count, dp[d + w])
     return [sum(layer.values()) for layer in dp]
+
+
+def one_marked_counts(size: int, marked, leads, max_length: int) -> list[int]:
+    """Number of normal words over the letters 0..size-1 with exactly one
+    letter of ``marked`` and k other letters, for each k in 0..max_length:
+    the pieces of the grading (marked letters, other letters) with one
+    marked letter, read off one automaton in two marked layers (none yet,
+    one) by max_length + 1 layers of other letters.  Words without a marked
+    letter are counted only up to max_length letters, and words with two
+    not at all."""
+    delta, dead = _automaton(size, leads)
+    marked = set(marked)
+    others = [x for x in range(size) if x not in marked]
+    free: list[dict] = [{} for _ in range(max_length + 1)]  # no marked letter
+    once: list[dict] = [{} for _ in range(max_length + 1)]  # one marked letter
+    if not dead[0]:
+        free[0][0] = 1
+    for k in range(max_length + 1):
+        for state, count in free[k].items():
+            _spread(delta[state], marked, dead, count, once[k])
+            if k < max_length:
+                _spread(delta[state], others, dead, count, free[k + 1])
+        if k < max_length:
+            for state, count in once[k].items():
+                _spread(delta[state], others, dead, count, once[k + 1])
+    return [sum(layer.values()) for layer in once]
 
 
 def complete(weights, relations, bound) -> RewritingSystem:

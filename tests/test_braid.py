@@ -662,14 +662,22 @@ def scanned_insertion_to(table, w, target):
 def lookup_inputs(draw):
     """A reduced word w and a target: a word of ``search_inputs`` (another
     word, or w with a relator inserted), or w with one of the table's
-    insertions at some position; the flag says the target is one move away."""
+    insertions at some position; the flag says the target is one move away.
+    Half the insertions after a letter start with that letter's inverse:
+    the target then cancels at the seam, and at the position p before it
+    I_p ends in the inverse of w[p], so the conjugation to I_{p+1} cancels
+    at its right end."""
     s, w, target = draw(search_inputs())
     table = braid._move_table(s)
-    if table.inserts and draw(st.booleans()):
-        inserted = table.decode(draw(st.sampled_from(table.inserts))[0])
-        pos = draw(st.integers(0, len(w)))
-        return s, w, free_reduce(w[:pos] + inserted + w[pos:]), True
-    return s, w, target, False
+    if not table.inserts or draw(st.booleans()):
+        return s, w, target, False
+    inserts = [table.decode(ins[0]) for ins in table.inserts]
+    pos = draw(st.integers(0, len(w)))
+    if pos and draw(st.booleans()):
+        inverse = inverse_word(w[pos - 1:pos])
+        inserts = [ins for ins in inserts if ins[:1] == inverse] or inserts
+    inserted = draw(st.sampled_from(inserts))
+    return s, w, free_reduce(w[:pos] + inserted + w[pos:]), True
 
 
 LOOKUP_GRID = [SurfaceParams(g, p, n) for g in range(4) for p in range(4) for n in range(2, 6)]
@@ -750,6 +758,11 @@ class TestLastLevelLookup:
         assert found == scanned_insertion_to(table, w, target)
         if one_move:
             assert found is not None
+        # and every I_p on the way is its definition: a conjugation that
+        # skips the cancellation at its right end finds the same first move
+        expected = [free_reduce(inverse_word(w[:p]) + target + inverse_word(w[p:]))
+                    for p in range(len(w) + 1)]
+        assert recorded_lookups(s, w, target) == (expected if w != target else [])
 
     @pytest.mark.parametrize("genus", range(4))
     def test_seeded_grid_matches_the_scan(self, genus):

@@ -7,7 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import surfbraid
@@ -21,7 +21,7 @@ from surfbraid.diagrams import (
     relation_instances,
 )
 from surfbraid import diagrams, rewriting, surface, symplectic
-from surfbraid.errors import ResourceLimitError
+from surfbraid.errors import ParameterError, ResourceLimitError
 from surfbraid.rewriting import RewritingSystem, _add, complete
 from surfbraid.surface import SurfaceParams
 
@@ -47,8 +47,9 @@ def words_up_to(weights, max_degree):
 
 
 def contains_factor(word, factors):
-    return any(word[i:j] in factors
-               for i in range(len(word)) for j in range(i + 1, len(word) + 1))
+    # the empty word is a factor of every word
+    return () in factors or any(word[i:j] in factors
+                                for i in range(len(word)) for j in range(i + 1, len(word) + 1))
 
 
 def quotient_dims(weights, relations, max_degree):
@@ -228,15 +229,34 @@ class TestAgainstTheOracle:
 class TestCounting:
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.integers(1, 2), min_size=1, max_size=3),
-           st.lists(st.lists(st.integers(0, 2), min_size=1, max_size=4),
-                    max_size=4))
-    def test_against_enumeration(self, weights, leads):
+           st.lists(st.lists(st.integers(0, 2), max_size=4), max_size=4),
+           st.sets(st.integers(0, 2)))
+    @example([1, 1, 2], [[0, 1], [2, 0, 1, 1]], {0})  # a lead inside another
+    @example([1, 1], [[1, 1], []], {1})  # the empty lead: no word is normal
+    def test_against_enumeration(self, weights, leads, marked):
         # leading words of any length, one a factor of another allowed
         leads = {tuple(x % len(weights) for x in lead) for lead in leads}
+        marked = {x % len(weights) for x in marked}
         system = RewritingSystem(weights, {lead: {} for lead in leads})
         words = words_up_to(weights, 7)
         assert system.normal_word_counts(7) == [
             sum(not contains_factor(w, leads) for w in layer) for layer in words]
+        # one marked letter and k others, for k <= 5
+        words = words_up_to([1] * len(weights), 6)
+        assert rewriting.one_marked_counts(len(weights), marked, leads, 5) == [
+            sum(sum(x in marked for x in w) == 1 and not contains_factor(w, leads)
+                for w in words[k + 1]) for k in range(6)]
+
+    @pytest.mark.parametrize("weights", [[0, 1], [1, -1], [1, True], [1, 1.0]])
+    def test_refuses_a_weight_that_is_not_a_positive_int(self, weights):
+        # a letter of weight 0 leaves infinitely many words of degree 0, and
+        # one of negative weight lets a longer word have a lower degree
+        with pytest.raises(ParameterError, match="positive int"):
+            rewriting.normal_word_counts(weights, [], 2)
+        with pytest.raises(ParameterError, match="positive int"):
+            RewritingSystem(weights)
+        with pytest.raises(ParameterError, match="positive int"):
+            complete(weights, [], 2)
 
 
 class TestComplete:
